@@ -59,98 +59,89 @@ def _phase_grid(grid_size: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# log-likelihood accumulation per outcome type
+# log-likelihood as a function of the sufficient statistic
 # ---------------------------------------------------------------------------
 
-def _log_count_pmf(n: int, config: ExperimentConfig, grid: np.ndarray) -> np.ndarray:
-    """log p(n | phi) over the grid, up to the common -lgamma(n+1) constant."""
-    if config.model is LikelihoodModel.POISSON_FRINGE:
-        lam = fringe_mean(grid, config.probe, config.det)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpmf = np.where(n == 0, -lam, n * np.log(lam) - lam)
-        logpmf[np.isnan(logpmf)] = -np.inf  # n > 0 where lam == 0
-        return logpmf
-    require_matched_amplitudes(config.probe)
-    w1, w2 = mixture_weights(config.det)
-    lam1, lam2 = mixture_component_means(grid, config.probe, config.det)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l1 = np.where(n == 0, -lam1, n * np.log(lam1) - lam1)
-        l1[np.isnan(l1)] = -np.inf
-        l2 = np.where(n == 0, -lam2, n * np.log(lam2) - lam2)
-        logw1 = math.log(w1) if w1 > 0.0 else -np.inf
-        logw2 = math.log(w2) if w2 > 0.0 else -np.inf
-    return np.logaddexp(logw1 + l1, logw2 + l2)
+def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
+    """log p(record | phi) over the grid as a function of the record's
+    sufficient statistic, up to additive constants.
 
-
-def _loglik_counts(pairs, config: ExperimentConfig, grid: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(grid)
-    for n, multiplicity in pairs:
-        total += multiplicity * (_log_count_pmf(int(n), config, grid)
-                                 - math.lgamma(int(n) + 1))
-    return total
-
-
-def _loglik_clicks(n_silent: int, n_click: int, config: ExperimentConfig,
-                   grid: np.ndarray) -> np.ndarray:
-    if config.model is LikelihoodModel.POISSON_FRINGE:
-        lam = fringe_mean(grid, config.probe, config.det)
-        log_p0 = -lam
-        with np.errstate(divide="ignore"):
-            log_p1 = np.log(-np.expm1(-lam))
-    else:
-        require_matched_amplitudes(config.probe)
-        w1, w2 = mixture_weights(config.det)
-        lam1, lam2 = mixture_component_means(grid, config.probe, config.det)
-        p0 = w1 * np.exp(-lam1) + w2 * np.exp(-lam2)
-        with np.errstate(divide="ignore"):
-            log_p0 = np.log(p0)
-            log_p1 = np.log1p(-p0)
-    total = np.zeros_like(grid)
-    if n_silent:
-        total += n_silent * log_p0
-    if n_click:
-        total += n_click * log_p1
-    return total
-
-
-def _loglik_homodyne(k: int, s1: float, s2: float, config: ExperimentConfig,
-                     grid: np.ndarray) -> np.ndarray:
-    # density exp(-(x - mean)^2)/sqrt(pi): the phi-dependent part of the
-    # summed log-likelihood is -(s2 - 2*mean*s1 + k*mean^2)
-    mean = math.sqrt(2.0) * config.probe.alpha * np.sin(grid)
-    return -(s2 - 2.0 * mean * s1 + k * mean * mean)
-
-
-def _loglik_heterodyne(k: int, s1: complex, s2: float, config: ExperimentConfig,
-                       grid: np.ndarray) -> np.ndarray:
-    mx = config.probe.alpha * np.cos(grid)
-    my = config.probe.alpha * np.sin(grid)
-    return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * (mx * mx + my * my))
-
-
-def _count_pairs(values: np.ndarray):
-    histogram = np.bincount(values)
-    return [(n, int(c)) for n, c in enumerate(histogram) if c]
-
-
-def _loglik_grid(record: OutcomeRecord, grid: np.ndarray, upto: int | None = None) -> np.ndarray:
-    config = record.config
-    values = record.values if upto is None else record.values[:upto]
-    if len(values) == 0:
-        return np.zeros_like(grid)
-    if config.scheme is Scheme.DISPLACED_COUNTING:
-        if config.det.kind is DetectorKind.ON_OFF:
-            n_click = int(np.count_nonzero(values))
-            return _loglik_clicks(len(values) - n_click, n_click, config, grid)
-        return _loglik_counts(_count_pairs(values), config, grid)
+    Everything that depends on the configuration alone is evaluated here,
+    once: the count means over the grid and their logs, log p0 and log p1,
+    the quadrature means.
+    """
+    probe, det = config.probe, config.det
     if config.scheme is Scheme.HOMODYNE:
-        return _loglik_homodyne(len(values), float(np.sum(values)),
-                                float(np.sum(values * values)), config, grid)
+        # density exp(-(x - mean)^2)/sqrt(pi): the phi-dependent part of the
+        # summed log-likelihood is -(s2 - 2*mean*s1 + k*mean^2)
+        mean = math.sqrt(2.0) * probe.alpha * np.sin(grid)
+
+        def homodyne(statistic):
+            k, s1, s2 = statistic
+            return -(s2 - 2.0 * mean * s1 + k * mean * mean)
+        return homodyne
     if config.scheme is Scheme.HETERODYNE:
-        return _loglik_heterodyne(len(values), complex(np.sum(values)),
-                                  float(np.sum(values.real**2 + values.imag**2)),
-                                  config, grid)
-    raise ValueError(f"unknown scheme {config.scheme!r}")
+        mx = probe.alpha * np.cos(grid)
+        my = probe.alpha * np.sin(grid)
+        m2 = mx * mx + my * my
+
+        def heterodyne(statistic):
+            k, s1, s2 = statistic
+            return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
+        return heterodyne
+    if config.scheme is not Scheme.DISPLACED_COUNTING:
+        raise ValueError(f"unknown scheme {config.scheme!r}")
+
+    fringe = config.model is LikelihoodModel.POISSON_FRINGE
+    if fringe:
+        lam = fringe_mean(grid, probe, det)
+    else:
+        require_matched_amplitudes(probe)
+        w1, w2 = mixture_weights(det)
+        lam1, lam2 = mixture_component_means(grid, probe, det)
+
+    if det.kind is DetectorKind.ON_OFF:
+        with np.errstate(divide="ignore"):
+            if fringe:
+                log_p0, log_p1 = -lam, np.log(-np.expm1(-lam))
+            else:
+                p0 = w1 * np.exp(-lam1) + w2 * np.exp(-lam2)
+                log_p0, log_p1 = np.log(p0), np.log1p(-p0)
+
+        def clicks(statistic):
+            n_silent, n_click = statistic
+            total = np.zeros_like(grid)
+            if n_silent:
+                total += n_silent * log_p0
+            if n_click:
+                total += n_click * log_p1
+            return total
+        return clicks
+
+    # log p(n | phi) up to the common -lgamma(n+1) constant
+    with np.errstate(divide="ignore"):
+        if fringe:
+            log_lam = np.log(lam)
+
+            def log_pmf(n):
+                return -lam if n == 0 else n * log_lam - lam
+        else:
+            log_lam1, log_lam2 = np.log(lam1), np.log(lam2)
+            logw1 = math.log(w1) if w1 > 0.0 else -np.inf
+            logw2 = math.log(w2) if w2 > 0.0 else -np.inf
+
+            def log_pmf(n):
+                l1 = -lam1 if n == 0 else n * log_lam1 - lam1
+                l2 = -lam2 if n == 0 else n * log_lam2 - lam2
+                return np.logaddexp(logw1 + l1, logw2 + l2)
+
+    def counts(statistic):
+        total = np.zeros_like(grid)
+        for n, multiplicity in enumerate(statistic):
+            if multiplicity:
+                total += multiplicity * (log_pmf(n) - math.lgamma(n + 1))
+        return total
+    return counts
 
 
 def _normalize(loglik: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -171,13 +162,64 @@ def _normalize(loglik: np.ndarray, grid: np.ndarray) -> np.ndarray:
 # public operations
 # ---------------------------------------------------------------------------
 
+class LikelihoodTable:
+    """Grid posterior of one configuration as a function of a record's
+    sufficient statistic.
+
+    A record reaches the posterior only through its sufficient statistic:
+    (silent, click) counts, the count histogram, or the quadrature
+    statistic (k, sum, sum of squares).  Records with equal statistics
+    share one posterior.  The phase-dependent tables are built once, on
+    construction.
+    """
+
+    def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
+        self.config = config
+        self.grid = _phase_grid(grid_size)
+        self.loglik = _loglik_function(config, self.grid)
+
+    def statistics(self, record: OutcomeRecord, checkpoints):
+        """Yield the hashable sufficient statistic of the first k outcomes
+        for each increasing checkpoint k."""
+        values = record.values
+        counting = self.config.scheme is Scheme.DISPLACED_COUNTING
+        if counting and self.config.det.kind is DetectorKind.ON_OFF:
+            for k in checkpoints:
+                n_click = int(np.count_nonzero(values[:k]))
+                yield k - n_click, n_click
+        elif counting:
+            histogram = np.zeros(int(values.max(initial=0)) + 1, dtype=np.int64)
+            prev = 0
+            for k in checkpoints:
+                histogram += np.bincount(values[prev:k], minlength=len(histogram))
+                prev = k
+                yield tuple(histogram.tolist())
+        else:
+            # each prefix is summed afresh: chunked float sums round differently
+            for k in checkpoints:
+                head = values[:k]
+                if self.config.scheme is Scheme.HOMODYNE:
+                    yield k, float(np.sum(head)), float(np.sum(head * head))
+                else:
+                    yield k, complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
+
+    def posterior(self, statistic) -> PosteriorGrid:
+        return PosteriorGrid(nodes=self.grid,
+                             density=_normalize(self.loglik(statistic), self.grid))
+
+    def moments(self, statistic) -> tuple[float, float]:
+        """Posterior mean and variance, as :func:`estimate` gives them."""
+        return estimate(self.posterior(statistic))
+
+
 def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> PosteriorGrid:
     """Posterior over phi given the record, on a uniform [0, pi] grid.
 
     An empty record returns the flat prior 1/pi.
     """
-    grid = _phase_grid(grid_size)
-    return PosteriorGrid(nodes=grid, density=_normalize(_loglik_grid(record, grid), grid))
+    table = LikelihoodTable(record.config, grid_size)
+    (statistic,) = table.statistics(record, (len(record),))
+    return table.posterior(statistic)
 
 
 def estimate(post: PosteriorGrid) -> tuple[float, float]:
@@ -194,9 +236,9 @@ def sequential_estimates(
 ) -> list[tuple[int, float, float]]:
     """Running (k, phi_hat, variance) at each checkpoint k.
 
-    Count and click records accumulate sufficient statistics in one pass;
-    the realized estimate at k equals the one-shot posterior of the first k
-    outcomes exactly.
+    Sufficient statistics accumulate along the record and the likelihood
+    table is built once; the realized estimate at k equals the one-shot
+    posterior of the first k outcomes exactly.
     """
     ks = [int(k) for k in checkpoints]
     if not ks:
@@ -206,34 +248,6 @@ def sequential_estimates(
     if ks[0] < 1 or ks[-1] > record.config.pulses:
         raise ValueError("checkpoints must lie within [1, pulses]")
 
-    grid = _phase_grid(grid_size)
-    config = record.config
-    results = []
-
-    if (config.scheme is Scheme.DISPLACED_COUNTING
-            and config.det.kind is DetectorKind.NUMBER_RESOLVING):
-        # cumulative histogram; rebuilding the log-likelihood from the sorted
-        # (n, count) pairs keeps the float path identical to posterior()
-        histogram = np.zeros(int(record.values.max()) + 1, dtype=np.int64)
-        prev = 0
-        for k in ks:
-            histogram += np.bincount(record.values[prev:k], minlength=len(histogram))
-            prev = k
-            pairs = [(n, int(c)) for n, c in enumerate(histogram) if c]
-            density = _normalize(_loglik_counts(pairs, config, grid), grid)
-            results.append((k, *estimate(PosteriorGrid(nodes=grid, density=density))))
-        return results
-
-    if (config.scheme is Scheme.DISPLACED_COUNTING
-            and config.det.kind is DetectorKind.ON_OFF):
-        clicks_so_far = np.cumsum(record.values.astype(np.int64))
-        for k in ks:
-            n_click = int(clicks_so_far[k - 1])
-            density = _normalize(_loglik_clicks(k - n_click, n_click, config, grid), grid)
-            results.append((k, *estimate(PosteriorGrid(nodes=grid, density=density))))
-        return results
-
-    for k in ks:
-        density = _normalize(_loglik_grid(record, grid, upto=k), grid)
-        results.append((k, *estimate(PosteriorGrid(nodes=grid, density=density))))
-    return results
+    table = LikelihoodTable(record.config, grid_size)
+    return [(k, *table.moments(statistic))
+            for k, statistic in zip(ks, table.statistics(record, ks))]

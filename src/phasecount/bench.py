@@ -9,14 +9,13 @@ a file: resolved parameters, seed, and the PRNG identity.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .bayes import sequential_estimates
+from .bayes import LikelihoodTable, sequential_estimates
 from .fisher import FiOptions, Scheme, fi_analytic, fi_numeric, qfi_coherent
 from .photonics import (
     DetectorKind,
@@ -78,13 +77,6 @@ def write_metadata(csv_path, result: CommandResult) -> None:
         yaml.safe_dump(meta, fh, sort_keys=False, default_flow_style=False)
 
 
-def _map_trials(fn, trials: int, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
-
-
 # ---------------------------------------------------------------------------
 # fi-curve
 # ---------------------------------------------------------------------------
@@ -136,7 +128,7 @@ def run_fi_curve(run: FiCurveRun) -> CommandResult:
 # simulate
 # ---------------------------------------------------------------------------
 
-def run_simulate(run: SimulateRun, threads: int = 1) -> CommandResult:
+def run_simulate(run: SimulateRun) -> CommandResult:
     """Estimator trajectories versus pulse count, with reference bound curves.
 
     Per checkpoint k: the designated trial's estimate and posterior
@@ -146,16 +138,14 @@ def run_simulate(run: SimulateRun, threads: int = 1) -> CommandResult:
     heterodyne, and the quantum bound.
     """
     pset = run.params
-
-    def one_trial(t: int):
+    trials = []
+    for t in range(run.trials):
         cfg = ExperimentConfig(
             scheme=run.scheme, phi_true=run.phi_true, probe=pset.probe,
             det=pset.det, pulses=run.pulses, model=pset.model,
             seed=split_seed(run.seed, t),
         )
-        return sequential_estimates(sample(cfg), run.grid_size, run.checkpoints)
-
-    trials = _map_trials(one_trial, run.trials, threads)
+        trials.append(sequential_estimates(sample(cfg), run.grid_size, run.checkpoints))
     phi_hat = np.array([[e[1] for e in trial] for trial in trials])
     variance = np.array([[e[2] for e in trial] for trial in trials])
 
@@ -215,42 +205,42 @@ def _inverse(x: float) -> float:
 # saturate
 # ---------------------------------------------------------------------------
 
-def run_saturate(run: SaturateRun, threads: int = 1) -> CommandResult:
-    """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns."""
+def run_saturate(run: SaturateRun) -> CommandResult:
+    """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns.
+
+    Each trial draws its own record, but the posterior is evaluated once
+    per distinct sufficient statistic (click count or count histogram) in
+    a cell.
+    """
     pset = run.params
-    jobs = [(i, j) for i in range(len(run.phi_values)) for j in range(len(run.pulses_list))]
-
-    def one_cell(job):
-        i, j = job
-        phi, m = run.phi_values[i], run.pulses_list[j]
-        base = (i * len(run.pulses_list) + j) * run.trials
-        inv_mvar = []
-        variances = []
-        for t in range(run.trials):
-            cfg = ExperimentConfig(
-                scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
-                det=pset.det, pulses=m, model=pset.model,
-                seed=split_seed(run.seed, base + t),
-            )
-            (_, _, var), = sequential_estimates(sample(cfg), run.grid_size, (m,))
-            inv_mvar.append(1.0 / (m * var))
-            variances.append(var)
-        return float(np.mean(inv_mvar)), float(np.mean(variances))
-
-    cells = _map_trials(lambda idx: one_cell(jobs[idx]), len(jobs), threads)
-
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",
               "fi_displaced_exp", "fi_displaced_ideal", "fi_homodyne_ideal")
     rows = []
-    for (i, j), (inv_mean, var_mean) in zip(jobs, cells):
-        phi, m = run.phi_values[i], run.pulses_list[j]
-        rows.append((
-            phi, int(m), inv_mean, var_mean,
-            fi_numeric(Scheme.DISPLACED_COUNTING, phi, pset.probe, pset.det,
-                       model=pset.model).value,
-            fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
-            fi_analytic(Scheme.HOMODYNE, phi, pset.probe),
-        ))
+    for i, phi in enumerate(run.phi_values):
+        for j, m in enumerate(run.pulses_list):
+            base = (i * len(run.pulses_list) + j) * run.trials
+            cell = ExperimentConfig(
+                scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
+                det=pset.det, pulses=m, model=pset.model,
+            )
+            table = LikelihoodTable(cell, run.grid_size)
+            moments = {}
+            variances = []
+            for t in range(run.trials):
+                record = sample(replace(cell, seed=split_seed(run.seed, base + t)))
+                (statistic,) = table.statistics(record, (m,))
+                if statistic not in moments:
+                    moments[statistic] = table.moments(statistic)
+                variances.append(moments[statistic][1])
+            rows.append((
+                phi, int(m),
+                float(np.mean([1.0 / (m * var) for var in variances])),
+                float(np.mean(variances)),
+                fi_numeric(Scheme.DISPLACED_COUNTING, phi, pset.probe, pset.det,
+                           model=pset.model).value,
+                fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
+                fi_analytic(Scheme.HOMODYNE, phi, pset.probe),
+            ))
 
     meta = {
         "command": "saturate",

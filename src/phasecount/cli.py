@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--trials", type=int, default=None,
                          help="override the configured trial count")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for independent trials")
+                         help="accepted for compatibility, ignored; trials run in one thread")
     return parser
 
 
@@ -75,9 +75,9 @@ def main(argv=None) -> int:
         if args.command == "fi-curve":
             result = bench.run_fi_curve(run)
         elif args.command == "simulate":
-            result = bench.run_simulate(run, threads=args.threads)
+            result = bench.run_simulate(run)
         elif args.command == "saturate":
-            result = bench.run_saturate(run, threads=args.threads)
+            result = bench.run_saturate(run)
         else:
             return _povm_check(run, args.out)
 

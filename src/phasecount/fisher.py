@@ -8,6 +8,7 @@ The numeric path is the ground truth the closed forms are validated against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -293,9 +294,14 @@ def _fi_onoff(phi: float, probe, det, opts: FiOptions, model) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def _hermgauss_normalized(points: int):
+    """Gauss-Hermite rule for the weight exp(-t^2)/sqrt(pi).  A constant per
+    node count, built once per process; read-only because it is shared."""
     nodes, weights = np.polynomial.hermite.hermgauss(points)
-    return nodes, weights / math.sqrt(math.pi)
+    weights = weights / math.sqrt(math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _fi_homodyne(phi: float, probe, opts: FiOptions) -> float:

@@ -8,9 +8,6 @@ the outcome likelihoods of that receiver, plus the quadrature densities of
 the homodyne and heterodyne references.
 
 Quadrature convention: vacuum variance 1/2, i.e. x = (a + a^dag)/sqrt(2).
-
-Everything here is a pure function of immutable inputs; all operations are
-safe to call concurrently.
 """
 
 from __future__ import annotations

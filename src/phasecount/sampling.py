@@ -3,18 +3,19 @@
 The generator identity is frozen as part of the output contract:
 outcomes come from numpy's PCG64 stream, counts via inverse-CDF lookup on
 the truncated count distribution, quadratures via Gaussian sampling.
-Per-trial seeds are derived with a splitmix64 avalanche mixer so that
-independent trials can run concurrently from one master seed.
+Per-trial seeds are derived from one master seed with a splitmix64
+avalanche mixer, so each trial's stream is independent of the others.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fisher import FiOptions, Scheme
+from .fisher import FiConvergenceError, FiOptions, Scheme
 from .photonics import (
     DetectorKind,
     DetectorModel,
@@ -114,14 +115,26 @@ def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
 
     terms = [w * math.exp(-lam) for w, lam in zip(weights, means)]
     pmf = [sum(terms)]
+    running = pmf[0]
     n = 0
-    while 1.0 - math.fsum(pmf) >= tail_mass:
+    while True:
+        # The running sum is within len(pmf) ulps of the exactly rounded
+        # fsum, so only that close to the threshold does fsum decide.
+        residual = 1.0 - running
+        if abs(residual - tail_mass) <= (len(pmf) + 2) * sys.float_info.epsilon:
+            residual = 1.0 - math.fsum(pmf)
+        if residual < tail_mass:
+            return np.array(pmf)
         terms = [t * lam / (n + 1) for t, lam in zip(terms, means)]
-        pmf.append(sum(terms))
         n += 1
-        if n > 1_000_000:
-            raise RuntimeError(f"count distribution did not reach tail mass {tail_mass:g}")
-    return np.array(pmf)
+        if not any(terms) or n > 1_000_000:
+            # all-zero terms stay zero, so the mass is never reached
+            raise FiConvergenceError(
+                f"count distribution did not reach tail mass {tail_mass:g} "
+                f"within {n} counts at mean count {max(means):.6g}; above about "
+                "700 counts exp(-mean) underflows and the pmf loses mass")
+        pmf.append(sum(terms))
+        running += pmf[-1]
 
 
 def sample(config: ExperimentConfig) -> OutcomeRecord:

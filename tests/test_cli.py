@@ -308,6 +308,12 @@ class TestCommonFlags:
         assert cli.main(["fi-curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "mapping" in capsys.readouterr().err
 
+    def test_threads_still_validated(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                         "--threads", "0"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
     def test_trials_override(self, tmp_path):
         cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG)
         out = tmp_path / "sim.csv"

@@ -1,0 +1,357 @@
+"""Output identity: the shipped configs' CSV bytes, and the sufficient-statistic
+posterior path against the per-record reference it replaced.
+
+The reference functions below are kept verbatim from the per-record
+implementation (one grid likelihood rebuilt per record and per checkpoint,
+a quadratic-time count table); results are compared with ``==``.
+"""
+
+import hashlib
+import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import phasecount
+from phasecount import (
+    DetectorKind,
+    DetectorModel,
+    ExperimentConfig,
+    LikelihoodModel,
+    OutcomeRecord,
+    ProbeConfig,
+    Scheme,
+    cli,
+    count_distribution,
+    estimate,
+    posterior,
+    runconfig,
+    sample,
+    sequential_estimates,
+    split_seed,
+)
+from phasecount.bayes import PosteriorGrid, PosteriorUnderflowError, _phase_grid
+from phasecount.bench import run_saturate
+from phasecount.photonics import (
+    fringe_mean,
+    mixture_component_means,
+    mixture_weights,
+    require_matched_amplitudes,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# SHA-256 of the CSV each shipped config produces: the byte-identity
+# contract of the shipped outputs.
+SHIPPED_CSV_SHA256 = {
+    "fi_curves_ideal": "7c108e4133930fec5964bed52e992324e5080beebc6a3025efa7966e7d4ce8c9",
+    "fi_curves_imperfect_weak": "15af39bee2c3069b8faa74f080ad6ffbe7d10a37374ec73c0ea7a8a925fe6f01",
+    "fi_curves_imperfect_bright": "929f52a7a0ffbeb7bfc3bcbf592f4bf6f790a6678dbaff257b0c06bcae72460c",
+    "experiment_saturate": "5684e8c4fb3bc8d36ca917e43d1b60a75dc4e1a9538b28e9d45cad33aa0f119d",
+}
+
+
+# ---------------------------------------------------------------------------
+# per-record reference implementation
+# ---------------------------------------------------------------------------
+
+def _ref_log_count_pmf(n, config, grid):
+    if config.model is LikelihoodModel.POISSON_FRINGE:
+        lam = fringe_mean(grid, config.probe, config.det)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logpmf = np.where(n == 0, -lam, n * np.log(lam) - lam)
+        logpmf[np.isnan(logpmf)] = -np.inf  # n > 0 where lam == 0
+        return logpmf
+    require_matched_amplitudes(config.probe)
+    w1, w2 = mixture_weights(config.det)
+    lam1, lam2 = mixture_component_means(grid, config.probe, config.det)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1 = np.where(n == 0, -lam1, n * np.log(lam1) - lam1)
+        l1[np.isnan(l1)] = -np.inf
+        l2 = np.where(n == 0, -lam2, n * np.log(lam2) - lam2)
+        logw1 = math.log(w1) if w1 > 0.0 else -np.inf
+        logw2 = math.log(w2) if w2 > 0.0 else -np.inf
+    return np.logaddexp(logw1 + l1, logw2 + l2)
+
+
+def _ref_loglik_counts(pairs, config, grid):
+    total = np.zeros_like(grid)
+    for n, multiplicity in pairs:
+        total += multiplicity * (_ref_log_count_pmf(int(n), config, grid)
+                                 - math.lgamma(int(n) + 1))
+    return total
+
+
+def _ref_loglik_clicks(n_silent, n_click, config, grid):
+    if config.model is LikelihoodModel.POISSON_FRINGE:
+        lam = fringe_mean(grid, config.probe, config.det)
+        log_p0 = -lam
+        with np.errstate(divide="ignore"):
+            log_p1 = np.log(-np.expm1(-lam))
+    else:
+        require_matched_amplitudes(config.probe)
+        w1, w2 = mixture_weights(config.det)
+        lam1, lam2 = mixture_component_means(grid, config.probe, config.det)
+        p0 = w1 * np.exp(-lam1) + w2 * np.exp(-lam2)
+        with np.errstate(divide="ignore"):
+            log_p0 = np.log(p0)
+            log_p1 = np.log1p(-p0)
+    total = np.zeros_like(grid)
+    if n_silent:
+        total += n_silent * log_p0
+    if n_click:
+        total += n_click * log_p1
+    return total
+
+
+def _ref_loglik_homodyne(k, s1, s2, config, grid):
+    mean = math.sqrt(2.0) * config.probe.alpha * np.sin(grid)
+    return -(s2 - 2.0 * mean * s1 + k * mean * mean)
+
+
+def _ref_loglik_heterodyne(k, s1, s2, config, grid):
+    mx = config.probe.alpha * np.cos(grid)
+    my = config.probe.alpha * np.sin(grid)
+    return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * (mx * mx + my * my))
+
+
+def _ref_count_pairs(values):
+    histogram = np.bincount(values)
+    return [(n, int(c)) for n, c in enumerate(histogram) if c]
+
+
+def _ref_loglik_grid(record, grid, upto=None):
+    config = record.config
+    values = record.values if upto is None else record.values[:upto]
+    if len(values) == 0:
+        return np.zeros_like(grid)
+    if config.scheme is Scheme.DISPLACED_COUNTING:
+        if config.det.kind is DetectorKind.ON_OFF:
+            n_click = int(np.count_nonzero(values))
+            return _ref_loglik_clicks(len(values) - n_click, n_click, config, grid)
+        return _ref_loglik_counts(_ref_count_pairs(values), config, grid)
+    if config.scheme is Scheme.HOMODYNE:
+        return _ref_loglik_homodyne(len(values), float(np.sum(values)),
+                                    float(np.sum(values * values)), config, grid)
+    if config.scheme is Scheme.HETERODYNE:
+        return _ref_loglik_heterodyne(len(values), complex(np.sum(values)),
+                                      float(np.sum(values.real**2 + values.imag**2)),
+                                      config, grid)
+    raise ValueError(f"unknown scheme {config.scheme!r}")
+
+
+def _ref_normalize(loglik, grid):
+    peak = float(np.max(loglik))
+    if not np.isfinite(peak):
+        raise PosteriorUnderflowError("posterior vanished at every grid node")
+    density = np.exp(loglik - peak)
+    norm = float(np.trapezoid(density, grid))
+    if norm <= 0.0 or not math.isfinite(norm):
+        raise PosteriorUnderflowError("posterior normalization underflowed")
+    return density / norm
+
+
+def _ref_sequential_estimates(record, grid_size, checkpoints):
+    ks = [int(k) for k in checkpoints]
+    grid = _phase_grid(grid_size)
+    config = record.config
+    results = []
+
+    if (config.scheme is Scheme.DISPLACED_COUNTING
+            and config.det.kind is DetectorKind.NUMBER_RESOLVING):
+        histogram = np.zeros(int(record.values.max()) + 1, dtype=np.int64)
+        prev = 0
+        for k in ks:
+            histogram += np.bincount(record.values[prev:k], minlength=len(histogram))
+            prev = k
+            pairs = [(n, int(c)) for n, c in enumerate(histogram) if c]
+            density = _ref_normalize(_ref_loglik_counts(pairs, config, grid), grid)
+            results.append((k, *estimate(PosteriorGrid(nodes=grid, density=density))))
+        return results
+
+    if (config.scheme is Scheme.DISPLACED_COUNTING
+            and config.det.kind is DetectorKind.ON_OFF):
+        clicks_so_far = np.cumsum(record.values.astype(np.int64))
+        for k in ks:
+            n_click = int(clicks_so_far[k - 1])
+            density = _ref_normalize(_ref_loglik_clicks(k - n_click, n_click, config, grid), grid)
+            results.append((k, *estimate(PosteriorGrid(nodes=grid, density=density))))
+        return results
+
+    for k in ks:
+        density = _ref_normalize(_ref_loglik_grid(record, grid, upto=k), grid)
+        results.append((k, *estimate(PosteriorGrid(nodes=grid, density=density))))
+    return results
+
+
+def _ref_count_distribution(phi, probe, det, model, tail_mass=1e-14):
+    if model is LikelihoodModel.POISSON_FRINGE:
+        weights = [1.0]
+        means = [float(fringe_mean(phi, probe, det))]
+    else:
+        require_matched_amplitudes(probe)
+        weights = list(mixture_weights(det))
+        means = [float(v) for v in mixture_component_means(phi, probe, det)]
+
+    terms = [w * math.exp(-lam) for w, lam in zip(weights, means)]
+    pmf = [sum(terms)]
+    n = 0
+    while 1.0 - math.fsum(pmf) >= tail_mass:
+        terms = [t * lam / (n + 1) for t, lam in zip(terms, means)]
+        pmf.append(sum(terms))
+        n += 1
+        if n > 1_000_000:
+            raise RuntimeError(f"count distribution did not reach tail mass {tail_mass:g}")
+    return np.array(pmf)
+
+
+# ---------------------------------------------------------------------------
+# shipped configs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("stem", sorted(SHIPPED_CSV_SHA256))
+def test_shipped_config_csv_bytes(stem, tmp_path):
+    command = "saturate" if stem == "experiment_saturate" else "fi-curve"
+    out = tmp_path / f"{stem}.csv"
+    assert cli.main([command, "--config", str(CONFIGS / f"{stem}.yaml"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHIPPED_CSV_SHA256[stem]
+
+
+# ---------------------------------------------------------------------------
+# sufficient-statistic posterior vs the per-record reference
+# ---------------------------------------------------------------------------
+
+EXPERIMENT = dict(probe=ProbeConfig.from_intensities(0.100, 0.101),
+                  det=DetectorModel(eta=0.602, nu=1.13e-4, xi=0.993))
+MATCHED = dict(probe=ProbeConfig.from_intensities(0.5),
+               det=DetectorModel(eta=0.602, nu=1.13e-4, xi=0.9))
+BRIGHT = dict(probe=ProbeConfig.from_intensities(200, 202),
+              det=DetectorModel(eta=0.602, nu=1.13e-4, xi=0.993))
+
+
+def _config(scheme, phi, parts, kind=DetectorKind.NUMBER_RESOLVING,
+            model=LikelihoodModel.POISSON_FRINGE, pulses=3000, seed=0):
+    det = DetectorModel(eta=parts["det"].eta, nu=parts["det"].nu, xi=parts["det"].xi, kind=kind)
+    return ExperimentConfig(scheme=scheme, phi_true=phi, probe=parts["probe"], det=det,
+                            pulses=pulses, model=model, seed=seed)
+
+
+CASES = {
+    "onoff-fringe": _config(Scheme.DISPLACED_COUNTING, 1.0, EXPERIMENT, DetectorKind.ON_OFF),
+    "onoff-mixture": _config(Scheme.DISPLACED_COUNTING, 0.4, MATCHED, DetectorKind.ON_OFF,
+                             LikelihoodModel.VISIBILITY_MIXTURE),
+    "pnrd-fringe": _config(Scheme.DISPLACED_COUNTING, 2.0, MATCHED),
+    "pnrd-fringe-bright": _config(Scheme.DISPLACED_COUNTING, 2.88, BRIGHT, pulses=500),
+    "pnrd-mixture": _config(Scheme.DISPLACED_COUNTING, 0.7, MATCHED,
+                            model=LikelihoodModel.VISIBILITY_MIXTURE),
+    "pnrd-mixture-ideal": _config(Scheme.DISPLACED_COUNTING, 0.3,
+                                  dict(probe=ProbeConfig.from_intensities(0.1),
+                                       det=DetectorModel()),
+                                  model=LikelihoodModel.VISIBILITY_MIXTURE),
+    "homodyne": _config(Scheme.HOMODYNE, 0.8, EXPERIMENT),
+    "heterodyne": _config(Scheme.HETERODYNE, 2.2, EXPERIMENT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("seed", [3, 4])
+def test_sequential_estimates_equal_per_record_reference(name, seed):
+    config = CASES[name]
+    record = sample(replace(config, seed=seed))
+    checkpoints = sorted({1, 7, 10, 100, 316, config.pulses // 2, config.pulses})
+    assert (sequential_estimates(record, 257, checkpoints)
+            == _ref_sequential_estimates(record, 257, checkpoints))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_posterior_equals_per_record_reference(name):
+    config = CASES[name]
+    record = sample(config)
+    grid = _phase_grid(129)
+    expected = _ref_normalize(_ref_loglik_grid(record, grid), grid)
+    assert np.array_equal(posterior(record, 129).density, expected)
+    empty = OutcomeRecord(replace(config, pulses=0), record.values[:0])
+    assert np.array_equal(posterior(empty, 129).density, _ref_normalize(np.zeros_like(grid), grid))
+
+
+def test_saturate_with_shared_click_counts_matches_per_trial_reference():
+    run = runconfig.parse_saturate({
+        "phi_grid": {"values": [0.3, 2.5]}, "pulses": [20, 60], "trials": 40,
+        "grid_size": 257, "seed": 99, "signal_intensity": 0.100,
+        "displacement_intensity": 0.101, "eta": 0.602, "nu": 1.13e-4, "xi": 0.993,
+        "detector": "onoff",
+    })
+    result = run_saturate(run)
+    pset = run.params
+    for i, phi in enumerate(run.phi_values):
+        for j, m in enumerate(run.pulses_list):
+            base = (i * len(run.pulses_list) + j) * run.trials
+            inv_mvar, variances, clicks = [], [], set()
+            for t in range(run.trials):
+                cfg = ExperimentConfig(
+                    scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
+                    det=pset.det, pulses=m, model=pset.model,
+                    seed=split_seed(run.seed, base + t),
+                )
+                record = sample(cfg)
+                clicks.add(int(np.count_nonzero(record.values)))
+                (_, _, var), = _ref_sequential_estimates(record, run.grid_size, (m,))
+                inv_mvar.append(1.0 / (m * var))
+                variances.append(var)
+            assert len(clicks) < run.trials  # the cell does share click counts
+            row = result.rows[i * len(run.pulses_list) + j]
+            assert row[2:4] == (float(np.mean(inv_mvar)), float(np.mean(variances)))
+
+
+# ---------------------------------------------------------------------------
+# count table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model", list(LikelihoodModel))
+@pytest.mark.parametrize("xi", [0.9, 0.993, 1.0])
+def test_count_distribution_equals_quadratic_reference(model, xi):
+    det = DetectorModel(eta=0.602, nu=1.13e-4, xi=xi)
+    for intensity in np.geomspace(1e-4, 200.0, 12):
+        probe = ProbeConfig.from_intensities(intensity)
+        for phi in np.linspace(0.0, math.pi, 5):
+            got = count_distribution(phi, probe, det, model)
+            want = _ref_count_distribution(phi, probe, det, model)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_bright_probe_fails_fast_with_exit_code_2(tmp_path):
+    # mean count ~726: exp(-mean) is subnormal and the linear-domain count
+    # table can no longer reach its tail mass; the run must end, not hang
+    cfg = tmp_path / "bright.yaml"
+    cfg.write_text(textwrap.dedent("""\
+        phi_true: 3.14159
+        signal_intensity: 300
+        displacement_intensity: 303
+        eta: 0.602
+        xi: 1.0
+        nu: 1.13e-4
+        detector: pnrd
+        pulses: 100
+        trials: 2
+        grid_size: 257
+        seed: 1
+    """))
+    src = str(Path(phasecount.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "phasecount.cli", "simulate", "--config", str(cfg),
+         "--out", str(tmp_path / "bright.csv")],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert time.monotonic() - start < 10.0
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 2:
+        assert "count distribution" in proc.stderr
+        assert "tail mass" in proc.stderr

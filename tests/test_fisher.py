@@ -19,6 +19,7 @@ from phasecount import (
     qfi_coherent,
     qfi_pure_state,
 )
+from phasecount import fisher
 
 PHI_GRID = (0.1, 0.5, 1.0, 2.0, 3.0)
 INTENSITIES = (0.1, 1.0, 10.0)
@@ -174,6 +175,12 @@ class TestNumericFi:
         opts = FiOptions(derivative=DerivativeRule.CENTRAL_DIFFERENCE)
         assert fi_numeric(scheme, 1.0, ideal_probe, opts=opts).value == pytest.approx(
             fi_analytic(scheme, 1.0, ideal_probe), rel=1e-6)
+
+    def test_hermite_rule_is_shared_and_read_only(self):
+        nodes, weights = fisher._hermgauss_normalized(128)
+        assert fisher._hermgauss_normalized(128)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestFiOptionsValidation:

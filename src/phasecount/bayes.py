@@ -10,20 +10,16 @@ log-likelihood are dropped; they cancel in the normalization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fisher import Scheme
-from .photonics import (
-    DetectorKind,
-    LikelihoodModel,
-    fringe_mean,
-    mixture_component_means,
-    mixture_weights,
-    require_matched_amplitudes,
-)
+from .photonics import DetectorKind, count_model
+# Looked up here by perfbench/tracing.py, which wraps them by module and name.
+from .photonics import fringe_mean, mixture_component_means
 from .sampling import ExperimentConfig, OutcomeRecord
 
 DEFAULT_GRID_SIZE = 4097
@@ -92,21 +88,9 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
     if config.scheme is not Scheme.DISPLACED_COUNTING:
         raise ValueError(f"unknown scheme {config.scheme!r}")
 
-    fringe = config.model is LikelihoodModel.POISSON_FRINGE
-    if fringe:
-        lam = fringe_mean(grid, probe, det)
-    else:
-        require_matched_amplitudes(probe)
-        w1, w2 = mixture_weights(det)
-        lam1, lam2 = mixture_component_means(grid, probe, det)
-
+    model = count_model(probe, det, config.model)
     if det.kind is DetectorKind.ON_OFF:
-        with np.errstate(divide="ignore"):
-            if fringe:
-                log_p0, log_p1 = -lam, np.log(-np.expm1(-lam))
-            else:
-                p0 = w1 * np.exp(-lam1) + w2 * np.exp(-lam2)
-                log_p0, log_p1 = np.log(p0), np.log1p(-p0)
+        log_p0, log_p1 = model.log_silent_click(grid)
 
         def clicks(statistic):
             n_silent, n_click = statistic
@@ -118,22 +102,19 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
             return total
         return clicks
 
-    # log p(n | phi) up to the common -lgamma(n+1) constant
+    # log p(n | phi) up to the common -lgamma(n+1) constant, per component;
+    # a zero-weight component adds nothing and is left out
+    def component_log_pmf(log_w, lam, log_lam):
+        def log_pmf(n):
+            part = -lam if n == 0 else n * log_lam - lam
+            return part + log_w if log_w else part  # adding 0 would cost a grid pass
+        return log_pmf
+
     with np.errstate(divide="ignore"):
-        if fringe:
-            log_lam = np.log(lam)
-
-            def log_pmf(n):
-                return -lam if n == 0 else n * log_lam - lam
-        else:
-            log_lam1, log_lam2 = np.log(lam1), np.log(lam2)
-            logw1 = math.log(w1) if w1 > 0.0 else -np.inf
-            logw2 = math.log(w2) if w2 > 0.0 else -np.inf
-
-            def log_pmf(n):
-                l1 = -lam1 if n == 0 else n * log_lam1 - lam1
-                l2 = -lam2 if n == 0 else n * log_lam2 - lam2
-                return np.logaddexp(logw1 + l1, logw2 + l2)
+        log_pmf = functools.reduce(
+            lambda f, g: lambda n: np.logaddexp(f(n), g(n)),
+            [component_log_pmf(math.log(w), lam, np.log(lam))
+             for w, lam in zip(model.weights, model.means(grid)) if w > 0.0])
 
     def counts(statistic):
         total = np.zeros_like(grid)

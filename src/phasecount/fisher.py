@@ -9,6 +9,7 @@ The numeric path is the ground truth the closed forms are validated against.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,17 +18,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .photonics import (
+    CountModel,
     DetectorKind,
     DetectorModel,
     LikelihoodModel,
     ProbeConfig,
+    count_model,
+    homodyne_mean,
+)
+# Looked up here by perfbench/tracing.py, which wraps them by module and name.
+from .photonics import (
     fringe_mean,
     fringe_mean_derivative,
-    homodyne_mean,
     mixture_component_means,
     mixture_interfering_mean_derivative,
-    mixture_weights,
-    require_matched_amplitudes,
 )
 
 # Terms with probability below this are skipped in count sums (0*inf guard).
@@ -35,6 +39,10 @@ PROB_FLOOR = 1e-300
 
 # Hard cap on the number of count terms before declaring non-convergence.
 MAX_COUNT_TERMS = 1_000_000
+
+# Gauss-Hermite nodes for continuous outcomes: 2 would be exact for their quadratic
+# log-densities, but the shipped homodyne and heterodyne values carry the bits of 128.
+QUAD_POINTS = 128
 
 
 class FiConvergenceError(RuntimeError):
@@ -61,16 +69,16 @@ class FiOptions:
     step           -- central-difference step in radians
     count_tail_mass -- stop summing count outcomes once the residual
                       probability mass falls below this (must be <= 1e-6)
-    quad_points    -- Gauss-Hermite nodes for continuous outcomes (>= 64)
     phi_zero_surrogate -- displaced counting is evaluated here when asked
                       for phi = 0 exactly, where the ideal likelihood is
                       degenerate; the substitution is flagged in the result
+
+    Continuous outcomes are integrated on the fixed QUAD_POINTS-node rule.
     """
 
     derivative: DerivativeRule = DerivativeRule.ANALYTIC
     step: float = 1e-5
     count_tail_mass: float = 1e-14
-    quad_points: int = 128
     phi_zero_surrogate: float = 1e-6
 
     def __post_init__(self):
@@ -80,8 +88,6 @@ class FiOptions:
             raise ValueError(
                 f"count_tail_mass must lie in (0, 1e-6], got {self.count_tail_mass!r}"
             )
-        if self.quad_points < 64:
-            raise ValueError(f"quad_points must be >= 64, got {self.quad_points!r}")
         if self.phi_zero_surrogate <= 0.0:
             raise ValueError("phi_zero_surrogate must be > 0")
 
@@ -170,10 +176,11 @@ def fi_numeric(
         if det is None:
             det = DetectorModel()
         phi_eval, substituted = (opts.phi_zero_surrogate, True) if phi == 0.0 else (phi, False)
+        counts = count_model(probe, det, model)
         if det.kind is DetectorKind.ON_OFF:
-            value = _fi_onoff(phi_eval, probe, det, opts, model)
+            value = _fi_onoff(phi_eval, counts, opts)
         else:
-            value = _fi_counts(phi_eval, probe, det, opts, model)
+            value = _fi_counts(phi_eval, counts, opts)
         return FiResult(value, phi, phi_eval, substituted)
     if scheme is Scheme.HOMODYNE:
         return FiResult(_fi_homodyne(phi, probe, opts), phi, phi, False)
@@ -182,110 +189,70 @@ def fi_numeric(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _count_pmf_stream(phi: float, probe, det, model):
-    """Yield (p_n, dp_n/dphi) pairs for n = 0, 1, 2, ... with analytic derivatives.
+def _poisson_stream(w: float, lam: float, wdlam: float):
+    """Yield (w*p_n, w*dp_n/dphi) of one Poisson component, n = 0, 1, 2, ...,
+    until p_n underflows to 0; it stays 0 from there on.
 
-    Both models are (mixtures of) Poisson families, so the derivative of the
-    n-th mass is d(lam)/dphi * (p_{n-1} - p_n) componentwise, which avoids
-    dividing by a vanishing mean near perfect nulling.
+    The derivative of the n-th mass of a Poisson family is
+    d(lam)/dphi * (p_{n-1} - p_n), which avoids dividing by a vanishing
+    mean near perfect nulling.  ``wdlam`` is w * d(lam)/dphi.
     """
-    if model is LikelihoodModel.POISSON_FRINGE:
-        lam = float(fringe_mean(phi, probe, det))
-        dlam = float(fringe_mean_derivative(phi, probe, det))
-        p = math.exp(-lam)
-        prev = 0.0
-        n = 0
-        while True:
-            yield p, dlam * (prev - p)
-            prev = p
-            p *= lam / (n + 1)
-            n += 1
-    else:
-        require_matched_amplitudes(probe)
-        w1, w2 = mixture_weights(det)
-        lam1, lam2 = (float(v) for v in mixture_component_means(phi, probe, det))
-        dlam1 = float(mixture_interfering_mean_derivative(phi, probe, det))
-        a, b = math.exp(-lam1), math.exp(-lam2)
-        a_prev = 0.0
-        n = 0
-        while True:
-            yield w1 * a + w2 * b, w1 * dlam1 * (a_prev - a)
-            a_prev = a
-            a *= lam1 / (n + 1)
-            b *= lam2 / (n + 1)
-            n += 1
+    p = math.exp(-lam)
+    prev = 0.0
+    n = 0
+    while p:
+        yield w * p, wdlam * (prev - p)
+        prev = p
+        n += 1
+        p *= lam / n
 
 
-def _fi_counts(phi: float, probe, det, opts: FiOptions, model) -> float:
+def _add_streams(a, b):
+    """Termwise sum of two (p, dp) streams; a finished stream adds zeros."""
+    return ((pa + pb, da + db)
+            for (pa, da), (pb, db) in itertools.zip_longest(a, b, fillvalue=(0.0, 0.0)))
+
+
+def _analytic_stream(phi: float, counts: CountModel):
+    return functools.reduce(_add_streams, (
+        _poisson_stream(w, float(lam), w * float(dlam))
+        for w, lam, dlam in zip(counts.weights, counts.means(phi), counts.dmeans(phi))))
+
+
+def _count_pmf_stream(phi: float, counts: CountModel, opts: FiOptions):
+    """Yield (p_n, dp_n/dphi) for n = 0, 1, 2, ... until every component's
+    mass has underflowed to 0, after which the total mass cannot grow."""
     if opts.derivative is DerivativeRule.ANALYTIC:
-        streams = [_count_pmf_stream(phi, probe, det, model)]
+        return _analytic_stream(phi, counts)
+    h = opts.step
+    offsets = (phi + h, phi - h, phi + 0.5 * h, phi - 0.5 * h, phi)
+    return ((p0, (4.0 * ((pp2 - pm2) / h) - (pp - pm) / (2.0 * h)) / 3.0)
+            for (pp, _), (pm, _), (pp2, _), (pm2, _), (p0, _)
+            in zip(*(_analytic_stream(x, counts) for x in offsets)))
 
-        def term(values):
-            (p, dp), = values
-            return p, dp
-    else:
-        h = opts.step
-        offsets = (phi + h, phi - h, phi + 0.5 * h, phi - 0.5 * h, phi)
-        streams = [_count_pmf_stream(x, probe, det, model) for x in offsets]
 
-        def term(values):
-            (pp, _), (pm, _), (pp2, _), (pm2, _), (p0, _) = values
-            coarse = (pp - pm) / (2.0 * h)
-            fine = (pp2 - pm2) / h
-            return p0, (4.0 * fine - coarse) / 3.0
-
+def _fi_counts(phi: float, counts: CountModel, opts: FiOptions) -> float:
+    stream = _count_pmf_stream(phi, counts, opts)
     total = 0.0
     mass = 0.0
-    for n in range(MAX_COUNT_TERMS):
-        p, dp = term([next(s) for s in streams])
+    n = 0
+    for n, (p, dp) in enumerate(itertools.islice(stream, MAX_COUNT_TERMS), 1):
         if p > PROB_FLOOR:
             total += dp * dp / p
         mass += p
         if 1.0 - mass < opts.count_tail_mass:
             return total
+    mean = max(float(lam) for lam in counts.means(phi))
     raise FiConvergenceError(
-        f"count sum did not reach tail mass {opts.count_tail_mass:g} "
-        f"within {MAX_COUNT_TERMS} terms (phi={phi!r})"
-    )
+        f"count sum did not reach tail mass {opts.count_tail_mass:g} after {n} terms "
+        f"at mean count {mean:.6g} (phi={phi!r}); above about 700 counts "
+        "exp(-mean) underflows and the count masses lose mass")
 
 
-def _silent_probability(phi: float, probe, det, model) -> float:
-    if model is LikelihoodModel.POISSON_FRINGE:
-        return math.exp(-float(fringe_mean(phi, probe, det)))
-    require_matched_amplitudes(probe)
-    w1, w2 = mixture_weights(det)
-    lam1, lam2 = (float(v) for v in mixture_component_means(phi, probe, det))
-    return w1 * math.exp(-lam1) + w2 * math.exp(-lam2)
-
-
-def _fi_onoff(phi: float, probe, det, opts: FiOptions, model) -> float:
-    p0 = _silent_probability(phi, probe, det, model)
-    if model is LikelihoodModel.POISSON_FRINGE:
-        lam = float(fringe_mean(phi, probe, det))
-        p_click = float(-np.expm1(-lam))
-    else:
-        p_click = 1.0 - p0
-
-    if opts.derivative is DerivativeRule.ANALYTIC:
-        if model is LikelihoodModel.POISSON_FRINGE:
-            dp0 = -float(fringe_mean_derivative(phi, probe, det)) * p0
-        else:
-            w1, _ = mixture_weights(det)
-            lam1, _ = mixture_component_means(phi, probe, det)
-            dlam1 = float(mixture_interfering_mean_derivative(phi, probe, det))
-            dp0 = -w1 * dlam1 * math.exp(-float(lam1))
-    else:
-        h = opts.step
-        coarse = (
-            _silent_probability(phi + h, probe, det, model)
-            - _silent_probability(phi - h, probe, det, model)
-        ) / (2.0 * h)
-        fine = (
-            _silent_probability(phi + 0.5 * h, probe, det, model)
-            - _silent_probability(phi - 0.5 * h, probe, det, model)
-        ) / h
-        dp0 = (4.0 * fine - coarse) / 3.0
-
+def _fi_onoff(phi: float, counts: CountModel, opts: FiOptions) -> float:
+    # silence is the n = 0 count; an empty stream means p0 underflowed to 0
+    p0, dp0 = next(_count_pmf_stream(phi, counts, opts), (0.0, 0.0))
+    p_click = counts.silent_click(phi)[1]
     total = 0.0
     if p0 > PROB_FLOOR:
         total += dp0 * dp0 / p0
@@ -307,7 +274,7 @@ def _hermgauss_normalized(points: int):
 def _fi_homodyne(phi: float, probe, opts: FiOptions) -> float:
     # x = mean + t with t the Hermite nodes: the density has variance 1/2,
     # so log p(x|phi) = -(x - mean(phi))^2 + const.
-    t, w = _hermgauss_normalized(opts.quad_points)
+    t, w = _hermgauss_normalized(QUAD_POINTS)
     mean = float(homodyne_mean(phi, probe))
     if opts.derivative is DerivativeRule.ANALYTIC:
         dmean = math.sqrt(2.0) * probe.alpha * math.cos(phi)
@@ -326,7 +293,7 @@ def _fi_homodyne(phi: float, probe, opts: FiOptions) -> float:
 
 
 def _fi_heterodyne(phi: float, probe, opts: FiOptions) -> float:
-    t, w = _hermgauss_normalized(opts.quad_points)
+    t, w = _hermgauss_normalized(QUAD_POINTS)
     mx = probe.alpha * math.cos(phi)
     my = probe.alpha * math.sin(phi)
     if opts.derivative is DerivativeRule.ANALYTIC:

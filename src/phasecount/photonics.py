@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -128,16 +129,6 @@ class DetectorModel:
 # helpers shared by the likelihood models
 # ---------------------------------------------------------------------------
 
-def displaced_mean_photons(phi, probe: ProbeConfig):
-    """Mean photon number of the displaced signal |alpha e^{i phi} - beta|^2.
-
-    Uses the cancellation-free form (alpha-beta)^2 + 4*alpha*beta*sin^2(phi/2).
-    """
-    a, b = probe.alpha, probe.beta
-    s = np.sin(np.asarray(phi, dtype=float) / 2.0)
-    return (a - b) ** 2 + 4.0 * a * b * s * s
-
-
 def fringe_mean(phi, probe: ProbeConfig, det: DetectorModel):
     """Mean detected count of the single-Poisson interference-fringe model.
 
@@ -192,6 +183,62 @@ def _poisson_pmf(n: int, lam: float) -> float:
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+
+
+@dataclass(frozen=True)
+class CountModel:
+    """The detected count as a Poisson mixture sum_i w_i Pois(lam_i(phi)).
+
+    weights -- component weights w_i, summing to 1
+    means   -- phi -> (lam_1(phi), lam_2(phi), ...), elementwise over arrays
+    dmeans  -- phi -> (d lam_1/d phi, ...), same shape as ``means``
+
+    Built only by :func:`count_model`; every count and click likelihood,
+    Fisher-information sum, sampler table and grid log-likelihood is
+    derived from these three fields.
+    """
+
+    weights: tuple[float, ...]
+    means: Callable
+    dmeans: Callable
+
+    def silent_click(self, phi: float) -> tuple[float, float]:
+        """Probabilities of no click and of a click at phase ``phi``."""
+        lams = [float(lam) for lam in self.means(phi)]
+        p0 = sum([w * math.exp(-lam) for w, lam in zip(self.weights, lams)])
+        if len(lams) == 1:
+            # one Poisson: expm1 keeps the click probability accurate at small means
+            return p0, float(-np.expm1(-lams[0]))
+        return p0, 1.0 - p0
+
+    def log_silent_click(self, phi) -> tuple[np.ndarray, np.ndarray]:
+        """log p(no click) and log p(click) over an array of phases."""
+        lams = self.means(phi)
+        with np.errstate(divide="ignore"):
+            if len(lams) == 1:
+                return -lams[0], np.log(-np.expm1(-lams[0]))
+            p0 = sum(w * np.exp(-lam) for w, lam in zip(self.weights, lams))
+            return np.log(p0), np.log1p(-p0)
+
+
+def count_model(probe: ProbeConfig, det: DetectorModel, model: LikelihoodModel) -> CountModel:
+    """The count model of ``model`` for this probe and detector.
+
+    A new Poisson-mixture noise model is one more branch here.  The means
+    look ``fringe_mean`` and its kin up at call time.
+    """
+    if model is LikelihoodModel.POISSON_FRINGE:
+        return CountModel(
+            weights=(1.0,),
+            means=lambda phi: (fringe_mean(phi, probe, det),),
+            dmeans=lambda phi: (fringe_mean_derivative(phi, probe, det),),
+        )
+    require_matched_amplitudes(probe)
+    return CountModel(
+        weights=mixture_weights(det),
+        means=lambda phi: mixture_component_means(phi, probe, det),
+        dmeans=lambda phi: (mixture_interfering_mean_derivative(phi, probe, det), 0.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +299,8 @@ def pnrd_likelihood(
         raise ValueError(f"photon-count outcome must be >= 0, got {n!r}")
     if det.kind is not DetectorKind.NUMBER_RESOLVING:
         raise ValueError("pnrd_likelihood needs a number-resolving detector")
-    if model is LikelihoodModel.POISSON_FRINGE:
-        return _poisson_pmf(n, float(fringe_mean(phi, probe, det)))
-    require_matched_amplitudes(probe)
-    w1, w2 = mixture_weights(det)
-    lam1, lam2 = mixture_component_means(phi, probe, det)
-    return w1 * _poisson_pmf(n, float(lam1)) + w2 * _poisson_pmf(n, float(lam2))
+    counts = count_model(probe, det, model)
+    return sum(w * _poisson_pmf(n, float(lam)) for w, lam in zip(counts.weights, counts.means(phi)))
 
 
 def mixture_likelihood_raw(n: int, phi: float, probe: ProbeConfig, det: DetectorModel) -> float:
@@ -267,8 +310,7 @@ def mixture_likelihood_raw(n: int, phi: float, probe: ProbeConfig, det: Detector
     """
     if n < 0:
         raise ValueError(f"photon-count outcome must be >= 0, got {n!r}")
-    require_matched_amplitudes(probe)
-    lam1, lam2 = mixture_component_means(phi, probe, det)
+    lam1, lam2 = count_model(probe, det, LikelihoodModel.VISIBILITY_MIXTURE).means(phi)
     return det.xi * _poisson_pmf(n, float(lam1)) + 2.0 * (1.0 - det.xi) * _poisson_pmf(n, float(lam2))
 
 
@@ -280,14 +322,8 @@ def onoff_likelihood(
     model: LikelihoodModel = LikelihoodModel.POISSON_FRINGE,
 ) -> float:
     """Probability of a click (or of silence) for a threshold detector."""
-    if model is LikelihoodModel.POISSON_FRINGE:
-        lam = float(fringe_mean(phi, probe, det))
-        return float(-np.expm1(-lam)) if click else math.exp(-lam)
-    require_matched_amplitudes(probe)
-    w1, w2 = mixture_weights(det)
-    lam1, lam2 = mixture_component_means(phi, probe, det)
-    p_silent = w1 * math.exp(-float(lam1)) + w2 * math.exp(-float(lam2))
-    return 1.0 - p_silent if click else p_silent
+    p_silent, p_click = count_model(probe, det, model).silent_click(phi)
+    return p_click if click else p_silent
 
 
 def homodyne_mean(phi, probe: ProbeConfig):

@@ -21,13 +21,12 @@ from .photonics import (
     DetectorModel,
     LikelihoodModel,
     ProbeConfig,
-    fringe_mean,
+    count_model,
     homodyne_mean,
-    mixture_component_means,
-    mixture_weights,
     onoff_likelihood,
-    require_matched_amplitudes,
 )
+# Looked up here by perfbench/tracing.py, which wraps them by module and name.
+from .photonics import fringe_mean, mixture_component_means
 
 PRNG_IDENTITY = "numpy.random.PCG64"
 SEED_MIXER_IDENTITY = "splitmix64"
@@ -105,15 +104,9 @@ def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
                        model: LikelihoodModel, tail_mass: float = COUNT_TAIL_MASS) -> np.ndarray:
     """Count probabilities p(0..N | phi), truncated once the residual mass
     drops below ``tail_mass``."""
-    if model is LikelihoodModel.POISSON_FRINGE:
-        weights = [1.0]
-        means = [float(fringe_mean(phi, probe, det))]
-    else:
-        require_matched_amplitudes(probe)
-        weights = list(mixture_weights(det))
-        means = [float(v) for v in mixture_component_means(phi, probe, det)]
-
-    terms = [w * math.exp(-lam) for w, lam in zip(weights, means)]
+    counts = count_model(probe, det, model)
+    means = [float(lam) for lam in counts.means(phi)]
+    terms = [w * math.exp(-lam) for w, lam in zip(counts.weights, means)]
     pmf = [sum(terms)]
     running = pmf[0]
     n = 0

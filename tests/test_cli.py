@@ -99,6 +99,22 @@ class TestFiCurve:
         assert "matched amplitudes" in capsys.readouterr().err
 
 
+    def test_bright_probe_count_sum_failure_exits_2(self, tmp_path, capsys):
+        # mean count ~726: the count sum cannot reach its tail mass
+        cfg = _write(tmp_path, "fi.yaml", textwrap.dedent("""\
+            phi_grid: {values: [3.141592653589793]}
+            schemes: [displaced]
+            parameter_sets:
+              - label: bright
+                signal_intensity: 300
+                displacement_intensity: 303
+                eta: 0.602
+                nu: 1.13e-4
+        """))
+        assert cli.main(["fi-curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "tail mass" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG)

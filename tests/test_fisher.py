@@ -1,6 +1,7 @@
 """Quantum Fisher information, analytic closed forms, and the numeric FI."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from phasecount import (
     DetectorKind,
     DetectorModel,
     DerivativeRule,
+    FiConvergenceError,
     FiOptions,
     LikelihoodModel,
     ProbeConfig,
@@ -114,6 +116,24 @@ class TestNumericFi:
         assert res.zero_substituted
         assert res.value < 0.4
 
+    @pytest.mark.parametrize("rule", list(DerivativeRule))
+    @pytest.mark.parametrize("model,intensities,xi", [
+        (LikelihoodModel.POISSON_FRINGE, (300.0, 303.0), 1.0),  # mean count ~726
+        # xi = 1 leaves the background component with weight 0
+        (LikelihoodModel.VISIBILITY_MIXTURE, (310.0, 310.0), 1.0),
+        (LikelihoodModel.VISIBILITY_MIXTURE, (310.0, 310.0), 0.9),
+    ])
+    def test_bright_probe_fails_fast(self, model, intensities, xi, rule):
+        # exp(-mean) is subnormal or 0: the count masses can no longer reach
+        # the tail-mass target, and the sum must say so at once
+        probe = ProbeConfig.from_intensities(*intensities)
+        det = DetectorModel(eta=0.602, nu=1.13e-4, xi=xi)
+        start = time.perf_counter()
+        with pytest.raises(FiConvergenceError, match="tail mass"):
+            fi_numeric(Scheme.DISPLACED_COUNTING, math.pi, probe, det,
+                       FiOptions(derivative=rule), model)
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_never_exceeds_qfi_for_ideal_parameters(self, scheme):
         probe = ProbeConfig.from_intensities(0.1)
@@ -189,10 +209,6 @@ class TestFiOptionsValidation:
             FiOptions(count_tail_mass=1e-5)
         with pytest.raises(ValueError):
             FiOptions(count_tail_mass=0.0)
-
-    def test_quad_points_floor(self):
-        with pytest.raises(ValueError):
-            FiOptions(quad_points=32)
 
     def test_step_positive(self):
         with pytest.raises(ValueError):

@@ -231,6 +231,29 @@ def _count_pmf_stream(phi: float, counts: CountModel, opts: FiOptions):
             in zip(*(_analytic_stream(x, counts) for x in offsets)))
 
 
+def _count_tail_error(phi: float, counts: CountModel, opts: FiOptions,
+                      terms: int) -> FiConvergenceError:
+    mean = max(float(lam) for lam in counts.means(phi))
+    return FiConvergenceError(
+        f"count distribution did not reach tail mass {opts.count_tail_mass:g} after "
+        f"{terms} terms at mean count {mean:.6g} (phi={phi!r}); above about 700 "
+        "counts exp(-mean) underflows and the count masses lose mass")
+
+
+def count_masses(phi: float, counts: CountModel, opts: FiOptions) -> list[float]:
+    """Count probabilities p_n, n = 0, 1, 2, ..., up to the first n at which
+    the residual mass 1 - (p_0 + ... + p_n), summed left to right, falls
+    below ``opts.count_tail_mass``: the terms the count FI sum runs over."""
+    masses = []
+    mass = 0.0
+    for p, _ in itertools.islice(_analytic_stream(phi, counts), MAX_COUNT_TERMS):
+        masses.append(p)
+        mass += p
+        if 1.0 - mass < opts.count_tail_mass:
+            return masses
+    raise _count_tail_error(phi, counts, opts, len(masses))
+
+
 def _fi_counts(phi: float, counts: CountModel, opts: FiOptions) -> float:
     stream = _count_pmf_stream(phi, counts, opts)
     total = 0.0
@@ -242,11 +265,7 @@ def _fi_counts(phi: float, counts: CountModel, opts: FiOptions) -> float:
         mass += p
         if 1.0 - mass < opts.count_tail_mass:
             return total
-    mean = max(float(lam) for lam in counts.means(phi))
-    raise FiConvergenceError(
-        f"count sum did not reach tail mass {opts.count_tail_mass:g} after {n} terms "
-        f"at mean count {mean:.6g} (phi={phi!r}); above about 700 counts "
-        "exp(-mean) underflows and the count masses lose mass")
+    raise _count_tail_error(phi, counts, opts, n)
 
 
 def _fi_onoff(phi: float, counts: CountModel, opts: FiOptions) -> float:

@@ -139,6 +139,16 @@ def _positive_int(mapping, key, where, default=_REQUIRED) -> int:
     return value
 
 
+def _positive_int_list(mapping, key, where) -> tuple:
+    values = _get(mapping, key, list, where)
+    if not values:
+        raise ConfigError(f"key '{key}' in {where} must be a nonempty list")
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ConfigError(f"entry {i} of '{key}' in {where} must be a positive integer, got {v!r}")
+    return tuple(values)
+
+
 def _number_list(mapping, key, where, default=_REQUIRED) -> tuple:
     values = _get(mapping, key, list, where, default)
     if values is default and default is not _REQUIRED:
@@ -263,15 +273,13 @@ def parse_simulate(cfg: dict) -> SimulateRun:
     phi_true = _number(cfg, "phi_true", where)
     pulses = _positive_int(cfg, "pulses", where)
     trials = _positive_int(cfg, "trials", where, default=100)
-    raw_cp = _get(cfg, "checkpoints", list, where, default=None)
-    if raw_cp is None:
+    if "checkpoints" not in cfg:
         checkpoints = _default_checkpoints(pulses)
     else:
-        checkpoints = tuple(int(v) for v in _number_list({"checkpoints": raw_cp},
-                                                         "checkpoints", where))
+        checkpoints = _positive_int_list(cfg, "checkpoints", where)
         if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise ConfigError("'checkpoints' must be strictly increasing")
-        if checkpoints[0] < 1 or checkpoints[-1] > pulses:
+        if checkpoints[-1] > pulses:
             raise ConfigError("'checkpoints' must lie within [1, pulses]")
     grid_size = _positive_int(cfg, "grid_size", where, default=DEFAULT_GRID_SIZE)
     seed = _get(cfg, "seed", int, where, default=0)
@@ -307,16 +315,11 @@ def parse_saturate(cfg: dict) -> SaturateRun:
     eps = 1e-12
     phi_values = parse_phi_grid(_get(cfg, "phi_grid", dict, where), "phi_grid",
                                 lo=eps, hi=math.pi - eps)
-    raw_pulses = _get(cfg, "pulses", list, where)
-    pulses_list = []
-    for i, v in enumerate(raw_pulses):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ConfigError(f"entry {i} of 'pulses' must be a positive integer, got {v!r}")
-        pulses_list.append(v)
+    pulses_list = _positive_int_list(cfg, "pulses", where)
     trials = _positive_int(cfg, "trials", where, default=100)
     grid_size = _positive_int(cfg, "grid_size", where, default=DEFAULT_GRID_SIZE)
     seed = _get(cfg, "seed", int, where, default=0)
-    return SaturateRun(phi_values=phi_values, pulses_list=tuple(pulses_list),
+    return SaturateRun(phi_values=phi_values, pulses_list=pulses_list,
                        params=params, trials=trials, grid_size=grid_size, seed=seed)
 
 

@@ -10,12 +10,11 @@ avalanche mixer, so each trial's stream is independent of the others.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fisher import FiConvergenceError, FiOptions, Scheme
+from .fisher import FiOptions, Scheme, count_masses
 from .photonics import (
     DetectorKind,
     DetectorModel,
@@ -30,11 +29,6 @@ from .photonics import fringe_mean, mixture_component_means
 
 PRNG_IDENTITY = "numpy.random.PCG64"
 SEED_MIXER_IDENTITY = "splitmix64"
-
-# Residual count-distribution mass ignored by the inverse-CDF table; kept in
-# sync with the Fisher-information tail guard so sampling and analysis see
-# the same distribution.
-COUNT_TAIL_MASS = FiOptions().count_tail_mass
 
 _U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -101,33 +95,11 @@ def split_seed(seed: int, trial_index: int) -> int:
 
 
 def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
-                       model: LikelihoodModel, tail_mass: float = COUNT_TAIL_MASS) -> np.ndarray:
-    """Count probabilities p(0..N | phi), truncated once the residual mass
-    drops below ``tail_mass``."""
-    counts = count_model(probe, det, model)
-    means = [float(lam) for lam in counts.means(phi)]
-    terms = [w * math.exp(-lam) for w, lam in zip(counts.weights, means)]
-    pmf = [sum(terms)]
-    running = pmf[0]
-    n = 0
-    while True:
-        # The running sum is within len(pmf) ulps of the exactly rounded
-        # fsum, so only that close to the threshold does fsum decide.
-        residual = 1.0 - running
-        if abs(residual - tail_mass) <= (len(pmf) + 2) * sys.float_info.epsilon:
-            residual = 1.0 - math.fsum(pmf)
-        if residual < tail_mass:
-            return np.array(pmf)
-        terms = [t * lam / (n + 1) for t, lam in zip(terms, means)]
-        n += 1
-        if not any(terms) or n > 1_000_000:
-            # all-zero terms stay zero, so the mass is never reached
-            raise FiConvergenceError(
-                f"count distribution did not reach tail mass {tail_mass:g} "
-                f"within {n} counts at mean count {max(means):.6g}; above about "
-                "700 counts exp(-mean) underflows and the pmf loses mass")
-        pmf.append(sum(terms))
-        running += pmf[-1]
+                       model: LikelihoodModel) -> np.ndarray:
+    """Count probabilities p(0..N | phi): the Fisher-information count masses
+    (``fisher.count_masses``), cut where the count FI sum stops, so sampling
+    and analysis see the same distribution."""
+    return np.array(count_masses(phi, count_model(probe, det, model), FiOptions()))
 
 
 def sample(config: ExperimentConfig) -> OutcomeRecord:

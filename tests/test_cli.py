@@ -211,6 +211,13 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "phi_true" in capsys.readouterr().err
 
+    def test_non_integer_checkpoints_rejected(self, tmp_path, capsys):
+        text = SIMULATE_CONFIG.replace("checkpoints: [100, 500]", "checkpoints: [10.7, 99.9, 500]")
+        cfg = _write(tmp_path, "sim.yaml", text)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "'checkpoints'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSaturate:
     def test_single_cell_single_row(self, tmp_path):
@@ -279,6 +286,16 @@ class TestSaturate:
         """))
         assert cli.main(["saturate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "phase value" in capsys.readouterr().err
+
+    def test_empty_pulses_list_rejected(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "sat.yaml", textwrap.dedent("""\
+            phi_grid: {values: [1.0]}
+            pulses: []
+            signal_intensity: 0.1
+        """))
+        assert cli.main(["saturate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "key 'pulses' in saturate config must be a nonempty list" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestPovmCheck:

@@ -142,3 +142,15 @@ class TestSampleStatistics:
         probe = ProbeConfig.from_intensities(0.1)
         pmf = count_distribution(1.0, probe, DetectorModel(), LikelihoodModel.POISSON_FRINGE)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", list(LikelihoodModel))
+    @pytest.mark.parametrize("xi", [0.9, 0.993, 1.0])
+    def test_count_table_ignores_less_than_tail_mass(self, model, xi):
+        # inverse-CDF draws through np.cumsum(pmf): the mass past its last
+        # entry, as that left-to-right sum sees it, is what sampling ignores
+        det = DetectorModel(eta=0.602, nu=1.13e-4, xi=xi)
+        for intensity in np.geomspace(1e-4, 280.0, 40):
+            probe = ProbeConfig.from_intensities(intensity)
+            for phi in np.linspace(0.0, math.pi, 9):
+                pmf = count_distribution(phi, probe, det, model)
+                assert 1.0 - np.cumsum(pmf)[-1] < 1e-14, (intensity, phi)

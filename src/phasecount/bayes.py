@@ -45,7 +45,12 @@ class PosteriorGrid:
             raise ValueError("posterior density must be nonnegative")
 
     def normalization(self) -> float:
-        return float(np.trapezoid(self.density, self.nodes))
+        return _trapezoid(self.density, np.diff(self.nodes))
+
+
+def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
+    # np.trapezoid(y, x) for spacing = np.diff(x): its operations, so its bits
+    return float((spacing * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _phase_grid(grid_size: int) -> np.ndarray:
@@ -59,8 +64,8 @@ def _phase_grid(grid_size: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
-    """log p(record | phi) over the grid as a function of the record's
-    sufficient statistic, up to additive constants.
+    """log p(record | phi) over the grid up to additive constants, as a
+    function of a list of sufficient statistics: one row per statistic.
 
     Everything that depends on the configuration alone is evaluated here,
     once: the count means over the grid and their logs, log p0 and log p1,
@@ -72,18 +77,17 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
         # summed log-likelihood is -(s2 - 2*mean*s1 + k*mean^2)
         mean = math.sqrt(2.0) * probe.alpha * np.sin(grid)
 
-        def homodyne(statistic):
-            k, s1, s2 = statistic
-            return -(s2 - 2.0 * mean * s1 + k * mean * mean)
+        def homodyne(statistics):
+            return (-(s2 - 2.0 * mean * s1 + k * mean * mean) for k, s1, s2 in statistics)
         return homodyne
     if config.scheme is Scheme.HETERODYNE:
         mx = probe.alpha * np.cos(grid)
         my = probe.alpha * np.sin(grid)
         m2 = mx * mx + my * my
 
-        def heterodyne(statistic):
-            k, s1, s2 = statistic
-            return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
+        def heterodyne(statistics):
+            return (-(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
+                    for k, s1, s2 in statistics)
         return heterodyne
     if config.scheme is not Scheme.DISPLACED_COUNTING:
         raise ValueError(f"unknown scheme {config.scheme!r}")
@@ -92,15 +96,14 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
     if det.kind is DetectorKind.ON_OFF:
         log_p0, log_p1 = model.log_silent_click(grid)
 
-        def clicks(statistic):
-            n_silent, n_click = statistic
+        def click(n_silent, n_click):
             total = np.zeros_like(grid)
             if n_silent:
                 total += n_silent * log_p0
             if n_click:
                 total += n_click * log_p1
             return total
-        return clicks
+        return lambda statistics: (click(*statistic) for statistic in statistics)
 
     # log p(n | phi) up to the common -lgamma(n+1) constant, per component;
     # a zero-weight component adds nothing and is left out
@@ -116,16 +119,22 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
             [component_log_pmf(math.log(w), lam, np.log(lam))
              for w, lam in zip(model.weights, model.means(grid)) if w > 0.0])
 
-    def counts(statistic):
-        total = np.zeros_like(grid)
-        for n, multiplicity in enumerate(statistic):
-            if multiplicity:
-                total += multiplicity * (log_pmf(n) - math.lgamma(n + 1))
-        return total
+    def counts(statistics):
+        # count-major: each count's row is evaluated once and added to every
+        # histogram holding it, in increasing n as a per-histogram loop would
+        width = max(map(len, statistics), default=0)
+        totals = np.zeros((len(statistics), grid.size))
+        for n, column in enumerate(zip(*(s + (0,) * (width - len(s)) for s in statistics))):
+            if any(column):
+                row = log_pmf(n) - math.lgamma(n + 1)
+                for total, multiplicity in zip(totals, column):
+                    if multiplicity:
+                        total += multiplicity * row
+        return totals
     return counts
 
 
-def _normalize(loglik: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _normalize(loglik: np.ndarray, spacing: np.ndarray) -> np.ndarray:
     peak = float(np.max(loglik))
     if not np.isfinite(peak):
         raise PosteriorUnderflowError(
@@ -133,7 +142,7 @@ def _normalize(loglik: np.ndarray, grid: np.ndarray) -> np.ndarray:
             "under the configured likelihood model"
         )
     density = np.exp(loglik - peak)  # flat prior: constant factor cancels
-    norm = float(np.trapezoid(density, grid))
+    norm = _trapezoid(density, spacing)
     if norm <= 0.0 or not math.isfinite(norm):
         raise PosteriorUnderflowError("posterior normalization underflowed")
     return density / norm
@@ -144,20 +153,23 @@ def _normalize(loglik: np.ndarray, grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class LikelihoodTable:
-    """Grid posterior of one configuration as a function of a record's
+    """Grid posterior of one likelihood as a function of a record's
     sufficient statistic.
 
     A record reaches the posterior only through its sufficient statistic:
     (silent, click) counts, the count histogram, or the quadrature
-    statistic (k, sum, sum of squares).  Records with equal statistics
-    share one posterior.  The phase-dependent tables are built once, on
-    construction.
+    statistic (k, sum, sum of squares).  The likelihood does not depend on
+    the true phase, pulse count or seed, so one table serves a whole run:
+    its grid tables and spacing are built once, on construction, and the
+    moments of each distinct statistic are computed once.
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
         self.config = config
         self.grid = _phase_grid(grid_size)
+        self.spacing = np.diff(self.grid)
         self.loglik = _loglik_function(config, self.grid)
+        self._moments = {}
 
     def statistics(self, record: OutcomeRecord, checkpoints):
         """Yield the hashable sufficient statistic of the first k outcomes
@@ -184,13 +196,19 @@ class LikelihoodTable:
                 else:
                     yield k, complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
 
-    def posterior(self, statistic) -> PosteriorGrid:
-        return PosteriorGrid(nodes=self.grid,
-                             density=_normalize(self.loglik(statistic), self.grid))
+    def posteriors(self, statistics: list):
+        """Yield the posterior of each statistic in the list."""
+        for loglik in self.loglik(statistics):
+            yield PosteriorGrid(nodes=self.grid, density=_normalize(loglik, self.spacing))
 
-    def moments(self, statistic) -> tuple[float, float]:
-        """Posterior mean and variance, as :func:`estimate` gives them."""
-        return estimate(self.posterior(statistic))
+    def moments(self, statistics) -> list[tuple[float, float]]:
+        """Posterior mean and variance of each statistic, as :func:`estimate`
+        gives them; a statistic seen before is not evaluated again."""
+        statistics = list(statistics)
+        new = [s for s in dict.fromkeys(statistics) if s not in self._moments]
+        for statistic, post in zip(new, self.posteriors(new)):
+            self._moments[statistic] = _estimate(post, self.spacing)
+        return [self._moments[s] for s in statistics]
 
 
 def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> PosteriorGrid:
@@ -199,15 +217,19 @@ def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> Post
     An empty record returns the flat prior 1/pi.
     """
     table = LikelihoodTable(record.config, grid_size)
-    (statistic,) = table.statistics(record, (len(record),))
-    return table.posterior(statistic)
+    (post,) = table.posteriors(list(table.statistics(record, (len(record),))))
+    return post
+
+
+def _estimate(post: PosteriorGrid, spacing: np.ndarray) -> tuple[float, float]:
+    phi_hat = _trapezoid(post.nodes * post.density, spacing)
+    variance = _trapezoid((phi_hat - post.nodes) ** 2 * post.density, spacing)
+    return phi_hat, variance
 
 
 def estimate(post: PosteriorGrid) -> tuple[float, float]:
     """Posterior mean and posterior variance under the grid's trapezoid rule."""
-    phi_hat = float(np.trapezoid(post.nodes * post.density, post.nodes))
-    variance = float(np.trapezoid((phi_hat - post.nodes) ** 2 * post.density, post.nodes))
-    return phi_hat, variance
+    return _estimate(post, np.diff(post.nodes))
 
 
 def sequential_estimates(
@@ -230,5 +252,4 @@ def sequential_estimates(
         raise ValueError("checkpoints must lie within [1, pulses]")
 
     table = LikelihoodTable(record.config, grid_size)
-    return [(k, *table.moments(statistic))
-            for k, statistic in zip(ks, table.statistics(record, ks))]
+    return [(k, *moments) for k, moments in zip(ks, table.moments(table.statistics(record, ks)))]

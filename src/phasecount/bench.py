@@ -9,7 +9,7 @@ a file: resolved parameters, seed, and the PRNG identity.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -29,6 +29,7 @@ from .sampling import (
     SEED_MIXER_IDENTITY,
     ExperimentConfig,
     sample,
+    sampler,
     split_seed,
 )
 
@@ -208,38 +209,40 @@ def _inverse(x: float) -> float:
 def run_saturate(run: SaturateRun) -> CommandResult:
     """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns.
 
-    Each trial draws its own record, but the posterior is evaluated once
-    per distinct sufficient statistic (click count or count histogram) in
-    a cell.
+    Each trial draws its own record and takes its sufficient statistic
+    (click count or count histogram); nothing else is done per trial.  One
+    likelihood table serves the run and evaluates the posterior once per
+    distinct statistic, the outcome law is computed once per cell and the
+    FI reference columns once per phase.
     """
     pset = run.params
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",
               "fi_displaced_exp", "fi_displaced_ideal", "fi_homodyne_ideal")
     rows = []
+    table = None
     for i, phi in enumerate(run.phi_values):
+        references = (fi_numeric(Scheme.DISPLACED_COUNTING, phi, pset.probe, pset.det,
+                                 model=pset.model).value,
+                      fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
+                      fi_analytic(Scheme.HOMODYNE, phi, pset.probe))
         for j, m in enumerate(run.pulses_list):
             base = (i * len(run.pulses_list) + j) * run.trials
             cell = ExperimentConfig(
                 scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
                 det=pset.det, pulses=m, model=pset.model,
             )
-            table = LikelihoodTable(cell, run.grid_size)
-            moments = {}
+            table = table or LikelihoodTable(cell, run.grid_size)
+            draw = sampler(cell)
             variances = []
             for t in range(run.trials):
-                record = sample(replace(cell, seed=split_seed(run.seed, base + t)))
-                (statistic,) = table.statistics(record, (m,))
-                if statistic not in moments:
-                    moments[statistic] = table.moments(statistic)
-                variances.append(moments[statistic][1])
+                record = draw(split_seed(run.seed, base + t))
+                ((_, variance),) = table.moments(table.statistics(record, (m,)))
+                variances.append(variance)
             rows.append((
                 phi, int(m),
                 float(np.mean([1.0 / (m * var) for var in variances])),
                 float(np.mean(variances)),
-                fi_numeric(Scheme.DISPLACED_COUNTING, phi, pset.probe, pset.det,
-                           model=pset.model).value,
-                fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
-                fi_analytic(Scheme.HOMODYNE, phi, pset.probe),
+                *references,
             ))
 
     meta = {

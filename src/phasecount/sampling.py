@@ -10,7 +10,7 @@ avalanche mixer, so each trial's stream is independent of the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,34 +102,47 @@ def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
     return np.array(count_masses(phi, count_model(probe, det, model), FiOptions()))
 
 
+def sampler(config: ExperimentConfig):
+    """The draw of :func:`sample` for ``config`` as a function of the seed.
+
+    The outcome law at the true phase (click probability, count table or
+    quadrature means) is computed once, here; each draw checks
+    ``replace(config, seed=seed)`` and reads a fresh PCG64 stream.
+    """
+    m, phi, probe, det = config.pulses, config.phi_true, config.probe, config.det
+    if config.scheme is Scheme.DISPLACED_COUNTING and det.kind is DetectorKind.ON_OFF:
+        p_click = onoff_likelihood(True, phi, probe, det, config.model)
+
+        def outcomes(rng):
+            return rng.random(m) < p_click
+    elif config.scheme is Scheme.DISPLACED_COUNTING:
+        cdf = np.cumsum(count_distribution(phi, probe, det, config.model))
+
+        def outcomes(rng):
+            draws = np.searchsorted(cdf, rng.random(m), side="right")
+            return np.minimum(draws, len(cdf) - 1).astype(np.int64)
+    elif config.scheme is Scheme.HOMODYNE:
+        mean = float(homodyne_mean(phi, probe))
+
+        def outcomes(rng):
+            return mean + math.sqrt(0.5) * rng.standard_normal(m)
+    elif config.scheme is Scheme.HETERODYNE:
+        mx, my = probe.alpha * math.cos(phi), probe.alpha * math.sin(phi)
+
+        def outcomes(rng):
+            noise = math.sqrt(0.5) * rng.standard_normal((m, 2))
+            return (mx + noise[:, 0]) + 1j * (my + noise[:, 1])
+    else:
+        raise ValueError(f"unknown scheme {config.scheme!r}")
+
+    def draw(seed: int) -> OutcomeRecord:
+        return OutcomeRecord(replace(config, seed=seed), outcomes(np.random.default_rng(seed)))
+    return draw
+
+
 def sample(config: ExperimentConfig) -> OutcomeRecord:
     """Draw ``config.pulses`` i.i.d. outcomes at the true phase.
 
     Identical configs (seed included) produce bit-identical records.
     """
-    rng = np.random.default_rng(config.seed)
-    m = config.pulses
-
-    if config.scheme is Scheme.DISPLACED_COUNTING:
-        if config.det.kind is DetectorKind.ON_OFF:
-            p_click = onoff_likelihood(True, config.phi_true, config.probe,
-                                       config.det, config.model)
-            values = rng.random(m) < p_click
-        else:
-            pmf = count_distribution(config.phi_true, config.probe,
-                                     config.det, config.model)
-            cdf = np.cumsum(pmf)
-            draws = np.searchsorted(cdf, rng.random(m), side="right")
-            values = np.minimum(draws, len(pmf) - 1).astype(np.int64)
-    elif config.scheme is Scheme.HOMODYNE:
-        mean = float(homodyne_mean(config.phi_true, config.probe))
-        values = mean + math.sqrt(0.5) * rng.standard_normal(m)
-    elif config.scheme is Scheme.HETERODYNE:
-        mx = config.probe.alpha * math.cos(config.phi_true)
-        my = config.probe.alpha * math.sin(config.phi_true)
-        noise = math.sqrt(0.5) * rng.standard_normal((m, 2))
-        values = (mx + noise[:, 0]) + 1j * (my + noise[:, 1])
-    else:
-        raise ValueError(f"unknown scheme {config.scheme!r}")
-
-    return OutcomeRecord(config=config, values=values)
+    return sampler(config)(config.seed)

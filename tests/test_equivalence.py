@@ -34,20 +34,25 @@ from phasecount import (
     cli,
     count_distribution,
     estimate,
+    fi_analytic,
+    fi_numeric,
+    onoff_likelihood,
     posterior,
     runconfig,
     sample,
     sequential_estimates,
     split_seed,
 )
-from phasecount.bayes import PosteriorGrid, PosteriorUnderflowError, _phase_grid
+from phasecount.bayes import LikelihoodTable, PosteriorGrid, PosteriorUnderflowError, _phase_grid
 from phasecount.bench import run_saturate
 from phasecount.photonics import (
     fringe_mean,
+    homodyne_mean,
     mixture_component_means,
     mixture_weights,
     require_matched_amplitudes,
 )
+from phasecount.sampling import sampler
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -395,3 +400,136 @@ def test_bright_probe_fails_fast_with_exit_code_2(tmp_path):
     if proc.returncode == 2:
         assert "count distribution" in proc.stderr
         assert "tail mass" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# trapezoid moments with the spacing computed once, and the per-run table
+# ---------------------------------------------------------------------------
+
+def _ref_estimate(nodes, density):
+    phi_hat = float(np.trapezoid(nodes * density, nodes))
+    variance = float(np.trapezoid((phi_hat - nodes) ** 2 * density, nodes))
+    return phi_hat, variance
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_table_moments_equal_trapezoid_reference(name):
+    config = CASES[name]
+    record = sample(replace(config, seed=5))
+    grid = _phase_grid(257)
+    checkpoints = sorted({1, 10, 316, config.pulses})
+    table = LikelihoodTable(config, 257)
+    densities = [_ref_normalize(_ref_loglik_grid(record, grid, upto=k), grid)
+                 for k in checkpoints]
+    expected = [_ref_estimate(grid, density) for density in densities]
+    assert table.moments(table.statistics(record, checkpoints)) == expected
+    for density, moments in zip(densities, expected):
+        post = PosteriorGrid(nodes=grid, density=density)
+        assert estimate(post) == moments
+        assert post.normalization() == float(np.trapezoid(density, grid))
+
+
+def test_table_evaluates_each_statistic_once():
+    config = CASES["onoff-fringe"]
+    table = LikelihoodTable(config, 129)
+    seen = []
+    loglik = table.loglik
+    table.loglik = lambda statistics: (seen.extend(statistics), loglik(statistics))[1]
+    first = table.moments([(5, 1), (4, 2), (5, 1)])
+    assert seen == [(5, 1), (4, 2)]
+    assert table.moments([(4, 2), (6, 0)]) == [first[1], table.moments([(6, 0)])[0]]
+    assert seen == [(5, 1), (4, 2), (6, 0)]
+    assert first[0] == first[2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_estimate_on_nonuniform_nodes_equals_trapezoid(seed):
+    rng = np.random.default_rng(seed)
+    nodes = np.concatenate(([0.0], np.sort(rng.uniform(0.0, math.pi, 300)), [math.pi]))
+    density = rng.exponential(size=nodes.size) * np.exp(-((nodes - 1.0) / 0.05) ** 2)
+    post = PosteriorGrid(nodes=nodes, density=density)
+    assert estimate(post) == _ref_estimate(nodes, density)
+    assert post.normalization() == float(np.trapezoid(density, nodes))
+
+
+# (detector, model, intensities, xi): the cells at phi 0.3 and 0.5 share
+# statistics, so the run's one table answers one phase's records from the
+# other's posteriors
+SHARED_RUNS = {
+    "onoff-fringe": ("onoff", "poisson-fringe", (0.100, 0.101), 0.993),
+    "pnrd-fringe": ("pnrd", "poisson-fringe", (0.100, 0.101), 0.993),
+    "pnrd-mixture": ("pnrd", "visibility-mixture", (0.5, 0.5), 0.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_RUNS))
+def test_saturate_run_table_matches_per_trial_reference(name):
+    detector, model, (signal, displacement), xi = SHARED_RUNS[name]
+    run = runconfig.parse_saturate({
+        "phi_grid": {"values": [0.3, 0.5]}, "pulses": [8, 30], "trials": 30,
+        "grid_size": 257, "seed": 7, "signal_intensity": signal,
+        "displacement_intensity": displacement, "eta": 0.602, "nu": 1.13e-4, "xi": xi,
+        "detector": detector, "model": model,
+    })
+    result = run_saturate(run)
+    pset = run.params
+    seen = {}
+    for i, phi in enumerate(run.phi_values):
+        for j, m in enumerate(run.pulses_list):
+            base = (i * len(run.pulses_list) + j) * run.trials
+            inv_mvar, variances = [], []
+            for t in range(run.trials):
+                record = sample(ExperimentConfig(
+                    scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
+                    det=pset.det, pulses=m, model=pset.model,
+                    seed=split_seed(run.seed, base + t)))
+                values = record.values.astype(np.int64)
+                seen.setdefault((m, tuple(np.bincount(values).tolist())), set()).add(phi)
+                (_, _, var), = _ref_sequential_estimates(record, run.grid_size, (m,))
+                inv_mvar.append(1.0 / (m * var))
+                variances.append(var)
+            assert result.rows[i * len(run.pulses_list) + j] == (
+                phi, m, float(np.mean(inv_mvar)), float(np.mean(variances)),
+                fi_numeric(Scheme.DISPLACED_COUNTING, phi, pset.probe, pset.det,
+                           model=pset.model).value,
+                fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
+                fi_analytic(Scheme.HOMODYNE, phi, pset.probe))
+    assert any(len(phases) > 1 for phases in seen.values())  # phases do share statistics
+
+
+def _ref_sample(config):
+    rng = np.random.default_rng(config.seed)
+    m = config.pulses
+    if config.scheme is Scheme.DISPLACED_COUNTING:
+        if config.det.kind is DetectorKind.ON_OFF:
+            p_click = onoff_likelihood(True, config.phi_true, config.probe,
+                                       config.det, config.model)
+            values = rng.random(m) < p_click
+        else:
+            pmf = count_distribution(config.phi_true, config.probe, config.det, config.model)
+            cdf = np.cumsum(pmf)
+            draws = np.searchsorted(cdf, rng.random(m), side="right")
+            values = np.minimum(draws, len(pmf) - 1).astype(np.int64)
+    elif config.scheme is Scheme.HOMODYNE:
+        mean = float(homodyne_mean(config.phi_true, config.probe))
+        values = mean + math.sqrt(0.5) * rng.standard_normal(m)
+    else:
+        mx = config.probe.alpha * math.cos(config.phi_true)
+        my = config.probe.alpha * math.sin(config.phi_true)
+        noise = math.sqrt(0.5) * rng.standard_normal((m, 2))
+        values = (mx + noise[:, 0]) + 1j * (my + noise[:, 1])
+    return OutcomeRecord(config=config, values=values)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sampler_draws_equal_per_call_reference(name):
+    config = CASES[name]
+    draw = sampler(config)
+    for seed in (0, 11, 2**64 - 1):
+        want = _ref_sample(replace(config, seed=seed))
+        for got in (draw(seed), sample(replace(config, seed=seed))):
+            assert got.config == want.config
+            assert got.values.dtype == want.values.dtype
+            assert np.array_equal(got.values, want.values)
+    with pytest.raises(ValueError, match="seed"):
+        draw(2**64)

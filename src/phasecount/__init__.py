@@ -38,7 +38,6 @@ from .photonics import (
     coherent_number_amplitudes,
     heterodyne_density,
     homodyne_density,
-    mixture_likelihood_raw,
     onoff_likelihood,
     pnrd_likelihood,
     povm_element,
@@ -80,7 +79,6 @@ __all__ = [
     "fi_numeric",
     "heterodyne_density",
     "homodyne_density",
-    "mixture_likelihood_raw",
     "onoff_likelihood",
     "pnrd_likelihood",
     "posterior",

@@ -6,7 +6,7 @@ Subcommands
     saturate    mean 1/(m*Var) against the FI per (phi, m) cell (CSV)
     povm-check  cross-validation of the count likelihood vs the Fock oracle
 
-Exit codes: 0 success, 1 configuration error, 2 numerical-check failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical-check failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
+# the seeded commands, the only ones that take --seed and --trials
+_SEEDED = ("simulate", "saturate")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,12 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="YAML run configuration")
         cmd.add_argument("--out", required=needs_out,
                          help="output CSV path" if needs_out else "optional report path")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the configured master seed")
-        cmd.add_argument("--trials", type=int, default=None,
-                         help="override the configured trial count")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="accepted for compatibility, ignored; trials run in one thread")
+        if name in _SEEDED:
+            cmd.add_argument("--seed", type=int, help="override the configured master seed")
+            cmd.add_argument("--trials", type=int, help="override the configured trial count")
     return parser
 
 
@@ -61,15 +61,15 @@ _PARSERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
     try:
         cfg = runconfig.load_config(args.config)
         run = _PARSERS[args.command](cfg)
-        if args.seed is not None or args.trials is not None:
+        if args.command in _SEEDED:
             run = runconfig.apply_overrides(run, seed=args.seed, trials=args.trials)
 
         if args.command == "fi-curve":

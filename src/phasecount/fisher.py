@@ -40,6 +40,12 @@ PROB_FLOOR = 1e-300
 # Hard cap on the number of count terms before declaring non-convergence.
 MAX_COUNT_TERMS = 1_000_000
 
+# Count sums stop once the residual probability mass falls below this.
+COUNT_TAIL_MASS = 1e-14
+
+# Step in radians of the central-difference derivative rule.
+DIFFERENCE_STEP = 1e-5
+
 # Gauss-Hermite nodes for continuous outcomes: 2 would be exact for their quadratic
 # log-densities, but the shipped homodyne and heterodyne values carry the bits of 128.
 QUAD_POINTS = 128
@@ -65,29 +71,20 @@ class FiOptions:
     """Knobs for the numeric Fisher-information evaluation.
 
     derivative     -- analytic d(mean)/d(phi) where available, or central
-                      differences with one Richardson extrapolation level
-    step           -- central-difference step in radians
-    count_tail_mass -- stop summing count outcomes once the residual
-                      probability mass falls below this (must be <= 1e-6)
+                      differences (step DIFFERENCE_STEP) with one Richardson
+                      extrapolation level
     phi_zero_surrogate -- displaced counting is evaluated here when asked
                       for phi = 0 exactly, where the ideal likelihood is
                       degenerate; the substitution is flagged in the result
 
-    Continuous outcomes are integrated on the fixed QUAD_POINTS-node rule.
+    Count sums stop at COUNT_TAIL_MASS; continuous outcomes are integrated
+    on the fixed QUAD_POINTS-node rule.
     """
 
     derivative: DerivativeRule = DerivativeRule.ANALYTIC
-    step: float = 1e-5
-    count_tail_mass: float = 1e-14
     phi_zero_surrogate: float = 1e-6
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError(f"step must be > 0, got {self.step!r}")
-        if not 0.0 < self.count_tail_mass <= 1e-6:
-            raise ValueError(
-                f"count_tail_mass must lie in (0, 1e-6], got {self.count_tail_mass!r}"
-            )
         if self.phi_zero_surrogate <= 0.0:
             raise ValueError("phi_zero_surrogate must be > 0")
 
@@ -167,7 +164,7 @@ def fi_numeric(
     """Classical FI computed directly from the outcome likelihood.
 
     Count outcomes are summed until the residual probability mass drops
-    below ``opts.count_tail_mass``; continuous outcomes are integrated by
+    below ``COUNT_TAIL_MASS``; continuous outcomes are integrated by
     Gauss-Hermite quadrature.  ``det`` defaults to an ideal number-resolving
     detector and is ignored by the homodyne/heterodyne schemes, whose
     densities carry no detector imperfections.
@@ -224,34 +221,33 @@ def _count_pmf_stream(phi: float, counts: CountModel, opts: FiOptions):
     mass has underflowed to 0, after which the total mass cannot grow."""
     if opts.derivative is DerivativeRule.ANALYTIC:
         return _analytic_stream(phi, counts)
-    h = opts.step
+    h = DIFFERENCE_STEP
     offsets = (phi + h, phi - h, phi + 0.5 * h, phi - 0.5 * h, phi)
     return ((p0, (4.0 * ((pp2 - pm2) / h) - (pp - pm) / (2.0 * h)) / 3.0)
             for (pp, _), (pm, _), (pp2, _), (pm2, _), (p0, _)
             in zip(*(_analytic_stream(x, counts) for x in offsets)))
 
 
-def _count_tail_error(phi: float, counts: CountModel, opts: FiOptions,
-                      terms: int) -> FiConvergenceError:
+def _count_tail_error(phi: float, counts: CountModel, terms: int) -> FiConvergenceError:
     mean = max(float(lam) for lam in counts.means(phi))
     return FiConvergenceError(
-        f"count distribution did not reach tail mass {opts.count_tail_mass:g} after "
+        f"count distribution did not reach tail mass {COUNT_TAIL_MASS:g} after "
         f"{terms} terms at mean count {mean:.6g} (phi={phi!r}); above about 700 "
         "counts exp(-mean) underflows and the count masses lose mass")
 
 
-def count_masses(phi: float, counts: CountModel, opts: FiOptions) -> list[float]:
+def count_masses(phi: float, counts: CountModel) -> list[float]:
     """Count probabilities p_n, n = 0, 1, 2, ..., up to the first n at which
     the residual mass 1 - (p_0 + ... + p_n), summed left to right, falls
-    below ``opts.count_tail_mass``: the terms the count FI sum runs over."""
+    below ``COUNT_TAIL_MASS``: the terms the count FI sum runs over."""
     masses = []
     mass = 0.0
     for p, _ in itertools.islice(_analytic_stream(phi, counts), MAX_COUNT_TERMS):
         masses.append(p)
         mass += p
-        if 1.0 - mass < opts.count_tail_mass:
+        if 1.0 - mass < COUNT_TAIL_MASS:
             return masses
-    raise _count_tail_error(phi, counts, opts, len(masses))
+    raise _count_tail_error(phi, counts, len(masses))
 
 
 def _fi_counts(phi: float, counts: CountModel, opts: FiOptions) -> float:
@@ -263,9 +259,9 @@ def _fi_counts(phi: float, counts: CountModel, opts: FiOptions) -> float:
         if p > PROB_FLOOR:
             total += dp * dp / p
         mass += p
-        if 1.0 - mass < opts.count_tail_mass:
+        if 1.0 - mass < COUNT_TAIL_MASS:
             return total
-    raise _count_tail_error(phi, counts, opts, n)
+    raise _count_tail_error(phi, counts, n)
 
 
 def _fi_onoff(phi: float, counts: CountModel, opts: FiOptions) -> float:
@@ -300,7 +296,7 @@ def _fi_homodyne(phi: float, probe, opts: FiOptions) -> float:
         score = 2.0 * t * dmean
     else:
         x = mean + t
-        h = opts.step
+        h = DIFFERENCE_STEP
 
         def logp(p):
             return -((x - float(homodyne_mean(p, probe))) ** 2)
@@ -324,7 +320,7 @@ def _fi_heterodyne(phi: float, probe, opts: FiOptions) -> float:
     else:
         re = mx + t[:, None]
         im = my + t[None, :]
-        h = opts.step
+        h = DIFFERENCE_STEP
 
         def logp(p):
             cx = probe.alpha * math.cos(p)

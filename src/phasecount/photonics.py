@@ -303,17 +303,6 @@ def pnrd_likelihood(
     return sum(w * _poisson_pmf(n, float(lam)) for w, lam in zip(counts.weights, counts.means(phi)))
 
 
-def mixture_likelihood_raw(n: int, phi: float, probe: ProbeConfig, det: DetectorModel) -> float:
-    """Unnormalized mixture value (total mass 2 - xi); diagnostic only.
-
-    xi * Pois(n; lam_interfering) + 2*(1 - xi) * Pois(n; lam_background)
-    """
-    if n < 0:
-        raise ValueError(f"photon-count outcome must be >= 0, got {n!r}")
-    lam1, lam2 = count_model(probe, det, LikelihoodModel.VISIBILITY_MIXTURE).means(phi)
-    return det.xi * _poisson_pmf(n, float(lam1)) + 2.0 * (1.0 - det.xi) * _poisson_pmf(n, float(lam2))
-
-
 def onoff_likelihood(
     click: bool,
     phi: float,

@@ -47,7 +47,6 @@ class ParameterSet:
             "xi": self.det.xi,
             "detector": self.det.kind.value,
             "model": self.model.value,
-            "fock_cutoff": self.det.fock_cutoff,
         }
 
 
@@ -201,7 +200,7 @@ def parse_phi_grid(entry, where: str, lo: float = 0.0, hi: float = math.pi) -> t
 
 _PARAM_KEYS = {
     "label", "signal_intensity", "displacement_intensity",
-    "eta", "nu", "xi", "detector", "model", "fock_cutoff",
+    "eta", "nu", "xi", "detector", "model",
 }
 
 
@@ -212,7 +211,6 @@ def parse_parameter_set(mapping: dict, where: str, default_label: str = "set") -
         raise ConfigError(f"key 'label' in {where} must match {_LABEL_RE.pattern}")
     signal = _number(mapping, "signal_intensity", where)
     displacement = _number(mapping, "displacement_intensity", where, default=signal)
-    cutoff = _get(mapping, "fock_cutoff", int, where, default=None)
     try:
         probe = ProbeConfig.from_intensities(signal, displacement)
         det = DetectorModel(
@@ -221,7 +219,6 @@ def parse_parameter_set(mapping: dict, where: str, default_label: str = "set") -
             xi=_number(mapping, "xi", where, default=1.0),
             kind=_choice(mapping, "detector", _DETECTORS, where,
                          default=DetectorKind.NUMBER_RESOLVING),
-            fock_cutoff=cutoff,
         )
     except ValueError as exc:
         raise ConfigError(f"invalid parameter in {where}: {exc}") from exc
@@ -342,28 +339,21 @@ def parse_povm_check(cfg: dict) -> PovmCheckRun:
     phi_values = _number_list(cfg, "phi_values", where,
                               default=(0.0, 0.5, 1.0, 2.0, math.pi))
     max_n = _positive_int(cfg, "max_n", where, default=10)
-    cutoff = _get(cfg, "fock_cutoff", int, where, default=30)
-    if cutoff < 1:
-        raise ConfigError(f"key 'fock_cutoff' in {where} must be >= 1, got {cutoff!r}")
+    cutoff = _positive_int(cfg, "fock_cutoff", where, default=30)
     return PovmCheckRun(probe=probe, model=model, eta_values=eta_values,
                         nu_values=nu_values, phi_values=phi_values,
                         max_n=max_n, fock_cutoff=cutoff)
 
 
 def apply_overrides(run, seed: int | None = None, trials: int | None = None):
-    """CLI flag overrides for the seeded commands; no-op fields are rejected."""
+    """Apply the --seed/--trials flags of the seeded commands (simulate, saturate)."""
     updates = {}
     if seed is not None:
-        if not hasattr(run, "seed"):
-            raise ConfigError("--seed is not applicable to this command")
         updates["seed"] = seed
     if trials is not None:
-        if not hasattr(run, "trials"):
-            raise ConfigError("--trials is not applicable to this command")
         if trials < 1:
             raise ConfigError("--trials must be >= 1")
         updates["trials"] = trials
-    if isinstance(run, SimulateRun) and "trials" in updates:
-        if run.reference_trial >= updates["trials"]:
+        if isinstance(run, SimulateRun) and run.reference_trial >= trials:
             updates["reference_trial"] = 0
-    return replace(run, **updates) if updates else run
+    return replace(run, **updates)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fisher import FiOptions, Scheme, count_masses
+from .fisher import Scheme, count_masses
 from .photonics import (
     DetectorKind,
     DetectorModel,
@@ -99,7 +99,7 @@ def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
     """Count probabilities p(0..N | phi): the Fisher-information count masses
     (``fisher.count_masses``), cut where the count FI sum stops, so sampling
     and analysis see the same distribution."""
-    return np.array(count_masses(phi, count_model(probe, det, model), FiOptions()))
+    return np.array(count_masses(phi, count_model(probe, det, model)))
 
 
 def sampler(config: ExperimentConfig):
@@ -120,7 +120,8 @@ def sampler(config: ExperimentConfig):
 
         def outcomes(rng):
             draws = np.searchsorted(cdf, rng.random(m), side="right")
-            return np.minimum(draws, len(cdf) - 1).astype(np.int64)
+            np.minimum(draws, len(cdf) - 1, out=draws)
+            return draws.astype(np.int64, copy=False)
     elif config.scheme is Scheme.HOMODYNE:
         mean = float(homodyne_mean(phi, probe))
 

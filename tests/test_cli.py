@@ -156,14 +156,6 @@ class TestSimulate:
         meta = yaml.safe_load((tmp_path / "b.meta.yaml").read_text())
         assert meta["config"]["seed"] == 1
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out2),
-                         "--threads", "4"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_mean_variance_tracks_information_bound(self, tmp_path):
         cfg = _write(tmp_path, "sim.yaml", textwrap.dedent("""\
             phi_true: 1.00
@@ -239,6 +231,21 @@ class TestSaturate:
         header, rows = _rows(out)
         assert len(rows) == 1
         assert header[0] == "phi" and header[1] == "pulses"
+
+    def test_seed_and_trials_overrides(self, tmp_path):
+        cfg = _write(tmp_path, "sat.yaml", textwrap.dedent("""\
+            phi_grid: {values: [1.0]}
+            pulses: [100]
+            trials: 1
+            grid_size: 257
+            seed: 7
+            signal_intensity: 0.1
+        """))
+        out = tmp_path / "sat.csv"
+        assert cli.main(["saturate", "--config", cfg, "--out", str(out),
+                         "--seed", "8", "--trials", "2"]) == 0
+        meta = yaml.safe_load((tmp_path / "sat.meta.yaml").read_text())
+        assert (meta["config"]["seed"], meta["config"]["trials"]) == (8, 2)
 
     def test_grid_product_rows(self, tmp_path):
         cfg = _write(tmp_path, "sat.yaml", textwrap.dedent("""\
@@ -341,11 +348,38 @@ class TestCommonFlags:
         assert cli.main(["fi-curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "mapping" in capsys.readouterr().err
 
-    def test_threads_still_validated(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG)
-        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
-                         "--threads", "0"]) == 1
-        assert "--threads" in capsys.readouterr().err
+    @pytest.mark.parametrize("command,text,flags", [
+        ("simulate", SIMULATE_CONFIG, ["--threads", "2"]),
+        ("fi-curve", IDEAL_FI_CONFIG, ["--seed", "1"]),
+        ("povm-check", "signal_intensity: 0.1\n", ["--trials", "2"]),
+    ], ids=["simulate-threads", "fi-curve-seed", "povm-check-trials"])
+    def test_flag_not_taken_by_command_is_a_usage_error(self, tmp_path, capsys,
+                                                        command, text, flags):
+        cfg = _write(tmp_path, "cfg.yaml", text)
+        out = tmp_path / "x.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_out_is_a_usage_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "fi.yaml", IDEAL_FI_CONFIG)
+        assert cli.main(["fi-curve", "--config", cfg]) == 1
+        assert "--out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert cli.main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,text,where", [
+        ("simulate", SIMULATE_CONFIG + "fock_cutoff: 30\n", "simulate config"),
+        ("fi-curve", IDEAL_FI_CONFIG + "    fock_cutoff: 30\n", "parameter_sets[0]"),
+    ], ids=["simulate", "fi-curve"])
+    def test_fock_cutoff_is_a_povm_check_key_only(self, tmp_path, capsys,
+                                                  command, text, where):
+        cfg = _write(tmp_path, "cfg.yaml", text)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"unknown key 'fock_cutoff' in {where}" in capsys.readouterr().err
 
     def test_trials_override(self, tmp_path):
         cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG)

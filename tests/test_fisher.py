@@ -204,12 +204,11 @@ class TestNumericFi:
 
 
 class TestFiOptionsValidation:
-    def test_tail_mass_bounds(self):
-        with pytest.raises(ValueError):
-            FiOptions(count_tail_mass=1e-5)
-        with pytest.raises(ValueError):
-            FiOptions(count_tail_mass=0.0)
+    @pytest.mark.parametrize("field", ["step", "count_tail_mass"])
+    def test_fixed_constants_are_not_fields(self, field):
+        with pytest.raises(TypeError, match=field):
+            FiOptions(**{field: 1e-5})
 
-    def test_step_positive(self):
-        with pytest.raises(ValueError):
-            FiOptions(step=0.0)
+    def test_surrogate_positive(self):
+        with pytest.raises(ValueError, match="phi_zero_surrogate"):
+            FiOptions(phi_zero_surrogate=0.0)

@@ -16,7 +16,6 @@ from phasecount import (
     coherent_number_amplitudes,
     heterodyne_density,
     homodyne_density,
-    mixture_likelihood_raw,
     onoff_likelihood,
     pnrd_likelihood,
     povm_element,
@@ -106,11 +105,6 @@ class TestCountLikelihood:
         det = DetectorModel(eta=0.8, nu=1e-4, xi=xi)
         total = sum(pnrd_likelihood(n, phi, ideal_probe, det, model) for n in range(60))
         assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_raw_mixture_mass_is_two_minus_xi(self, ideal_probe):
-        det = DetectorModel(eta=0.8, nu=1e-4, xi=0.9)
-        total = sum(mixture_likelihood_raw(n, 1.0, ideal_probe, det) for n in range(60))
-        assert total == pytest.approx(2.0 - 0.9, abs=1e-8)
 
     def test_mixture_rejects_amplitude_mismatch(self, experiment_probe):
         det = DetectorModel(xi=0.993)

@@ -262,6 +262,28 @@ def test_pnrd_monte_carlo_csv_bytes(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+# Simulate runs of the other schemes: the shipped on/off config as it stands,
+# and small homodyne and heterodyne runs of it, with the SHA-256 of each CSV.
+SIMULATE_RUNS = {
+    "onoff-shipped": ({}, "175a8e5d825824bc3abb797331eedfe6192080f5712cb86bcd88a1775d14bc34"),
+    "homodyne": ({"scheme": "homodyne", "pulses": 2000, "trials": 5},
+                 "3228249b566a5f1d6dde7058d0796790f2d21c5db9367df2c03f0fa9719c6f8f"),
+    "heterodyne": ({"scheme": "heterodyne", "pulses": 2000, "trials": 5},
+                   "b9428b5439942caa6fdf56053e0a7ef8d275dbfa632ac194a2f3492b92502bd8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_RUNS))
+def test_simulate_csv_bytes(name, tmp_path):
+    overrides, sha256 = SIMULATE_RUNS[name]
+    cfg = {**yaml.safe_load((CONFIGS / "experiment_simulate.yaml").read_text()), **overrides}
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / f"{name}.csv"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 # ---------------------------------------------------------------------------
 # sufficient-statistic posterior vs the per-record reference
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .fisher import Scheme
 from .photonics import DetectorKind, count_model
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .photonics import fringe_mean, mixture_component_means
-from .sampling import ExperimentConfig, OutcomeRecord
+from .sampling import ExperimentConfig, OutcomeRecord, record_statistics
 
 DEFAULT_GRID_SIZE = 4097
 MIN_GRID_SIZE = 65
@@ -172,29 +172,8 @@ class LikelihoodTable:
         self._moments = {}
 
     def statistics(self, record: OutcomeRecord, checkpoints):
-        """Yield the hashable sufficient statistic of the first k outcomes
-        for each increasing checkpoint k."""
-        values = record.values
-        counting = self.config.scheme is Scheme.DISPLACED_COUNTING
-        if counting and self.config.det.kind is DetectorKind.ON_OFF:
-            for k in checkpoints:
-                n_click = int(np.count_nonzero(values[:k]))
-                yield k - n_click, n_click
-        elif counting:
-            histogram = np.zeros(int(values.max(initial=0)) + 1, dtype=np.int64)
-            prev = 0
-            for k in checkpoints:
-                histogram += np.bincount(values[prev:k], minlength=len(histogram))
-                prev = k
-                yield tuple(histogram.tolist())
-        else:
-            # each prefix is summed afresh: chunked float sums round differently
-            for k in checkpoints:
-                head = values[:k]
-                if self.config.scheme is Scheme.HOMODYNE:
-                    yield k, float(np.sum(head)), float(np.sum(head * head))
-                else:
-                    yield k, complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
+        """The record's statistic at each checkpoint (:func:`record_statistics`)."""
+        return record_statistics(self.config, record.values, checkpoints)
 
     def posteriors(self, statistics: list):
         """Yield the posterior of each statistic in the list."""

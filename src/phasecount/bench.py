@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bayes import LikelihoodTable, sequential_estimates
+from .bayes import LikelihoodTable
 from .fisher import FiOptions, Scheme, fi_analytic, fi_numeric, qfi_coherent
 from .photonics import (
     DetectorKind,
@@ -28,10 +28,12 @@ from .sampling import (
     PRNG_IDENTITY,
     SEED_MIXER_IDENTITY,
     ExperimentConfig,
-    sample,
-    sampler,
     split_seed,
+    statistic_sampler,
 )
+# Looked up here by perfbench/tracing.py, which wraps them by module and name.
+from .bayes import sequential_estimates
+from .sampling import sample
 
 POVM_CHECK_TOLERANCE = 1e-8
 
@@ -136,19 +138,19 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     variance, across-trial means of both, and the reference curves
     1/(k*F) for displaced counting at the configured (experimental)
     parameters, ideal displaced counting, ideal homodyne, ideal
-    heterodyne, and the quantum bound.
+    heterodyne, and the quantum bound.  Trials draw only their sufficient
+    statistics, and one likelihood table serves the run.
     """
     pset = run.params
-    trials = []
-    for t in range(run.trials):
-        cfg = ExperimentConfig(
-            scheme=run.scheme, phi_true=run.phi_true, probe=pset.probe,
-            det=pset.det, pulses=run.pulses, model=pset.model,
-            seed=split_seed(run.seed, t),
-        )
-        trials.append(sequential_estimates(sample(cfg), run.grid_size, run.checkpoints))
-    phi_hat = np.array([[e[1] for e in trial] for trial in trials])
-    variance = np.array([[e[2] for e in trial] for trial in trials])
+    config = ExperimentConfig(
+        scheme=run.scheme, phi_true=run.phi_true, probe=pset.probe,
+        det=pset.det, pulses=run.pulses, model=pset.model,
+    )
+    table = LikelihoodTable(config, run.grid_size)
+    draw = statistic_sampler(config, run.checkpoints)
+    trials = [table.moments(draw(split_seed(run.seed, t))) for t in range(run.trials)]
+    phi_hat = np.array([[e[0] for e in trial] for trial in trials])
+    variance = np.array([[e[1] for e in trial] for trial in trials])
 
     f_exp = fi_numeric(run.scheme, run.phi_true, pset.probe, pset.det,
                        model=pset.model).value
@@ -209,8 +211,8 @@ def _inverse(x: float) -> float:
 def run_saturate(run: SaturateRun) -> CommandResult:
     """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns.
 
-    Each trial draws its own record and takes its sufficient statistic
-    (click count or count histogram); nothing else is done per trial.  One
+    Each trial draws only its sufficient statistic (click count or count
+    histogram, see ``statistic_sampler``); nothing else is done per trial.  One
     likelihood table serves the run and evaluates the posterior once per
     distinct statistic, the outcome law is computed once per cell and the
     FI reference columns once per phase.
@@ -232,11 +234,10 @@ def run_saturate(run: SaturateRun) -> CommandResult:
                 det=pset.det, pulses=m, model=pset.model,
             )
             table = table or LikelihoodTable(cell, run.grid_size)
-            draw = sampler(cell)
+            draw = statistic_sampler(cell, (m,))
             variances = []
             for t in range(run.trials):
-                record = draw(split_seed(run.seed, base + t))
-                ((_, variance),) = table.moments(table.statistics(record, (m,)))
+                ((_, variance),) = table.moments(draw(split_seed(run.seed, base + t)))
                 variances.append(variance)
             rows.append((
                 phi, int(m),

@@ -5,6 +5,8 @@ outcomes come from numpy's PCG64 stream, counts via inverse-CDF lookup on
 the truncated count distribution, quadratures via Gaussian sampling.
 Per-trial seeds are derived from one master seed with a splitmix64
 avalanche mixer, so each trial's stream is independent of the others.
+:func:`statistic_sampler` draws the sufficient statistics without the record:
+the histogram of inverse-CDF lookups, counted from the sorted uniforms.
 """
 
 from __future__ import annotations
@@ -147,3 +149,61 @@ def sample(config: ExperimentConfig) -> OutcomeRecord:
     Identical configs (seed included) produce bit-identical records.
     """
     return sampler(config)(config.seed)
+
+
+def record_statistics(config: ExperimentConfig, values: np.ndarray, checkpoints):
+    """Yield the hashable sufficient statistic of the first k outcomes for each
+    increasing checkpoint k: (silent, click) counts, the count histogram up to
+    the record's largest count, or the quadrature statistic (k, sum, sum of squares)."""
+    counting = config.scheme is Scheme.DISPLACED_COUNTING
+    if counting and config.det.kind is DetectorKind.ON_OFF:
+        for k in checkpoints:
+            n_click = int(np.count_nonzero(values[:k]))
+            yield k - n_click, n_click
+    elif counting:
+        histogram = np.zeros(int(values.max(initial=0)) + 1, dtype=np.int64)
+        prev = 0
+        for k in checkpoints:
+            histogram += np.bincount(values[prev:k], minlength=len(histogram))
+            prev = k
+            yield tuple(histogram.tolist())
+    else:
+        # each prefix is summed afresh: chunked float sums round differently
+        for k in checkpoints:
+            head = values[:k]
+            if config.scheme is Scheme.HOMODYNE:
+                yield k, float(np.sum(head)), float(np.sum(head * head))
+            else:
+                yield k, complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
+
+
+def lookup_histogram(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Histogram of min(searchsorted(cdf, u, "right"), len(cdf) - 1) over the
+    uniforms, sorted in place: count n holds the uniforms below cdf[n] less
+    those below cdf[n - 1], and the last count the rest, as the clamp does."""
+    uniforms.sort()
+    below = np.searchsorted(uniforms, cdf[:-1], side="left")
+    return np.diff(below, prepend=0, append=len(uniforms))
+
+
+def statistic_sampler(config: ExperimentConfig, checkpoints):
+    """:func:`sampler`'s draw reduced to :func:`record_statistics` at the
+    checkpoints, as a list, from the same PCG64 stream; number-resolving
+    counts keep no record, only the uniforms, sorted per checkpoint segment."""
+    if config.scheme is not Scheme.DISPLACED_COUNTING or config.det.kind is DetectorKind.ON_OFF:
+        draw = sampler(config)
+        return lambda seed: list(record_statistics(config, draw(seed).values, checkpoints))
+    cdf = np.cumsum(count_distribution(config.phi_true, config.probe, config.det, config.model))
+
+    def draw_counts(seed: int) -> list:
+        replace(config, seed=seed)  # the seed checks of a record's config
+        u = np.random.default_rng(seed).random(config.pulses)
+        top = min(int(np.searchsorted(cdf, u.max(initial=0.0), side="right")), len(cdf) - 1)
+        histogram = np.zeros(len(cdf), dtype=np.int64)
+        statistics, prev = [], 0
+        for k in checkpoints:
+            histogram += lookup_histogram(cdf, u[prev:k])
+            prev = k
+            statistics.append(tuple(histogram[:top + 1].tolist()))
+        return statistics
+    return draw_counts

@@ -52,7 +52,7 @@ from phasecount.photonics import (
     mixture_weights,
     require_matched_amplitudes,
 )
-from phasecount.sampling import sampler
+from phasecount.sampling import lookup_histogram, sampler, statistic_sampler
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -555,3 +555,70 @@ def test_sampler_draws_equal_per_call_reference(name):
             assert np.array_equal(got.values, want.values)
     with pytest.raises(ValueError, match="seed"):
         draw(2**64)
+
+
+# ---------------------------------------------------------------------------
+# statistics drawn without the record vs the record's statistics
+# ---------------------------------------------------------------------------
+
+def _checkpoint_sets(m):
+    return [(1,), (m,), (1, 2, m), runconfig._default_checkpoints(m)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_statistic_draw_equals_record_statistics(name):
+    config = CASES[name]
+    table = LikelihoodTable(config, 129)
+    for checkpoints in _checkpoint_sets(config.pulses):
+        draw = statistic_sampler(config, checkpoints)
+        for seed in (5, 6, 2**64 - 1):
+            want = list(table.statistics(sample(replace(config, seed=seed)), checkpoints))
+            assert draw(seed) == want
+    empty = replace(config, pulses=0)
+    assert statistic_sampler(empty, ())(0) == list(table.statistics(sample(empty), ())) == []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_statistic_draw_checks_its_seed(name):
+    draw = statistic_sampler(CASES[name], (1,))
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed"):
+            draw(seed)
+
+
+def _ref_lookup_histogram(cdf, uniforms):
+    counts = np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
+    return np.bincount(counts, minlength=len(cdf))
+
+
+# (cdf, uniforms): uniforms on CDF entries, runs of equal entries (counts of
+# zero mass), uniforms at or past cdf[-1] (the clamp), zero mass at count 0
+CRAFTED_LOOKUPS = {
+    "on-entries": ([0.25, 0.5, 0.75, 1.0], [0.0, 0.25, 0.5, 0.75, 0.5, 0.2499, 0.7501]),
+    "equal-runs": ([0.25, 0.5, 0.5, 0.5, 0.75, 0.75, 0.9], [0.5, 0.4999, 0.75, 0.6, 0.1]),
+    "clamp": ([0.3, 0.6, 0.9], [0.9, 0.95, 0.999999, 0.3, 0.89]),
+    "zero-first": ([0.0, 0.0, 0.5, 0.99], [0.0, 0.0, 0.2, 0.99, 0.5]),
+    "one-count": ([0.7], [0.0, 0.7, 0.9]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED_LOOKUPS))
+def test_lookup_histogram_equals_searchsorted_bincount(name):
+    cdf, uniforms = (np.array(a, dtype=float) for a in CRAFTED_LOOKUPS[name])
+    want = _ref_lookup_histogram(cdf, uniforms)
+    assert np.array_equal(lookup_histogram(cdf, uniforms.copy()), want)
+    for u in uniforms:  # one-pulse segments
+        assert np.array_equal(lookup_histogram(cdf, np.array([u])),
+                              _ref_lookup_histogram(cdf, np.array([u])))
+
+
+def test_lookup_histogram_on_count_table_with_ties():
+    config = CASES["pnrd-fringe-bright"]
+    cdf = np.cumsum(count_distribution(config.phi_true, config.probe, config.det, config.model))
+    rng = np.random.default_rng(1)
+    uniforms = np.concatenate([rng.random(5000), cdf[::7], cdf[-3:], [1.0 - 2**-53]])
+    want = _ref_lookup_histogram(cdf, uniforms)
+    segment = uniforms[100:]  # a view, sorted in place
+    got = lookup_histogram(cdf, uniforms[:100]) + lookup_histogram(cdf, segment)
+    assert np.array_equal(got, want)
+    assert np.all(np.diff(segment) >= 0.0)

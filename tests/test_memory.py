@@ -33,6 +33,14 @@ def test_bright_pnrd_simulate_peak():
     assert _peak_bytes(bench.run_simulate, runconfig.parse_simulate(cfg)) < 4 * MIB
 
 
+def test_full_length_pnrd_simulate_peak():
+    # one 9e5-pulse number-resolving trial: its uniforms take 6.9 MiB, and an
+    # int64 record or a sorted copy of the uniforms would take as much again
+    cfg = yaml.safe_load((CONFIGS / "experiment_simulate.yaml").read_text())
+    cfg.update(detector="pnrd", pulses=900000, trials=1)
+    assert _peak_bytes(bench.run_simulate, runconfig.parse_simulate(cfg)) < 10 * MIB
+
+
 def test_shipped_saturate_peak():
     run = runconfig.parse_saturate(runconfig.load_config(CONFIGS / "experiment_saturate.yaml"))
     assert _peak_bytes(bench.run_saturate, run) < 1 * MIB

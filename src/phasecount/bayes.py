@@ -5,7 +5,10 @@ identifiable half-interval: every likelihood here depends on phi only
 through cos(phi)) with a flat prior and trapezoid integration.  Likelihoods
 are accumulated in the log domain with max-subtraction, since products over
 ~1e6 pulses underflow any direct evaluation.  Additive constants in the
-log-likelihood are dropped; they cancel in the normalization.
+log-likelihood are dropped; they cancel in the normalization.  A
+single-Poisson (poisson-fringe) count record enters only through (k, S),
+its pulses and total count: S log(lam) - k lam, taken relative to its value
+at lam = S/k so that the large constant never reaches the subtraction.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fisher import Scheme
-from .photonics import DetectorKind, count_model
+from .photonics import DetectorKind, LikelihoodModel, count_model
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .photonics import fringe_mean, mixture_component_means
 from .sampling import ExperimentConfig, OutcomeRecord, record_statistics
@@ -105,6 +108,19 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
             return total
         return lambda statistics: (click(*statistic) for statistic in statistics)
 
+    if config.model is LikelihoodModel.POISSON_FRINGE:
+        (lam,) = model.means(grid)
+
+        def centred(k, s):
+            # S log(lam) - k lam less its value at the peak lam = S/k, so that
+            # no large constant cancels when the posterior takes off its peak
+            if s == 0:
+                return -k * lam
+            x = lam * (k / s) - 1.0
+            with np.errstate(divide="ignore"):  # lam = 0 nodes: log1p(-1) = -inf
+                return s * (np.log1p(x) - x)
+        return lambda statistics: (centred(*statistic) for statistic in statistics)
+
     # log p(n | phi) up to the common -lgamma(n+1) constant, per component;
     # a zero-weight component adds nothing and is left out
     def component_log_pmf(log_w, lam, log_lam):
@@ -157,11 +173,13 @@ class LikelihoodTable:
     sufficient statistic.
 
     A record reaches the posterior only through its sufficient statistic:
-    (silent, click) counts, the count histogram, or the quadrature
-    statistic (k, sum, sum of squares).  The likelihood does not depend on
-    the true phase, pulse count or seed, so one table serves a whole run:
-    its grid tables and spacing are built once, on construction, and the
-    moments of each distinct statistic are computed once.
+    (silent, click) counts, (k, S) pulses and total count under the
+    one-component count model, the count histogram under the mixture, or
+    the quadrature statistic (k, sum, sum of squares).  The likelihood does
+    not depend on the true phase, pulse count or seed, so one table serves
+    a whole run: its grid tables and spacing are built once, on
+    construction, and the moments of each distinct statistic are computed
+    once.
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):

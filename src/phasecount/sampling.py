@@ -6,7 +6,9 @@ the truncated count distribution, quadratures via Gaussian sampling.
 Per-trial seeds are derived from one master seed with a splitmix64
 avalanche mixer, so each trial's stream is independent of the others.
 :func:`statistic_sampler` draws the sufficient statistics without the record:
-the histogram of inverse-CDF lookups, counted from the sorted uniforms.
+the histogram of inverse-CDF lookups, counted from the sorted uniforms, or
+under the one-component (poisson-fringe) count model only its total S, as
+the pair (k, S).
 """
 
 from __future__ import annotations
@@ -153,13 +155,21 @@ def sample(config: ExperimentConfig) -> OutcomeRecord:
 
 def record_statistics(config: ExperimentConfig, values: np.ndarray, checkpoints):
     """Yield the hashable sufficient statistic of the first k outcomes for each
-    increasing checkpoint k: (silent, click) counts, the count histogram up to
-    the record's largest count, or the quadrature statistic (k, sum, sum of squares)."""
+    increasing checkpoint k: (silent, click) counts, (k, total count) for the
+    one-component count model, the count histogram up to the record's largest
+    count for the mixture, or the quadrature statistic (k, sum, sum of squares)."""
     counting = config.scheme is Scheme.DISPLACED_COUNTING
     if counting and config.det.kind is DetectorKind.ON_OFF:
         for k in checkpoints:
             n_click = int(np.count_nonzero(values[:k]))
             yield k - n_click, n_click
+    elif counting and config.model is LikelihoodModel.POISSON_FRINGE:
+        # one Poisson component: the counts reach the likelihood through their total
+        total, prev = 0, 0
+        for k in checkpoints:
+            total += int(values[prev:k].sum())
+            prev = k
+            yield k, total
     elif counting:
         histogram = np.zeros(int(values.max(initial=0)) + 1, dtype=np.int64)
         prev = 0
@@ -189,21 +199,27 @@ def lookup_histogram(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 def statistic_sampler(config: ExperimentConfig, checkpoints):
     """:func:`sampler`'s draw reduced to :func:`record_statistics` at the
     checkpoints, as a list, from the same PCG64 stream; number-resolving
-    counts keep no record, only the uniforms, sorted per checkpoint segment."""
+    counts keep no record, only the uniforms, sorted per checkpoint segment.
+    The total count S is the dot product of the counts 0..N with the
+    histogram, an exact integer like the record's sum."""
     if config.scheme is not Scheme.DISPLACED_COUNTING or config.det.kind is DetectorKind.ON_OFF:
         draw = sampler(config)
         return lambda seed: list(record_statistics(config, draw(seed).values, checkpoints))
     cdf = np.cumsum(count_distribution(config.phi_true, config.probe, config.det, config.model))
+    fringe = config.model is LikelihoodModel.POISSON_FRINGE
+    counts = np.arange(len(cdf))
 
     def draw_counts(seed: int) -> list:
         replace(config, seed=seed)  # the seed checks of a record's config
         u = np.random.default_rng(seed).random(config.pulses)
-        top = min(int(np.searchsorted(cdf, u.max(initial=0.0), side="right")), len(cdf) - 1)
+        if not fringe:  # the histograms stop at the record's largest count
+            top = min(int(np.searchsorted(cdf, u.max(initial=0.0), side="right")), len(cdf) - 1)
         histogram = np.zeros(len(cdf), dtype=np.int64)
         statistics, prev = [], 0
         for k in checkpoints:
             histogram += lookup_histogram(cdf, u[prev:k])
             prev = k
-            statistics.append(tuple(histogram[:top + 1].tolist()))
+            statistics.append((k, int(counts @ histogram)) if fringe
+                              else tuple(histogram[:top + 1].tolist()))
         return statistics
     return draw_counts

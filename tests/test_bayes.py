@@ -1,6 +1,7 @@
 """Posterior grid construction, moments, and sequential estimation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from phasecount import (
     sequential_estimates,
     split_seed,
 )
+from phasecount.bayes import LikelihoodTable
+from phasecount.photonics import fringe_mean
+from phasecount.sampling import statistic_sampler
 
 
 def _ideal_counts_config(pulses, phi=0.5, seed=0):
@@ -40,7 +44,9 @@ class TestPosterior:
     def test_empty_record_returns_prior(self):
         record = OutcomeRecord(config=_ideal_counts_config(0),
                                values=np.array([], dtype=np.int64))
+        assert list(LikelihoodTable(record.config).statistics(record, (0,))) == [(0, 0)]
         post = posterior(record)
+        assert np.all(post.density == post.density[0])
         np.testing.assert_allclose(post.density, 1.0 / math.pi, rtol=1e-12)
         phi_hat, variance = estimate(post)
         assert phi_hat == pytest.approx(math.pi / 2.0, abs=1e-12)
@@ -144,3 +150,45 @@ class TestSequentialEstimates:
             seq = sequential_estimates(sample(cfg), 513, [100, 10_000])
             shrunk += seq[1][2] < seq[0][2]
         assert shrunk >= 95
+
+
+class TestOneComponentCounts:
+    """The poisson-fringe count posterior, scored from (k, S) in one grid pass."""
+
+    def test_nulled_node_gets_no_mass_once_a_count_is_seen(self):
+        config = _ideal_counts_config(5)
+        table = LikelihoodTable(config, 129)
+        assert fringe_mean(table.grid[0], config.probe, config.det) == 0.0
+        (post,) = table.posteriors([(5, 2)])
+        assert post.density[0] == 0.0
+        assert np.all(post.density[1:] > 0.0)
+
+    def test_zero_total_gives_exp_minus_k_lam(self):
+        config = _ideal_counts_config(40)
+        table = LikelihoodTable(config, 129)
+        (post,) = table.posteriors([(40, 0)])
+        want = np.exp(-40 * fringe_mean(table.grid, config.probe, config.det))
+        np.testing.assert_allclose(post.density, want / np.trapezoid(want, table.grid),
+                                   rtol=1e-14)
+
+    def test_impossible_total_raises(self):
+        config = ExperimentConfig(
+            scheme=Scheme.DISPLACED_COUNTING, phi_true=0.5,
+            probe=ProbeConfig(0.0, 0.0), det=DetectorModel(), pulses=3, seed=0)
+        table = LikelihoodTable(config, 65)
+        with pytest.raises(PosteriorUnderflowError):
+            table.moments([(3, 1)])
+        assert table.moments([(3, 0)]) == table.moments([(0, 0)])  # no counts: flat
+
+    def test_memo_keys_are_pulse_and_count_totals(self):
+        config = _ideal_counts_config(2000, phi=1.0)
+        checkpoints = (10, 100, 2000)
+        table = LikelihoodTable(config, 129)
+        draw = statistic_sampler(config, checkpoints)
+        for seed in (1, 2):
+            record = sample(replace(config, seed=seed))
+            statistics = draw(seed)
+            assert statistics == [(k, int(record.values[:k].sum())) for k in checkpoints]
+            table.moments(statistics)
+        assert table._moments
+        assert all(len(key) == 2 and all(type(v) is int for v in key) for key in table._moments)

@@ -5,7 +5,10 @@ The reference functions below are kept verbatim from the per-record
 implementation (one grid likelihood rebuilt per record and per checkpoint,
 a quadratic-time count table); results are compared with ``==``, except the
 count table, whose recurrence now rounds in another order and is compared
-within a tolerance derived from float64 epsilon.
+within a tolerance derived from float64 epsilon, and poisson-fringe count
+posteriors, now scored from (k, S) in a centred form, which are compared
+with an np.longdouble posterior of the record's counts within
+``LONGDOUBLE_RTOL``.
 """
 
 import hashlib
@@ -221,6 +224,67 @@ def _ref_count_distribution(phi, probe, det, model, tail_mass=1e-14):
 
 
 # ---------------------------------------------------------------------------
+# extended-precision reference for the one-component count model
+# ---------------------------------------------------------------------------
+
+# Fixed before the first comparison: the relative distance allowed between a
+# poisson-fringe number-resolving posterior's mean or variance and the
+# np.longdouble reference.  The per-count float64 sum it replaced misses it on
+# bright probes, where S log(lam) - k lam is large and the peak subtraction
+# cancels its leading digits.
+LONGDOUBLE_RTOL = 1e-10
+
+
+def _ld_density(values, config, grid):
+    """The fringe count posterior of ``values`` on the float64 ``grid``, summed
+    per distinct count as sum_n c_n (n log lam - lam) and normalized, all in
+    np.longdouble."""
+    ld = np.longdouble
+    nodes = grid.astype(ld)
+    a, b = ld(config.probe.alpha), ld(config.probe.beta)
+    eta, nu, xi = (ld(v) for v in (config.det.eta, config.det.nu, config.det.xi))
+    s = np.sin(nodes / 2)
+    lam = eta * ((a - b) ** 2 + 2 * a * b * (1 - xi) + 4 * xi * a * b * s * s) + nu
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
+    loglik = np.zeros_like(nodes)
+    for n, multiplicity in _ref_count_pairs(values):
+        loglik += multiplicity * (n * log_lam - lam if n else -lam)
+    density = np.exp(loglik - loglik.max())
+    return nodes, density / _ld_trapezoid(density, nodes)
+
+
+def _ld_trapezoid(y, nodes):
+    return (np.diff(nodes) * (y[1:] + y[:-1]) / 2).sum()
+
+
+def _ld_moments(values, config, grid):
+    nodes, density = _ld_density(values, config, grid)
+    mean = _ld_trapezoid(nodes * density, nodes)
+    return mean, _ld_trapezoid((nodes - mean) ** 2 * density, nodes)
+
+
+def _ld_sequential_estimates(record, grid_size, checkpoints):
+    grid = _phase_grid(grid_size)
+    return [(k, *_ld_moments(record.values[:k], record.config, grid)) for k in checkpoints]
+
+
+def _assert_within_longdouble(got, want):
+    """Each float in ``got`` within LONGDOUBLE_RTOL of ``want``; the rest equal."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            _assert_within_longdouble(g, w)
+        elif isinstance(w, np.longdouble):
+            assert abs(np.longdouble(g) - w) <= LONGDOUBLE_RTOL * abs(w), (g, w)
+        else:
+            assert g == w
+
+
+FRINGE_COUNTS = {"pnrd-fringe", "pnrd-fringe-bright"}
+
+
+# ---------------------------------------------------------------------------
 # shipped configs
 # ---------------------------------------------------------------------------
 
@@ -237,17 +301,17 @@ def test_shipped_config_csv_bytes(stem, tmp_path):
 # table, so these pin the draws that table yields.
 PNRD_RUNS = {
     "simulate-desk": ("simulate", "experiment_simulate", {"detector": "pnrd", "trials": 10},
-                      "f83c6a3e0e98e123d18f812a010c6f79cf795b755dd5f9ead1a97bd4e610edff"),
+                      "cba725641107125ad6f6a5883d4c5b6320f895d3524f3c96384f16df26971a48"),
     "simulate-bright": ("simulate", "experiment_simulate", {
         "detector": "pnrd", "signal_intensity": 200, "displacement_intensity": 202,
         "phi_true": 2.88, "pulses": 100000, "trials": 4},
-        "108bab38a675e364c5ab35566ce22ef5d4e14afe17e3ead525b6629e91374c81"),
+        "df9acb68be022315cfc864352b75665708ffe00f7f6e6296a59f6eebe0903034"),
     "simulate-mixture": ("simulate", "experiment_simulate", {
         "detector": "pnrd", "model": "visibility-mixture", "signal_intensity": 0.5,
         "displacement_intensity": 0.5, "xi": 0.9, "phi_true": 0.7, "trials": 10},
         "6f513a1537b8da207921f120feddb08fccd8f96883eca4cfc9897a9869b5135a"),
     "saturate-desk": ("saturate", "experiment_saturate", {"detector": "pnrd", "trials": 10},
-                      "a2e2c2bfea5b9c759592db7aea7a08a7ea0429da960854ae9ff2cc614f1510e1"),
+                      "a92ebe45eef1f321911c808f24ccb8a14ac4c976cf095c6012ca6b49eb6e1741"),
 }
 
 
@@ -326,8 +390,11 @@ def test_sequential_estimates_equal_per_record_reference(name, seed):
     config = CASES[name]
     record = sample(replace(config, seed=seed))
     checkpoints = sorted({1, 7, 10, 100, 316, config.pulses // 2, config.pulses})
-    assert (sequential_estimates(record, 257, checkpoints)
-            == _ref_sequential_estimates(record, 257, checkpoints))
+    got = sequential_estimates(record, 257, checkpoints)
+    if name in FRINGE_COUNTS:
+        _assert_within_longdouble(got, _ld_sequential_estimates(record, 257, checkpoints))
+    else:
+        assert got == _ref_sequential_estimates(record, 257, checkpoints)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -335,10 +402,27 @@ def test_posterior_equals_per_record_reference(name):
     config = CASES[name]
     record = sample(config)
     grid = _phase_grid(129)
-    expected = _ref_normalize(_ref_loglik_grid(record, grid), grid)
-    assert np.array_equal(posterior(record, 129).density, expected)
+    post = posterior(record, 129)
+    if name in FRINGE_COUNTS:
+        _assert_within_longdouble(estimate(post), _ld_moments(record.values, config, grid))
+        _, density = _ld_density(record.values, config, grid)
+        assert np.all(np.abs(post.density - density) <= LONGDOUBLE_RTOL * density.max())
+    else:
+        assert np.array_equal(post.density, _ref_normalize(_ref_loglik_grid(record, grid), grid))
     empty = OutcomeRecord(replace(config, pulses=0), record.values[:0])
     assert np.array_equal(posterior(empty, 129).density, _ref_normalize(np.zeros_like(grid), grid))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_bright_fringe_estimates_within_longdouble_bound(seed):
+    # mean count ~474 over 2e4 pulses: S ~ 1e7, where the per-count float64 sum
+    # was off by ~1e-9 in the variance at the default grid
+    config = replace(CASES["pnrd-fringe-bright"], pulses=20_000, seed=seed)
+    record = sample(config)
+    checkpoints = runconfig._default_checkpoints(config.pulses)
+    _assert_within_longdouble(
+        sequential_estimates(record, 4097, checkpoints),
+        _ld_sequential_estimates(record, 4097, checkpoints))
 
 
 def test_saturate_with_shared_click_counts_matches_per_trial_reference():
@@ -441,6 +525,11 @@ def test_table_moments_equal_trapezoid_reference(name):
     grid = _phase_grid(257)
     checkpoints = sorted({1, 10, 316, config.pulses})
     table = LikelihoodTable(config, 257)
+    if name in FRINGE_COUNTS:
+        _assert_within_longdouble(
+            table.moments(table.statistics(record, checkpoints)),
+            [_ld_moments(record.values[:k], config, grid) for k in checkpoints])
+        return
     densities = [_ref_normalize(_ref_loglik_grid(record, grid, upto=k), grid)
                  for k in checkpoints]
     expected = [_ref_estimate(grid, density) for density in densities]
@@ -507,15 +596,20 @@ def test_saturate_run_table_matches_per_trial_reference(name):
                     seed=split_seed(run.seed, base + t)))
                 values = record.values.astype(np.int64)
                 seen.setdefault((m, tuple(np.bincount(values).tolist())), set()).add(phi)
-                (_, _, var), = _ref_sequential_estimates(record, run.grid_size, (m,))
+                (_, _, var), = (_ld_sequential_estimates if name in FRINGE_COUNTS
+                                else _ref_sequential_estimates)(record, run.grid_size, (m,))
                 inv_mvar.append(1.0 / (m * var))
                 variances.append(var)
-            assert result.rows[i * len(run.pulses_list) + j] == (
-                phi, m, float(np.mean(inv_mvar)), float(np.mean(variances)),
+            if name in FRINGE_COUNTS:
+                means = (np.mean(inv_mvar), np.mean(variances))  # np.longdouble
+            else:
+                means = (float(np.mean(inv_mvar)), float(np.mean(variances)))
+            _assert_within_longdouble(result.rows[i * len(run.pulses_list) + j], (
+                phi, m, *means,
                 fi_numeric(Scheme.DISPLACED_COUNTING, phi, pset.probe, pset.det,
                            model=pset.model).value,
                 fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
-                fi_analytic(Scheme.HOMODYNE, phi, pset.probe))
+                fi_analytic(Scheme.HOMODYNE, phi, pset.probe)))
     assert any(len(phases) > 1 for phases in seen.values())  # phases do share statistics
 
 

@@ -1,9 +1,11 @@
-"""Exact values of the numeric on/off and PNRD Fisher information and of the
-count and click likelihoods, for both count models.
+"""Exact values of the numeric on/off, PNRD, homodyne and heterodyne Fisher
+information and of the count and click likelihoods, for both count models.
 
 The hex strings were produced by the per-model implementation that
 preceded :class:`phasecount.photonics.CountModel`; the comparison is
-``==`` on every bit.  phi = 0 exercises the zero-phase surrogate.
+``==`` on every bit.  phi = 0 exercises the zero-phase surrogate.  The
+quadrature pins were produced by the Gauss-Hermite evaluation that built its
+128 x 128 score and weight grids afresh on every call.
 """
 
 import pytest
@@ -68,6 +70,36 @@ FI_PINS = {
     ('mixture', 'onoff', 'central', 0.7): '0x1.27ea7a676f835p-1',
     ('mixture', 'onoff', 'central', 2.5): '0x1.5017975623ec1p-5',
 }
+QUADRATURE_PROBES = {
+    "balanced": ProbeConfig.from_intensities(0.5),
+    "mismatched": ProbeConfig.from_intensities(0.100, 0.101),
+}
+QUADRATURE_FI_PINS = {
+    ('balanced', 'homodyne', 'analytic', 0.0): '0x1.0000000000002p+1',
+    ('balanced', 'homodyne', 'analytic', 0.7): '0x1.2b82f77826ae6p+0',
+    ('balanced', 'homodyne', 'analytic', 2.5): '0x1.489e15c1ad2bap+0',
+    ('balanced', 'homodyne', 'central', 0.0): '0x1.0000000015f65p+1',
+    ('balanced', 'homodyne', 'central', 0.7): '0x1.2b82f7781c250p+0',
+    ('balanced', 'homodyne', 'central', 2.5): '0x1.489e15c0e8eddp+0',
+    ('balanced', 'heterodyne', 'analytic', 0.0): '0x1.0000000000001p+0',
+    ('balanced', 'heterodyne', 'analytic', 0.7): '0x1.0000000000001p+0',
+    ('balanced', 'heterodyne', 'analytic', 2.5): '0x1.0000000000001p+0',
+    ('balanced', 'heterodyne', 'central', 0.0): '0x1.ffffffffc2188p-1',
+    ('balanced', 'heterodyne', 'central', 0.7): '0x1.00000000271d7p+0',
+    ('balanced', 'heterodyne', 'central', 2.5): '0x1.fffffffe7bfe4p-1',
+    ('mismatched', 'homodyne', 'analytic', 0.0): '0x1.999999999999cp-2',
+    ('mismatched', 'homodyne', 'analytic', 0.7): '0x1.df37f259d77d2p-3',
+    ('mismatched', 'homodyne', 'analytic', 2.5): '0x1.06e4de348a893p-2',
+    ('mismatched', 'homodyne', 'central', 0.0): '0x1.999999995c73bp-2',
+    ('mismatched', 'homodyne', 'central', 0.7): '0x1.df37f25974cb5p-3',
+    ('mismatched', 'homodyne', 'central', 2.5): '0x1.06e4de33b1c18p-2',
+    ('mismatched', 'heterodyne', 'analytic', 0.0): '0x1.999999999999bp-3',
+    ('mismatched', 'heterodyne', 'analytic', 0.7): '0x1.999999999999bp-3',
+    ('mismatched', 'heterodyne', 'analytic', 2.5): '0x1.999999999999ap-3',
+    ('mismatched', 'heterodyne', 'central', 0.0): '0x1.999999999a51ep-3',
+    ('mismatched', 'heterodyne', 'central', 0.7): '0x1.9999999973e42p-3',
+    ('mismatched', 'heterodyne', 'central', 2.5): '0x1.99999998de212p-3',
+}
 LIKELIHOOD_PINS = {
     ('fringe', 'pnrd', 0.0): ('0x1.e20854a203afap-1', '0x1.d12a4e6504346p-5', '0x1.c0e360cfb47bfp-10', '0x1.20c981946b5e5p-15'),
     ('fringe', 'onoff', 0.0): ('0x1.e20854a203afap-1', '0x1.df7ab5dfc5060p-5'),
@@ -98,6 +130,14 @@ def test_fi_numeric_counting_is_pinned(key):
     opts = FiOptions(derivative=DerivativeRule(rule))
     value = fi_numeric(Scheme.DISPLACED_COUNTING, phi, probe, det, opts, model).value
     assert value.hex() == FI_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(QUADRATURE_FI_PINS))
+def test_fi_numeric_quadrature_is_pinned(key):
+    name, scheme, rule, phi = key
+    opts = FiOptions(derivative=DerivativeRule(rule))
+    value = fi_numeric(Scheme(scheme), phi, QUADRATURE_PROBES[name], opts=opts).value
+    assert value.hex() == QUADRATURE_FI_PINS[key]
 
 
 @pytest.mark.parametrize("key", sorted(LIKELIHOOD_PINS))

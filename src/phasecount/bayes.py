@@ -51,9 +51,13 @@ class PosteriorGrid:
         return _trapezoid(self.density, np.diff(self.nodes))
 
 
-def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
-    # np.trapezoid(y, x) for spacing = np.diff(x): its operations, so its bits
-    return float((spacing * (y[1:] + y[:-1]) / 2.0).sum())
+def _trapezoid(y: np.ndarray, spacing: np.ndarray, out: np.ndarray | None = None) -> float:
+    # np.trapezoid(y, x) for spacing = np.diff(x): its operations, so its
+    # bits, written into ``out`` (a row as long as the spacing) when given
+    out = np.add(y[1:], y[:-1], out=out)
+    np.multiply(spacing, out, out=out)
+    np.divide(out, 2.0, out=out)
+    return float(out.sum())
 
 
 def _phase_grid(grid_size: int) -> np.ndarray:
@@ -66,13 +70,16 @@ def _phase_grid(grid_size: int) -> np.ndarray:
 # log-likelihood as a function of the sufficient statistic
 # ---------------------------------------------------------------------------
 
-def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
+def _loglik_function(config: ExperimentConfig, grid: np.ndarray,
+                     out: np.ndarray, scratch: np.ndarray):
     """log p(record | phi) over the grid up to additive constants, as a
     function of a list of sufficient statistics: one row per statistic.
 
     Everything that depends on the configuration alone is evaluated here,
     once: the count means over the grid and their logs, log p0 and log p1,
-    the quadrature means.
+    the quadrature means.  The click and one-component count rows are
+    written into ``out``, each overwriting the last, with ``scratch`` for
+    their intermediate row.
     """
     probe, det = config.probe, config.det
     if config.scheme is Scheme.HOMODYNE:
@@ -100,12 +107,11 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
         log_p0, log_p1 = model.log_silent_click(grid)
 
         def click(n_silent, n_click):
-            total = np.zeros_like(grid)
-            if n_silent:
-                total += n_silent * log_p0
-            if n_click:
-                total += n_click * log_p1
-            return total
+            out.fill(0.0)
+            for n, log_p in ((n_silent, log_p0), (n_click, log_p1)):
+                if n:  # 0 * log p1 is NaN where an ideal detector nulls, log p1 = -inf
+                    np.add(out, np.multiply(log_p, n, out=scratch), out=out)
+            return out
         return lambda statistics: (click(*statistic) for statistic in statistics)
 
     if config.model is LikelihoodModel.POISSON_FRINGE:
@@ -115,10 +121,14 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
             # S log(lam) - k lam less its value at the peak lam = S/k, so that
             # no large constant cancels when the posterior takes off its peak
             if s == 0:
-                return -k * lam
-            x = lam * (k / s) - 1.0
+                return np.multiply(lam, -k, out=out)
+            x = np.multiply(lam, k / s, out=out)
+            x -= 1.0
             with np.errstate(divide="ignore"):  # lam = 0 nodes: log1p(-1) = -inf
-                return s * (np.log1p(x) - x)
+                np.log1p(x, out=scratch)
+            np.subtract(scratch, x, out=x)
+            x *= s
+            return x
         return lambda statistics: (centred(*statistic) for statistic in statistics)
 
     # log p(n | phi) up to the common -lgamma(n+1) constant, per component;
@@ -150,18 +160,22 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
     return counts
 
 
-def _normalize(loglik: np.ndarray, spacing: np.ndarray) -> np.ndarray:
-    peak = float(np.max(loglik))
+def _normalize(loglik: np.ndarray, spacing: np.ndarray,
+               density: np.ndarray, trap: np.ndarray) -> np.ndarray:
+    # the posterior density of a log-likelihood row, written into ``density``
+    # (which may be the row itself), with ``trap`` for the trapezoid
+    peak = float(loglik.max())
     if not np.isfinite(peak):
         raise PosteriorUnderflowError(
             "posterior vanished at every grid node; the record is impossible "
             "under the configured likelihood model"
         )
-    density = np.exp(loglik - peak)  # flat prior: constant factor cancels
-    norm = _trapezoid(density, spacing)
+    np.subtract(loglik, peak, out=density)  # flat prior: constant factor cancels
+    np.exp(density, out=density)
+    norm = _trapezoid(density, spacing, trap)
     if norm <= 0.0 or not math.isfinite(norm):
         raise PosteriorUnderflowError("posterior normalization underflowed")
-    return density / norm
+    return np.divide(density, norm, out=density)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +194,25 @@ class LikelihoodTable:
     a whole run: its grid tables and spacing are built once, on
     construction, and the moments of each distinct statistic are computed
     once.
+
+    Every posterior is evaluated in three rows the table owns and reuses,
+    allocated once: the log-likelihood and then the density, a scratch row,
+    and a trapezoid row.  A table is therefore not re-entrant: one thread
+    at a time.
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
         self.config = config
         self.grid = _phase_grid(grid_size)
         self.spacing = np.diff(self.grid)
-        self.loglik = _loglik_function(config, self.grid)
+        self._density = np.empty_like(self.grid)
+        self._scratch = np.empty_like(self.grid)
+        self._trap = np.empty_like(self.spacing)
+        self.loglik = _loglik_function(config, self.grid, self._density, self._scratch)
         self._moments = {}
+
+    def _posterior(self, loglik: np.ndarray) -> np.ndarray:
+        return _normalize(loglik, self.spacing, self._density, self._trap)
 
     def statistics(self, record: OutcomeRecord, checkpoints):
         """The record's statistic at each checkpoint (:func:`record_statistics`)."""
@@ -196,15 +221,16 @@ class LikelihoodTable:
     def posteriors(self, statistics: list):
         """Yield the posterior of each statistic in the list."""
         for loglik in self.loglik(statistics):
-            yield PosteriorGrid(nodes=self.grid, density=_normalize(loglik, self.spacing))
+            yield PosteriorGrid(nodes=self.grid, density=self._posterior(loglik).copy())
 
     def moments(self, statistics) -> list[tuple[float, float]]:
         """Posterior mean and variance of each statistic, as :func:`estimate`
         gives them; a statistic seen before is not evaluated again."""
         statistics = list(statistics)
         new = [s for s in dict.fromkeys(statistics) if s not in self._moments]
-        for statistic, post in zip(new, self.posteriors(new)):
-            self._moments[statistic] = _estimate(post, self.spacing)
+        for statistic, loglik in zip(new, self.loglik(new)):
+            self._moments[statistic] = _estimate(self.grid, self._posterior(loglik), self.spacing,
+                                                 self._scratch, self._trap)
         return [self._moments[s] for s in statistics]
 
 
@@ -218,15 +244,20 @@ def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> Post
     return post
 
 
-def _estimate(post: PosteriorGrid, spacing: np.ndarray) -> tuple[float, float]:
-    phi_hat = _trapezoid(post.nodes * post.density, spacing)
-    variance = _trapezoid((phi_hat - post.nodes) ** 2 * post.density, spacing)
-    return phi_hat, variance
+def _estimate(nodes: np.ndarray, density: np.ndarray, spacing: np.ndarray,
+              scratch: np.ndarray | None = None,
+              trap: np.ndarray | None = None) -> tuple[float, float]:
+    # into the scratch and trapezoid rows when given; np.square is what ** 2 calls
+    phi_hat = _trapezoid(np.multiply(nodes, density, out=scratch), spacing, trap)
+    deviation = np.subtract(phi_hat, nodes, out=scratch)
+    np.square(deviation, out=deviation)
+    deviation *= density
+    return phi_hat, _trapezoid(deviation, spacing, trap)
 
 
 def estimate(post: PosteriorGrid) -> tuple[float, float]:
     """Posterior mean and posterior variance under the grid's trapezoid rule."""
-    return _estimate(post, np.diff(post.nodes))
+    return _estimate(post.nodes, post.density, np.diff(post.nodes))
 
 
 def sequential_estimates(

@@ -211,12 +211,12 @@ def _inverse(x: float) -> float:
 def run_saturate(run: SaturateRun) -> CommandResult:
     """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns.
 
-    Each trial draws only its sufficient statistic (click count, pulses and
-    total count, or count histogram, see ``statistic_sampler``); nothing else
-    is done per trial.  One
-    likelihood table serves the run and evaluates the posterior once per
-    distinct statistic, the outcome law is computed once per cell and the
-    FI reference columns once per phase.
+    Each trial draws only its sufficient statistic (click count, straight
+    from the uniforms; pulses and total count; or count histogram, see
+    ``statistic_sampler``); nothing else is done per trial.  One likelihood
+    table serves the run and evaluates the posterior once per distinct
+    statistic, in grid rows it allocates once; the outcome law is computed
+    once per cell and the FI reference columns once per phase.
     """
     pset = run.params
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",

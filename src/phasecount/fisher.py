@@ -286,6 +286,16 @@ def _hermgauss_normalized(points: int):
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=None)
+def _hermgauss_product_weight(points: int) -> np.ndarray:
+    """The weight w_i w_j of the product Gauss-Hermite rule on the plane,
+    built once per node count and read-only like the rule itself."""
+    _, w = _hermgauss_normalized(points)
+    weight = w[:, None] * w[None, :]
+    weight.flags.writeable = False
+    return weight
+
+
 def _fi_homodyne(phi: float, probe, opts: FiOptions) -> float:
     # x = mean + t with t the Hermite nodes: the density has variance 1/2,
     # so log p(x|phi) = -(x - mean(phi))^2 + const.
@@ -308,15 +318,15 @@ def _fi_homodyne(phi: float, probe, opts: FiOptions) -> float:
 
 
 def _fi_heterodyne(phi: float, probe, opts: FiOptions) -> float:
-    t, w = _hermgauss_normalized(QUAD_POINTS)
+    t, _ = _hermgauss_normalized(QUAD_POINTS)
+    weight = _hermgauss_product_weight(QUAD_POINTS)
     mx = probe.alpha * math.cos(phi)
     my = probe.alpha * math.sin(phi)
     if opts.derivative is DerivativeRule.ANALYTIC:
         dmx, dmy = -my, mx
         # score(u, v) = 2*u*dmx + 2*v*dmy on the product Hermite grid
-        u = t[:, None]
-        v = t[None, :]
-        score = 2.0 * (u * dmx + v * dmy)
+        score = np.add.outer(t * dmx, t * dmy)
+        score *= 2.0
     else:
         re = mx + t[:, None]
         im = my + t[None, :]
@@ -330,5 +340,6 @@ def _fi_heterodyne(phi: float, probe, opts: FiOptions) -> float:
         coarse = (logp(phi + h) - logp(phi - h)) / (2.0 * h)
         fine = (logp(phi + 0.5 * h) - logp(phi - 0.5 * h)) / h
         score = (4.0 * fine - coarse) / 3.0
-    weight = w[:, None] * w[None, :]
-    return float(np.sum(weight * score**2))
+    np.square(score, out=score)  # the weighted sum of score**2, in place
+    score *= weight
+    return float(score.sum())

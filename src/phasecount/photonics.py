@@ -86,9 +86,6 @@ class ProbeConfig:
             raise ValueError("displacement intensity must be >= 0")
         return cls(alpha=math.sqrt(signal), beta=math.sqrt(displacement))
 
-    def mean_photon_number(self) -> float:
-        return self.alpha**2
-
 
 @dataclass(frozen=True)
 class DetectorModel:

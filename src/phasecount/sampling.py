@@ -5,10 +5,11 @@ outcomes come from numpy's PCG64 stream, counts via inverse-CDF lookup on
 the truncated count distribution, quadratures via Gaussian sampling.
 Per-trial seeds are derived from one master seed with a splitmix64
 avalanche mixer, so each trial's stream is independent of the others.
-:func:`statistic_sampler` draws the sufficient statistics without the record:
-the histogram of inverse-CDF lookups, counted from the sorted uniforms, or
-under the one-component (poisson-fringe) count model only its total S, as
-the pair (k, S).
+:func:`statistic_sampler` draws the sufficient statistics of the counting
+schemes without the record: on/off click counts straight from the uniforms
+below the click probability, the histogram of inverse-CDF lookups counted
+from the sorted uniforms, or under the one-component (poisson-fringe) count
+model only its total S, as the pair (k, S).
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ class ExperimentConfig:
             # pulses == 0 is allowed so that an empty record (posterior ==
             # prior) remains constructible
             raise ValueError(f"pulses must be >= 0, got {self.pulses!r}")
-        if not 0 <= self.seed <= _U64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +83,17 @@ class OutcomeRecord:
         return len(self.values)
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _U64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 def split_seed(seed: int, trial_index: int) -> int:
     """Derive an independent per-trial seed via splitmix64 avalanche mixing.
 
     split_seed(0, 0) == 0xE220A8397B1DCDAF.
     """
-    if not 0 <= seed <= _U64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+    _check_seed(seed)
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index!r}")
     z = (seed + (trial_index + 1) * _GOLDEN) & _U64
@@ -198,19 +202,35 @@ def lookup_histogram(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def statistic_sampler(config: ExperimentConfig, checkpoints):
     """:func:`sampler`'s draw reduced to :func:`record_statistics` at the
-    checkpoints, as a list, from the same PCG64 stream; number-resolving
-    counts keep no record, only the uniforms, sorted per checkpoint segment.
-    The total count S is the dot product of the counts 0..N with the
-    histogram, an exact integer like the record's sum."""
-    if config.scheme is not Scheme.DISPLACED_COUNTING or config.det.kind is DetectorKind.ON_OFF:
+    checkpoints, as a list, from the same PCG64 stream.  The counting
+    schemes keep no record, only the uniforms: on/off click counts are the
+    uniforms below the click probability, counted per checkpoint segment;
+    number-resolving counts sort the uniforms per segment.  The total count
+    S is the dot product of the counts 0..N with the histogram, an exact
+    integer like the record's sum.  Quadratures draw the record, whose
+    prefix sums are summed afresh."""
+    if config.scheme is not Scheme.DISPLACED_COUNTING:
         draw = sampler(config)
         return lambda seed: list(record_statistics(config, draw(seed).values, checkpoints))
+    if config.det.kind is DetectorKind.ON_OFF:
+        p_click = onoff_likelihood(True, config.phi_true, config.probe, config.det, config.model)
+
+        def draw_clicks(seed: int) -> list:
+            _check_seed(seed)
+            u = np.random.default_rng(seed).random(config.pulses)
+            statistics, clicks, prev = [], 0, 0
+            for k in checkpoints:
+                clicks += int(np.count_nonzero(u[prev:k] < p_click))
+                prev = k
+                statistics.append((k - clicks, clicks))
+            return statistics
+        return draw_clicks
     cdf = np.cumsum(count_distribution(config.phi_true, config.probe, config.det, config.model))
     fringe = config.model is LikelihoodModel.POISSON_FRINGE
     counts = np.arange(len(cdf))
 
     def draw_counts(seed: int) -> list:
-        replace(config, seed=seed)  # the seed checks of a record's config
+        _check_seed(seed)
         u = np.random.default_rng(seed).random(config.pulses)
         if not fringe:  # the histograms stop at the record's largest count
             top = min(int(np.searchsorted(cdf, u.max(initial=0.0), side="right")), len(cdf) - 1)

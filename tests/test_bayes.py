@@ -1,6 +1,7 @@
 """Posterior grid construction, moments, and sequential estimation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -192,3 +193,54 @@ class TestOneComponentCounts:
             table.moments(statistics)
         assert table._moments
         assert all(len(key) == 2 and all(type(v) is int for v in key) for key in table._moments)
+
+
+class TestPosteriorKernel:
+    """LikelihoodTable evaluates every posterior in rows it owns and reuses."""
+
+    @staticmethod
+    def _ideal_onoff_config(pulses):
+        # beta = alpha at eta = 1, nu = 0, xi = 1: log p1 = -inf at phi = 0
+        return ExperimentConfig(
+            scheme=Scheme.DISPLACED_COUNTING, phi_true=0.5,
+            probe=ProbeConfig.from_intensities(0.1),
+            det=DetectorModel(kind=DetectorKind.ON_OFF), pulses=pulses)
+
+    @pytest.mark.parametrize("clicks", [0, 7, 40], ids=["silent", "mixed", "clicks"])
+    def test_ideal_onoff_moments_equal_one_shot_estimate(self, clicks):
+        config = self._ideal_onoff_config(40)
+        record = OutcomeRecord(config=config, values=np.arange(40) < clicks)
+        table = LikelihoodTable(config, 257)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            statistics = list(table.statistics(record, (40,)))
+            assert statistics == [(40 - clicks, clicks)]
+            assert table.moments(statistics) == [estimate(posterior(record, 257))]
+
+    # a config and statistics of 100 pulses under it: (silent, click) or (k, S)
+    REUSE_CASES = {
+        "onoff": (_experiment_config(100, 0), [(100, 0), (97, 3), (50, 50), (0, 100)]),
+        "pnrd-fringe": (_ideal_counts_config(100), [(100, 0), (100, 3), (100, 50), (100, 400)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REUSE_CASES))
+    def test_posteriors_do_not_alias_the_reused_rows(self, name):
+        config, (_, first_stat, second_stat, _) = self.REUSE_CASES[name]
+        posts = LikelihoodTable(config, 129).posteriors([first_stat, second_stat])
+        first = next(posts)
+        kept = first.density.copy()
+        second = next(posts)
+        assert np.array_equal(first.density, kept)
+        assert not np.shares_memory(first.density, second.density)
+        assert not np.array_equal(first.density, second.density)
+        (alone,) = LikelihoodTable(config, 129).posteriors([first_stat])
+        assert np.array_equal(first.density, alone.density)
+
+    @pytest.mark.parametrize("name", sorted(REUSE_CASES))
+    def test_moments_repeat_exactly_in_any_order(self, name):
+        config, statistics = self.REUSE_CASES[name]
+        table = LikelihoodTable(config, 129)
+        once = table.moments(statistics)
+        assert table.moments(statistics) == once
+        assert LikelihoodTable(config, 129).moments(statistics[::-1])[::-1] == once
+        assert all(type(v) is float for moments in once for v in moments)

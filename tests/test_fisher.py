@@ -201,6 +201,10 @@ class TestNumericFi:
         assert fisher._hermgauss_normalized(128)[0] is nodes
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+        weight = fisher._hermgauss_product_weight(128)
+        assert fisher._hermgauss_product_weight(128) is weight
+        assert not weight.flags.writeable
+        assert np.array_equal(weight, np.outer(weights, weights))
 
 
 class TestFiOptionsValidation:

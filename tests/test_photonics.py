@@ -30,9 +30,6 @@ class TestProbeAndDetectorValidation:
         with pytest.raises(ValueError):
             ProbeConfig(alpha=-0.1, beta=0.1)
 
-    def test_mean_photon_number(self):
-        assert ProbeConfig(alpha=0.5, beta=0.5).mean_photon_number() == 0.25
-
     def test_from_intensities_matches_default(self):
         probe = ProbeConfig.from_intensities(0.1)
         assert probe.alpha == probe.beta == math.sqrt(0.1)

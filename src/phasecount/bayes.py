@@ -28,6 +28,11 @@ from .sampling import ExperimentConfig, OutcomeRecord, record_statistics
 DEFAULT_GRID_SIZE = 4097
 MIN_GRID_SIZE = 65
 
+# exp(x) underflows to exactly 0 below x = -745.13..., and takes ~20x longer
+# to say so than to evaluate a normal value: a posterior sets the nodes
+# before its first and after its last log-density above this floor to 0
+_EXP_FLOOR = -746.0
+
 
 class PosteriorUnderflowError(RuntimeError):
     """Every grid node has zero posterior mass: the record is impossible
@@ -53,11 +58,12 @@ class PosteriorGrid:
 
 def _trapezoid(y: np.ndarray, spacing: np.ndarray, out: np.ndarray | None = None) -> float:
     # np.trapezoid(y, x) for spacing = np.diff(x): its operations, so its
-    # bits, written into ``out`` (a row as long as the spacing) when given
+    # bits, written into ``out`` (a row as long as the spacing) when given.
+    # x * 0.5 and x / 2.0 round the same real number; ndarray.sum is add.reduce
     out = np.add(y[1:], y[:-1], out=out)
     np.multiply(spacing, out, out=out)
-    np.divide(out, 2.0, out=out)
-    return float(out.sum())
+    np.multiply(out, 0.5, out=out)
+    return float(np.add.reduce(out))
 
 
 def _phase_grid(grid_size: int) -> np.ndarray:
@@ -160,24 +166,6 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray,
     return counts
 
 
-def _normalize(loglik: np.ndarray, spacing: np.ndarray,
-               density: np.ndarray, trap: np.ndarray) -> np.ndarray:
-    # the posterior density of a log-likelihood row, written into ``density``
-    # (which may be the row itself), with ``trap`` for the trapezoid
-    peak = float(loglik.max())
-    if not np.isfinite(peak):
-        raise PosteriorUnderflowError(
-            "posterior vanished at every grid node; the record is impossible "
-            "under the configured likelihood model"
-        )
-    np.subtract(loglik, peak, out=density)  # flat prior: constant factor cancels
-    np.exp(density, out=density)
-    norm = _trapezoid(density, spacing, trap)
-    if norm <= 0.0 or not math.isfinite(norm):
-        raise PosteriorUnderflowError("posterior normalization underflowed")
-    return np.divide(density, norm, out=density)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -195,10 +183,10 @@ class LikelihoodTable:
     construction, and the moments of each distinct statistic are computed
     once.
 
-    Every posterior is evaluated in three rows the table owns and reuses,
+    Every posterior is evaluated in rows the table owns and reuses,
     allocated once: the log-likelihood and then the density, a scratch row,
-    and a trapezoid row.  A table is therefore not re-entrant: one thread
-    at a time.
+    a trapezoid row and a mask.  A table is therefore not re-entrant: one
+    thread at a time.
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
@@ -208,11 +196,29 @@ class LikelihoodTable:
         self._density = np.empty_like(self.grid)
         self._scratch = np.empty_like(self.grid)
         self._trap = np.empty_like(self.spacing)
+        self._live = np.empty(grid_size, dtype=bool)
         self.loglik = _loglik_function(config, self.grid, self._density, self._scratch)
         self._moments = {}
 
     def _posterior(self, loglik: np.ndarray) -> np.ndarray:
-        return _normalize(loglik, self.spacing, self._density, self._trap)
+        """The posterior density of a log-likelihood row, in the density row
+        (which may be the log-likelihood row itself)."""
+        peak = float(loglik.max())  # NaN anywhere makes it NaN
+        if not np.isfinite(peak):
+            raise PosteriorUnderflowError(
+                "posterior vanished at every grid node; the record is impossible "
+                "under the configured likelihood model"
+            )
+        density = np.subtract(loglik, peak, out=self._density)  # flat prior: constant factor cancels
+        live = np.greater_equal(density, _EXP_FLOOR, out=self._live)
+        lo, hi = int(live.argmax()), len(live) - int(live[::-1].argmax())
+        density[:lo] = 0.0
+        density[hi:] = 0.0
+        np.exp(density[lo:hi], out=density[lo:hi])
+        norm = _trapezoid(density, self.spacing, self._trap)
+        if norm <= 0.0 or not math.isfinite(norm):
+            raise PosteriorUnderflowError("posterior normalization underflowed")
+        return np.divide(density, norm, out=density)
 
     def statistics(self, record: OutcomeRecord, checkpoints):
         """The record's statistic at each checkpoint (:func:`record_statistics`)."""

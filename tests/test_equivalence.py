@@ -413,6 +413,20 @@ def test_posterior_equals_per_record_reference(name):
     assert np.array_equal(posterior(empty, 129).density, _ref_normalize(np.zeros_like(grid), grid))
 
 
+def test_posterior_density_is_the_whole_row_exp_across_underflow():
+    # homodyne at phi = 0.3: modes at phi and pi - phi, with nodes whose exp
+    # is 0 at both ends and between the modes, and subnormal nodes
+    config = replace(CASES["homodyne"], phi_true=0.3, pulses=200_000)
+    record = sample(config)
+    grid = _phase_grid(4097)
+    density = posterior(record, 4097).density
+    assert density.tobytes() == _ref_normalize(_ref_loglik_grid(record, grid), grid).tobytes()
+    zero = np.flatnonzero(density == 0.0)
+    assert zero[0] == 0 and zero[-1] == grid.size - 1
+    assert np.any((zero > np.argmax(grid >= 0.3)) & (zero < np.argmax(grid >= math.pi - 0.3)))
+    assert np.any((density > 0.0) & (density < np.finfo(float).tiny))
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_bright_fringe_estimates_within_longdouble_bound(seed):
     # mean count ~474 over 2e4 pulses: S ~ 1e7, where the per-count float64 sum

@@ -28,9 +28,10 @@ from .sampling import ExperimentConfig, OutcomeRecord, record_statistics
 DEFAULT_GRID_SIZE = 4097
 MIN_GRID_SIZE = 65
 
-# exp(x) underflows to exactly 0 below x = -745.13..., and takes ~20x longer
-# to say so than to evaluate a normal value: a posterior sets the nodes
-# before its first and after its last log-density above this floor to 0
+# exp(x) underflows to exactly 0 below x = -745.13..., and numpy takes over
+# ten times longer to say so than to evaluate a normal value: a posterior
+# sets the nodes before its first and after its last log-density at or
+# above this floor to 0 and evaluates exp only between them
 _EXP_FLOOR = -746.0
 
 

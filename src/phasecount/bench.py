@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import yaml
@@ -28,8 +29,9 @@ from .sampling import (
     PRNG_IDENTITY,
     SEED_MIXER_IDENTITY,
     ExperimentConfig,
-    split_seed,
+    split_seeds,
     statistic_sampler,
+    trial_streams,
 )
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .bayes import sequential_estimates
@@ -139,7 +141,8 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     1/(k*F) for displaced counting at the configured (experimental)
     parameters, ideal displaced counting, ideal homodyne, ideal
     heterodyne, and the quantum bound.  Trials draw only their sufficient
-    statistics, and one likelihood table serves the run.
+    statistics from streams seeded in one pass, and one likelihood table
+    serves the run.
     """
     pset = run.params
     config = ExperimentConfig(
@@ -148,7 +151,8 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     )
     table = LikelihoodTable(config, run.grid_size)
     draw = statistic_sampler(config, run.checkpoints)
-    trials = [table.moments(draw(split_seed(run.seed, t))) for t in range(run.trials)]
+    trials = [table.moments(draw(rng))
+              for rng in trial_streams(split_seeds(run.seed, 0, run.trials))]
     phi_hat = np.array([[e[0] for e in trial] for trial in trials])
     variance = np.array([[e[1] for e in trial] for trial in trials])
 
@@ -213,23 +217,25 @@ def run_saturate(run: SaturateRun) -> CommandResult:
 
     Each trial draws only its sufficient statistic (click count, straight
     from the uniforms; pulses and total count; or count histogram, see
-    ``statistic_sampler``); nothing else is done per trial.  One likelihood
-    table serves the run and evaluates the posterior once per distinct
-    statistic, in grid rows it allocates once; the outcome law is computed
-    once per cell and the FI reference columns once per phase.
+    ``statistic_sampler``); nothing else is done per trial.  The trial
+    streams of the whole run are seeded in one pass, cell after cell.  One
+    likelihood table serves the run and evaluates the posterior once per
+    distinct statistic, in grid rows it allocates once; the outcome law is
+    computed once per cell and the FI reference columns once per phase.
     """
     pset = run.params
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",
               "fi_displaced_exp", "fi_displaced_ideal", "fi_homodyne_ideal")
     rows = []
     table = None
-    for i, phi in enumerate(run.phi_values):
+    cells = len(run.phi_values) * len(run.pulses_list)
+    streams = trial_streams(split_seeds(run.seed, 0, cells * run.trials))
+    for phi in run.phi_values:
         references = (fi_numeric(Scheme.DISPLACED_COUNTING, phi, pset.probe, pset.det,
                                  model=pset.model).value,
                       fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
                       fi_analytic(Scheme.HOMODYNE, phi, pset.probe))
-        for j, m in enumerate(run.pulses_list):
-            base = (i * len(run.pulses_list) + j) * run.trials
+        for m in run.pulses_list:
             cell = ExperimentConfig(
                 scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
                 det=pset.det, pulses=m, model=pset.model,
@@ -237,8 +243,8 @@ def run_saturate(run: SaturateRun) -> CommandResult:
             table = table or LikelihoodTable(cell, run.grid_size)
             draw = statistic_sampler(cell, (m,))
             variances = []
-            for t in range(run.trials):
-                ((_, variance),) = table.moments(draw(split_seed(run.seed, base + t)))
+            for rng in islice(streams, run.trials):
+                ((_, variance),) = table.moments(draw(rng))
                 variances.append(variance)
             rows.append((
                 phi, int(m),

@@ -5,6 +5,9 @@ outcomes come from numpy's PCG64 stream, counts via inverse-CDF lookup on
 the truncated count distribution, quadratures via Gaussian sampling.
 Per-trial seeds are derived from one master seed with a splitmix64
 avalanche mixer, so each trial's stream is independent of the others.
+Trial t of a run draws from ``default_rng(split_seed(seed, t))``'s PCG64
+stream, bit for bit; :func:`split_seeds` and :func:`trial_streams` seed
+all the trials of a run in one vectorised pass.
 :func:`statistic_sampler` draws the sufficient statistics of the counting
 schemes without the record: on/off click counts straight from the uniforms
 below the click probability, the histogram of inverse-CDF lookups counted
@@ -15,6 +18,8 @@ model only its total S, as the pair (k, S).
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,9 +88,31 @@ class OutcomeRecord:
         return len(self.values)
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> int:
     if not 0 <= seed <= _U64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return seed
+
+
+def split_seeds(seed, first: int, count: int) -> np.ndarray:
+    """``split_seed(seed, t)`` of trials t = first .. first + count - 1, as a
+    uint64 array.  ``seed`` is one master seed or a uint64 array of them,
+    broadcast against the trials.  The splitmix64 products wrap mod 2^64 on
+    arrays, which do not warn on overflow as numpy scalars do."""
+    if not (isinstance(seed, np.ndarray) and seed.dtype == np.uint64):
+        seed = _check_seed(operator.index(seed))
+    if first < 0:
+        raise ValueError(f"trial_index must be >= 0, got {first!r}")
+    z = np.arange(count, dtype=np.uint64)
+    z *= _GOLDEN
+    z += (first + 1) * _GOLDEN & _U64
+    z = z + seed
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
 
 
 def split_seed(seed: int, trial_index: int) -> int:
@@ -93,13 +120,86 @@ def split_seed(seed: int, trial_index: int) -> int:
 
     split_seed(0, 0) == 0xE220A8397B1DCDAF.
     """
-    _check_seed(seed)
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index!r}")
-    z = (seed + (trial_index + 1) * _GOLDEN) & _U64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-    return z ^ (z >> 31)
+    return int(split_seeds(seed, trial_index, 1)[0])
+
+
+# numpy's SeedSequence (O'Neill's seed_seq hashing on a 4-word uint32 pool)
+# and PCG64 seeding, both frozen by numpy's stream-compatibility policy
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list:
+    """The (hash constant, next hash constant) of each of ``calls`` successive
+    hashes; the constants advance the same way whatever is hashed."""
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & 0xFFFFFFFF)
+    return list(zip(constants, constants[1:]))
+
+
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 4 * 3)  # pool words, then cross mixes
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)  # 4 uint64 words as 8 uint32
+
+
+def _hashmix(words: np.ndarray, constants: tuple) -> np.ndarray:
+    h, h_next = constants
+    words = (words ^ h) * h_next
+    return words ^ (words >> 16)
+
+
+def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed s, as an
+    (n, 4) array, in uint32 array ops.  The seed's entropy is its two 32-bit
+    words; a seed below 2^32 hashes its high word as 0, which is what
+    numpy's one-word entropy leaves in that pool word."""
+    hashes = iter(_POOL_HASHES)
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    pool = [_hashmix(word, next(hashes))
+            for word in (seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], next(hashes))
+                pool[dst] = mixed ^ (mixed >> 16)
+    out = [_hashmix(pool[i % 4], h).astype(np.uint64) for i, h in enumerate(_STATE_HASHES)]
+    return np.stack([low | (high << 32) for low, high in zip(out[0::2], out[1::2])], axis=1)
+
+
+def _seed_array(seeds) -> np.ndarray:
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds
+    return np.array([_check_seed(operator.index(s)) for s in seeds], dtype=np.uint64)
+
+
+def trial_streams(seeds) -> Iterator[np.random.Generator]:
+    """Yield, for each seed, a Generator on ``default_rng(seed)``'s
+    PCG64 stream, bit for bit.
+
+    The SeedSequence states of all seeds are computed at once; each step
+    then sets the PCG64 state (``srandom``: inc = 2·initseq + 1, state =
+    (inc + initstate)·MULT + inc mod 2^128) on one Generator, which is
+    yielded every time: draw from it before taking the next.  The seeds
+    are checked here, before anything is drawn.
+    """
+    return _set_states(_seed_sequence_states(_seed_array(seeds)))
+
+
+def _set_states(words: np.ndarray) -> Iterator[np.random.Generator]:
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    seeded = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    for row in words:  # a row at a time: a list of all rows' Python ints costs ~230 B a seed
+        init_high, init_low, seq_high, seq_low = row.tolist()
+        inc = ((seq_high << 65) | (seq_low << 1) | 1) & _U128
+        seeded["inc"] = inc
+        seeded["state"] = ((inc + ((init_high << 64) | init_low)) * _PCG64_MULT + inc) & _U128
+        bit_generator.state = state
+        yield rng
 
 
 def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
@@ -110,13 +210,10 @@ def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
     return np.array(count_masses(phi, count_model(probe, det, model)))
 
 
-def sampler(config: ExperimentConfig):
-    """The draw of :func:`sample` for ``config`` as a function of the seed.
-
-    The outcome law at the true phase (click probability, count table or
-    quadrature means) is computed once, here; each draw checks
-    ``replace(config, seed=seed)`` and reads a fresh PCG64 stream.
-    """
+def _outcome_draw(config: ExperimentConfig):
+    """The outcomes of ``config`` as a function of a PCG64 Generator; the
+    outcome law at the true phase (click probability, count table or
+    quadrature means) is computed once, here."""
     m, phi, probe, det = config.pulses, config.phi_true, config.probe, config.det
     if config.scheme is Scheme.DISPLACED_COUNTING and det.kind is DetectorKind.ON_OFF:
         p_click = onoff_likelihood(True, phi, probe, det, config.model)
@@ -143,9 +240,20 @@ def sampler(config: ExperimentConfig):
             return (mx + noise[:, 0]) + 1j * (my + noise[:, 1])
     else:
         raise ValueError(f"unknown scheme {config.scheme!r}")
+    return outcomes
+
+
+def sampler(config: ExperimentConfig):
+    """The draw of :func:`sample` for ``config`` as a function of the seed.
+
+    The outcome law is computed once, here; each draw checks
+    ``replace(config, seed=seed)`` and reads the seed's stream from
+    :func:`trial_streams`.
+    """
+    outcomes = _outcome_draw(config)
 
     def draw(seed: int) -> OutcomeRecord:
-        return OutcomeRecord(replace(config, seed=seed), outcomes(np.random.default_rng(seed)))
+        return OutcomeRecord(replace(config, seed=seed), outcomes(next(trial_streams([seed]))))
     return draw
 
 
@@ -202,25 +310,30 @@ def lookup_histogram(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def statistic_sampler(config: ExperimentConfig, checkpoints):
     """:func:`sampler`'s draw reduced to :func:`record_statistics` at the
-    checkpoints, as a list, from the same PCG64 stream.  The counting
-    schemes keep no record, only the uniforms: on/off click counts are the
-    uniforms below the click probability, counted per checkpoint segment;
-    number-resolving counts sort the uniforms per segment.  The total count
-    S is the dot product of the counts 0..N with the histogram, an exact
-    integer like the record's sum.  Quadratures draw the record, whose
-    prefix sums are summed afresh."""
+    checkpoints, as a list, and taken as a function of the trial's PCG64
+    Generator (one of :func:`trial_streams`), so that trial t of a run
+    reads ``default_rng(split_seed(seed, t))``'s stream bit for bit.  The
+    counting schemes keep no record, only the uniforms, drawn with
+    ``random(out=)`` into a buffer the sampler allocates once: on/off click
+    counts are the uniforms below the click probability, compared into one
+    reused bool buffer and counted per checkpoint segment; number-resolving
+    counts sort the uniforms per segment.  The total count S is the dot
+    product of the counts 0..N with the histogram, an exact integer like the
+    record's sum.  Quadratures draw the record, whose prefix sums are summed
+    afresh."""
     if config.scheme is not Scheme.DISPLACED_COUNTING:
-        draw = sampler(config)
-        return lambda seed: list(record_statistics(config, draw(seed).values, checkpoints))
+        outcomes = _outcome_draw(config)
+        return lambda rng: list(record_statistics(config, outcomes(rng), checkpoints))
+    u = np.empty(config.pulses)
     if config.det.kind is DetectorKind.ON_OFF:
         p_click = onoff_likelihood(True, config.phi_true, config.probe, config.det, config.model)
+        clicked = np.empty(config.pulses, dtype=bool)
 
-        def draw_clicks(seed: int) -> list:
-            _check_seed(seed)
-            u = np.random.default_rng(seed).random(config.pulses)
+        def draw_clicks(rng) -> list:
+            np.less(rng.random(out=u), p_click, out=clicked)
             statistics, clicks, prev = [], 0, 0
             for k in checkpoints:
-                clicks += int(np.count_nonzero(u[prev:k] < p_click))
+                clicks += int(np.count_nonzero(clicked[prev:k]))
                 prev = k
                 statistics.append((k - clicks, clicks))
             return statistics
@@ -229,9 +342,8 @@ def statistic_sampler(config: ExperimentConfig, checkpoints):
     fringe = config.model is LikelihoodModel.POISSON_FRINGE
     counts = np.arange(len(cdf))
 
-    def draw_counts(seed: int) -> list:
-        _check_seed(seed)
-        u = np.random.default_rng(seed).random(config.pulses)
+    def draw_counts(rng) -> list:
+        rng.random(out=u)
         if not fringe:  # the histograms stop at the record's largest count
             top = min(int(np.searchsorted(cdf, u.max(initial=0.0), side="right")), len(cdf) - 1)
         histogram = np.zeros(len(cdf), dtype=np.int64)

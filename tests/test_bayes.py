@@ -23,7 +23,7 @@ from phasecount import (
 )
 from phasecount.bayes import LikelihoodTable
 from phasecount.photonics import fringe_mean
-from phasecount.sampling import statistic_sampler
+from phasecount.sampling import statistic_sampler, trial_streams
 
 
 def _ideal_counts_config(pulses, phi=0.5, seed=0):
@@ -186,9 +186,9 @@ class TestOneComponentCounts:
         checkpoints = (10, 100, 2000)
         table = LikelihoodTable(config, 129)
         draw = statistic_sampler(config, checkpoints)
-        for seed in (1, 2):
+        for seed, rng in zip((1, 2), trial_streams([1, 2])):
             record = sample(replace(config, seed=seed))
-            statistics = draw(seed)
+            statistics = draw(rng)
             assert statistics == [(k, int(record.values[:k].sum())) for k in checkpoints]
             table.moments(statistics)
         assert table._moments

@@ -211,6 +211,24 @@ class TestSimulate:
         assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["simulate", "saturate"])
+def test_out_of_range_seed_exits_1_and_names_it(tmp_path, capsys, command, seed):
+    text = SIMULATE_CONFIG if command == "simulate" else textwrap.dedent("""\
+        phi_grid: {values: [1.0]}
+        pulses: [100]
+        trials: 2
+        grid_size: 257
+        seed: 4242
+        signal_intensity: 0.1
+    """)
+    cfg = _write(tmp_path, "run.yaml", text.replace("seed: 4242", f"seed: {seed}"))
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"seed must be a 64-bit unsigned integer, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSaturate:
     def test_single_cell_single_row(self, tmp_path):
         cfg = _write(tmp_path, "sat.yaml", textwrap.dedent("""\

@@ -55,7 +55,7 @@ from phasecount.photonics import (
     mixture_weights,
     require_matched_amplitudes,
 )
-from phasecount.sampling import lookup_histogram, sampler, statistic_sampler
+from phasecount.sampling import lookup_histogram, sampler, statistic_sampler, trial_streams
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -679,19 +679,22 @@ def test_statistic_draw_equals_record_statistics(name):
     table = LikelihoodTable(config, 129)
     for checkpoints in _checkpoint_sets(config.pulses):
         draw = statistic_sampler(config, checkpoints)
-        for seed in (5, 6, 2**64 - 1):
+        seeds = (5, 6, 2**64 - 1)
+        for seed, rng in zip(seeds, trial_streams(seeds)):
             want = list(table.statistics(sample(replace(config, seed=seed)), checkpoints))
-            assert draw(seed) == want
+            assert draw(rng) == want
     empty = replace(config, pulses=0)
-    assert statistic_sampler(empty, ())(0) == list(table.statistics(sample(empty), ())) == []
+    assert (statistic_sampler(empty, ())(next(trial_streams([0])))
+            == list(table.statistics(sample(empty), ())) == [])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_statistic_draw_checks_its_seed(name):
+    # the draw reads a stream of trial_streams, which checks every seed before any draw
     draw = statistic_sampler(CASES[name], (1,))
     for seed in (2**64, -1):
-        with pytest.raises(ValueError, match="seed"):
-            draw(seed)
+        with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
+            [draw(rng) for rng in trial_streams([0, seed])]
 
 
 def _ref_lookup_histogram(cdf, uniforms):

@@ -18,6 +18,7 @@ from phasecount import (
     sample,
     split_seed,
 )
+from phasecount.sampling import split_seeds, trial_streams
 
 SPLITMIX_GOLDEN = 0xE220A8397B1DCDAF  # split_seed(0, 0), frozen
 
@@ -32,7 +33,11 @@ class TestSplitSeed:
     def test_no_adjacent_collisions(self):
         rng = np.random.default_rng(2024)
         seeds = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64)
-        assert all(split_seed(int(s), 0) != split_seed(int(s), 1) for s in seeds)
+        first, second = split_seeds(seeds, 0, 1), split_seeds(seeds, 1, 1)
+        assert np.all(first != second)
+        for i in range(0, len(seeds), 99_991):
+            assert (first[i], second[i]) == (split_seed(int(seeds[i]), 0),
+                                             split_seed(int(seeds[i]), 1))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -41,6 +46,82 @@ class TestSplitSeed:
             split_seed(2**64, 0)
         with pytest.raises(ValueError):
             split_seed(0, -1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 1, 2**64 - 40, 2**70])
+    def test_split_seeds_equal_split_seed(self, seed, first):
+        # 2^64 - 40 + 80 trials run the trial index past 2^64
+        got = split_seeds(seed, first, 80)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [split_seed(seed, first + i) for i in range(80)]
+
+    def test_split_seeds_of_seed_array(self):
+        seeds = np.array([0, 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+        for t in (0, 5, 2**64 + 3):
+            assert split_seeds(seeds, t, 1).tolist() == [split_seed(int(s), t) for s in seeds]
+        assert split_seeds(SPLITMIX_GOLDEN, 0, 0).tolist() == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_split_seeds_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
+            split_seeds(seed, 0, 3)
+
+    def test_split_seeds_rejects_negative_first_index(self):
+        with pytest.raises(ValueError, match="trial_index must be >= 0, got -1"):
+            split_seeds(0, -1, 3)
+
+
+# seeds whose entropy is one or two 32-bit words, and the ends of the range
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _stream_seeds():
+    rng = np.random.default_rng(20261018)
+    return EDGE_SEEDS + rng.integers(0, 2**64, size=2000, dtype=np.uint64).tolist()
+
+
+class TestTrialStreams:
+    """trial_streams seeds default_rng(seed)'s PCG64 stream, bit for bit."""
+
+    def test_states_equal_default_rng(self):
+        seeds = _stream_seeds()
+        for seed, rng in zip(seeds, trial_streams(seeds), strict=True):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    def test_seed_array_states_equal_default_rng(self):
+        seeds = split_seeds(11, 0, 300)
+        for seed, rng in zip(seeds.tolist(), trial_streams(seeds), strict=True):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    def test_draws_equal_default_rng(self):
+        seeds = _stream_seeds()
+        out = np.empty(7)
+        for seed, rng in zip(seeds, trial_streams(seeds), strict=True):
+            ref = np.random.default_rng(seed)
+            assert np.array_equal(rng.random(7), ref.random(7))
+            rng.random(out=out)
+            assert np.array_equal(out, ref.random(7))
+            assert np.array_equal(rng.standard_normal((5, 2)), ref.standard_normal((5, 2)))
+
+    def test_stream_left_mid_word_is_reset(self):
+        # an odd number of uint32 draws leaves half a 64-bit word buffered
+        seeds = EDGE_SEEDS + [12345, 678]
+        for seed, rng in zip(seeds, trial_streams(seeds), strict=True):
+            ref = np.random.default_rng(seed)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            got = rng.integers(0, 2**32, size=3, dtype=np.uint32)
+            assert np.array_equal(got, ref.integers(0, 2**32, size=3, dtype=np.uint32))
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_one_generator_serves_every_seed(self):
+        streams = list(trial_streams([1, 2, 3]))
+        assert streams[0] is streams[1] is streams[2]
+        assert list(trial_streams([])) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_out_of_range_seed_before_drawing(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
+            trial_streams([0, seed])
 
 
 def _experiment_config(**overrides):

@@ -127,25 +127,28 @@ def split_seed(seed: int, trial_index: int) -> int:
 # and PCG64 seeding, both frozen by numpy's stream-compatibility policy
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U128 = (1 << 128) - 1
 
 
-def _hash_constants(init: int, mult: int, calls: int) -> list:
-    """The (hash constant, next hash constant) of each of ``calls`` successive
-    hashes; the constants advance the same way whatever is hashed."""
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before and after each of ``calls`` successive hashes,
+    as a (2, calls, 1) uint32 array: the constant advances the same way
+    whatever is hashed, so the hashes of a pass can share one array op."""
     constants = [init]
     for _ in range(calls):
         constants.append(constants[-1] * mult & 0xFFFFFFFF)
-    return list(zip(constants, constants[1:]))
+    return np.array([constants[:-1], constants[1:]], dtype=np.uint32)[..., None]
 
 
-_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 4 * 3)  # pool words, then cross mixes
+# the 4 pool words, then each source word hashed once for each of the other 3
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, 4 + 4 * 3)
 _STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)  # 4 uint64 words as 8 uint32
+_OTHER_WORDS = [[dst for dst in range(4) if dst != src] for src in range(4)]
 
 
-def _hashmix(words: np.ndarray, constants: tuple) -> np.ndarray:
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
     h, h_next = constants
     words = (words ^ h) * h_next
     return words ^ (words >> 16)
@@ -155,18 +158,18 @@ def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed s, as an
     (n, 4) array, in uint32 array ops.  The seed's entropy is its two 32-bit
     words; a seed below 2^32 hashes its high word as 0, which is what
-    numpy's one-word entropy leaves in that pool word."""
-    hashes = iter(_POOL_HASHES)
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    pool = [_hashmix(word, next(hashes))
-            for word in (seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], next(hashes))
-                pool[dst] = mixed ^ (mixed >> 16)
-    out = [_hashmix(pool[i % 4], h).astype(np.uint64) for i, h in enumerate(_STATE_HASHES)]
-    return np.stack([low | (high << 32) for low, high in zip(out[0::2], out[1::2])], axis=1)
+    numpy's one-word entropy leaves in that pool word.  Each source word
+    mixes into the other three independently, so their three hashes and
+    mixes are one op each."""
+    entropy = np.zeros((4, len(seeds)), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)
+    pool = _hashmix(entropy, _POOL_HASHES[:, :4])
+    for src, dst in enumerate(_OTHER_WORDS):
+        hashed = _hashmix(pool[src], _POOL_HASHES[:, 4 + 3 * src:7 + 3 * src])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASHES).astype(np.uint64)
+    return (words[0::2] | (words[1::2] << 32)).T
 
 
 def _seed_array(seeds) -> np.ndarray:

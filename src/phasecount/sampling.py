@@ -150,8 +150,10 @@ _OTHER_WORDS = [[dst for dst in range(4) if dst != src] for src in range(4)]
 
 def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
     h, h_next = constants
-    words = (words ^ h) * h_next
-    return words ^ (words >> 16)
+    words = words ^ h
+    words *= h_next
+    words ^= words >> 16
+    return words
 
 
 def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
@@ -168,41 +170,43 @@ def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
         hashed = _hashmix(pool[src], _POOL_HASHES[:, 4 + 3 * src:7 + 3 * src])
         mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
         pool[dst] = mixed ^ (mixed >> 16)
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASHES).astype(np.uint64)
-    return (words[0::2] | (words[1::2] << 32)).T
-
-
-def _seed_array(seeds) -> np.ndarray:
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
-        return seeds
-    return np.array([_check_seed(operator.index(s)) for s in seeds], dtype=np.uint64)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASHES)
+    return words.T.astype("<u4", order="C").view("<u8")  # low word first, as numpy reads them
 
 
 def trial_streams(seeds) -> Iterator[np.random.Generator]:
     """Yield, for each seed, a Generator on ``default_rng(seed)``'s
     PCG64 stream, bit for bit.
 
-    The SeedSequence states of all seeds are computed at once; each step
-    then sets the PCG64 state (``srandom``: inc = 2·initseq + 1, state =
-    (inc + initstate)·MULT + inc mod 2^128) on one Generator, which is
-    yielded every time: draw from it before taking the next.  The seeds
-    are checked here, before anything is drawn.
+    The SeedSequence states are computed in array passes over blocks of
+    seeds; each step then sets the PCG64 state (``srandom``: inc =
+    2·initseq + 1, state = (inc + initstate)·MULT + inc mod 2^128) on one
+    Generator, which is yielded every time: draw from it before taking the
+    next.  The seeds are checked here, before anything is drawn.
     """
-    return _set_states(_seed_sequence_states(_seed_array(seeds)))
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([_check_seed(operator.index(s)) for s in seeds], dtype=np.uint64)
+    return _set_states(seeds)
 
 
-def _set_states(words: np.ndarray) -> Iterator[np.random.Generator]:
+# seeds per array pass: a pass takes about 140 B a seed at its peak, so a
+# block bounds it whatever the number of trials
+_SEED_BLOCK = 1024
+
+
+def _set_states(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     seeded = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    for row in words:  # a row at a time: a list of all rows' Python ints costs ~230 B a seed
-        init_high, init_low, seq_high, seq_low = row.tolist()
-        inc = ((seq_high << 65) | (seq_low << 1) | 1) & _U128
-        seeded["inc"] = inc
-        seeded["state"] = ((inc + ((init_high << 64) | init_low)) * _PCG64_MULT + inc) & _U128
-        bit_generator.state = state
-        yield rng
+    for start in range(0, len(seeds), _SEED_BLOCK):
+        for row in _seed_sequence_states(seeds[start:start + _SEED_BLOCK]):
+            init_high, init_low, seq_high, seq_low = row.tolist()
+            inc = ((seq_high << 65) | (seq_low << 1) | 1) & _U128
+            seeded["inc"] = inc
+            seeded["state"] = ((inc + ((init_high << 64) | init_low)) * _PCG64_MULT + inc) & _U128
+            bit_generator.state = state
+            yield rng
 
 
 def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,

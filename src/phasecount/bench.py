@@ -141,7 +141,7 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     1/(k*F) for displaced counting at the configured (experimental)
     parameters, ideal displaced counting, ideal homodyne, ideal
     heterodyne, and the quantum bound.  Trials draw only their sufficient
-    statistics from streams seeded in one pass, and one likelihood table
+    statistics from streams seeded in array passes, and one likelihood table
     serves the run.
     """
     pset = run.params
@@ -218,7 +218,7 @@ def run_saturate(run: SaturateRun) -> CommandResult:
     Each trial draws only its sufficient statistic (click count, straight
     from the uniforms; pulses and total count; or count histogram, see
     ``statistic_sampler``); nothing else is done per trial.  The trial
-    streams of the whole run are seeded in one pass, cell after cell.  One
+    streams of the whole run are seeded in array passes, cell after cell.  One
     likelihood table serves the run and evaluates the posterior once per
     distinct statistic, in grid rows it allocates once; the outcome law is
     computed once per cell and the FI reference columns once per phase.

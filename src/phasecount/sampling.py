@@ -7,7 +7,7 @@ Per-trial seeds are derived from one master seed with a splitmix64
 avalanche mixer, so each trial's stream is independent of the others.
 Trial t of a run draws from ``default_rng(split_seed(seed, t))``'s PCG64
 stream, bit for bit; :func:`split_seeds` and :func:`trial_streams` seed
-all the trials of a run in one vectorised pass.
+all the trials of a run in array passes.
 :func:`statistic_sampler` draws the sufficient statistics of the counting
 schemes without the record: on/off click counts straight from the uniforms
 below the click probability, the histogram of inverse-CDF lookups counted

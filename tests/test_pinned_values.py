@@ -70,6 +70,25 @@ FI_PINS = {
     ('mixture', 'onoff', 'central', 0.7): '0x1.27ea7a676f835p-1',
     ('mixture', 'onoff', 'central', 2.5): '0x1.5017975623ec1p-5',
 }
+# Bright visibility-mixture cases in which the interfering component's
+# masses underflow to 0 (after 65, 111 and 62 terms) before the count sum
+# reaches its tail mass (after 208, 208 and 78 terms): the finished
+# component must keep adding (0, 0) while the background one runs on.
+BRIGHT_MIXTURE_DETECTOR = dict(eta=0.602, nu=1.13e-4, xi=0.99)
+BRIGHT_MIXTURE_FI_PINS = {
+    (200, 'pnrd', 'analytic', 0.001): '0x1.e707b4b591f00p+7',
+    (200, 'pnrd', 'central', 0.001): '0x1.e707b4b591cbap+7',
+    (200, 'onoff', 'analytic', 0.001): '0x1.6b1c352d799a7p+1',
+    (200, 'onoff', 'central', 0.001): '0x1.6b1c352d4f041p+1',
+    (200, 'pnrd', 'analytic', 0.02): '0x1.d6e944b0328a9p+8',
+    (200, 'pnrd', 'central', 0.02): '0x1.d6e944b0348e4p+8',
+    (200, 'onoff', 'analytic', 0.02): '0x1.4837d920481e6p+8',
+    (200, 'onoff', 'central', 0.02): '0x1.4837d92050fa8p+8',
+    (50, 'pnrd', 'analytic', 0.001): '0x1.8d2dfdcb40230p+4',
+    (50, 'pnrd', 'central', 0.001): '0x1.8d2dfdcb400f4p+4',
+    (50, 'onoff', 'analytic', 0.001): '0x1.6cc123bfa5eabp-3',
+    (50, 'onoff', 'central', 0.001): '0x1.6cc123c1431f7p-3',
+}
 QUADRATURE_PROBES = {
     "balanced": ProbeConfig.from_intensities(0.5),
     "mismatched": ProbeConfig.from_intensities(0.100, 0.101),
@@ -130,6 +149,16 @@ def test_fi_numeric_counting_is_pinned(key):
     opts = FiOptions(derivative=DerivativeRule(rule))
     value = fi_numeric(Scheme.DISPLACED_COUNTING, phi, probe, det, opts, model).value
     assert value.hex() == FI_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(BRIGHT_MIXTURE_FI_PINS))
+def test_fi_numeric_bright_mixture_is_pinned(key):
+    intensity, kind, rule, phi = key
+    det = DetectorModel(kind=DetectorKind(kind), **BRIGHT_MIXTURE_DETECTOR)
+    opts = FiOptions(derivative=DerivativeRule(rule))
+    value = fi_numeric(Scheme.DISPLACED_COUNTING, phi, ProbeConfig.from_intensities(intensity),
+                       det, opts, LikelihoodModel.VISIBILITY_MIXTURE).value
+    assert value.hex() == BRIGHT_MIXTURE_FI_PINS[key]
 
 
 @pytest.mark.parametrize("key", sorted(QUADRATURE_FI_PINS))

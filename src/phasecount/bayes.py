@@ -57,14 +57,14 @@ class PosteriorGrid:
         return _trapezoid(self.density, np.diff(self.nodes))
 
 
-def _trapezoid(y: np.ndarray, spacing: np.ndarray, out: np.ndarray | None = None) -> float:
+def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
     # np.trapezoid(y, x) for spacing = np.diff(x): its operations, so its
-    # bits, written into ``out`` (a row as long as the spacing) when given.
-    # x * 0.5 and x / 2.0 round the same real number; ndarray.sum is add.reduce
-    out = np.add(y[1:], y[:-1], out=out)
-    np.multiply(spacing, out, out=out)
-    np.multiply(out, 0.5, out=out)
-    return float(np.add.reduce(out))
+    # bits, in one temporary.  x * 0.5 and x / 2.0 round the same real
+    # number; ndarray.sum is add.reduce
+    row = y[1:] + y[:-1]
+    row *= spacing
+    row *= 0.5
+    return float(np.add.reduce(row))
 
 
 def _phase_grid(grid_size: int) -> np.ndarray:
@@ -77,16 +77,13 @@ def _phase_grid(grid_size: int) -> np.ndarray:
 # log-likelihood as a function of the sufficient statistic
 # ---------------------------------------------------------------------------
 
-def _loglik_function(config: ExperimentConfig, grid: np.ndarray,
-                     out: np.ndarray, scratch: np.ndarray):
+def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
     """log p(record | phi) over the grid up to additive constants, as a
-    function of a list of sufficient statistics: one row per statistic.
+    function of a list of sufficient statistics: one fresh row per statistic.
 
     Everything that depends on the configuration alone is evaluated here,
     once: the count means over the grid and their logs, log p0 and log p1,
-    the quadrature means.  The click and one-component count rows are
-    written into ``out``, each overwriting the last, with ``scratch`` for
-    their intermediate row.
+    the quadrature means.
     """
     probe, det = config.probe, config.det
     if config.scheme is Scheme.HOMODYNE:
@@ -114,11 +111,11 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray,
         log_p0, log_p1 = model.log_silent_click(grid)
 
         def click(n_silent, n_click):
-            out.fill(0.0)
+            row = np.zeros_like(grid)
             for n, log_p in ((n_silent, log_p0), (n_click, log_p1)):
                 if n:  # 0 * log p1 is NaN where an ideal detector nulls, log p1 = -inf
-                    np.add(out, np.multiply(log_p, n, out=scratch), out=out)
-            return out
+                    row += log_p * n
+            return row
         return lambda statistics: (click(*statistic) for statistic in statistics)
 
     if config.model is LikelihoodModel.POISSON_FRINGE:
@@ -128,29 +125,28 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray,
             # S log(lam) - k lam less its value at the peak lam = S/k, so that
             # no large constant cancels when the posterior takes off its peak
             if s == 0:
-                return np.multiply(lam, -k, out=out)
-            x = np.multiply(lam, k / s, out=out)
+                return lam * -k
+            x = lam * (k / s)
             x -= 1.0
             with np.errstate(divide="ignore"):  # lam = 0 nodes: log1p(-1) = -inf
-                np.log1p(x, out=scratch)
-            np.subtract(scratch, x, out=x)
-            x *= s
-            return x
+                row = np.log1p(x)
+            row -= x
+            row *= s
+            return row
         return lambda statistics: (centred(*statistic) for statistic in statistics)
 
     # log p(n | phi) up to the common -lgamma(n+1) constant, per component;
     # a zero-weight component adds nothing and is left out
-    def component_log_pmf(log_w, lam, log_lam):
-        def log_pmf(n):
-            part = -lam if n == 0 else n * log_lam - lam
-            return part + log_w if log_w else part  # adding 0 would cost a grid pass
-        return log_pmf
-
     with np.errstate(divide="ignore"):
-        log_pmf = functools.reduce(
-            lambda f, g: lambda n: np.logaddexp(f(n), g(n)),
-            [component_log_pmf(math.log(w), lam, np.log(lam))
-             for w, lam in zip(model.weights, model.means(grid)) if w > 0.0])
+        components = [(math.log(w), lam, np.log(lam))
+                      for w, lam in zip(model.weights, model.means(grid)) if w > 0.0]
+
+    def component_log_pmf(n, log_w, lam, log_lam):
+        part = -lam if n == 0 else n * log_lam - lam
+        return part + log_w if log_w else part  # adding 0 would cost a grid pass
+
+    def log_pmf(n):
+        return functools.reduce(np.logaddexp, [component_log_pmf(n, *c) for c in components])
 
     def counts(statistics):
         # count-major: each count's row is evaluated once and added to every
@@ -184,42 +180,37 @@ class LikelihoodTable:
     construction, and the moments of each distinct statistic are computed
     once.
 
-    Every posterior is evaluated in rows the table owns and reuses,
-    allocated once: the log-likelihood and then the density, a scratch row,
-    a trapezoid row and a mask.  A table is therefore not re-entrant: one
-    thread at a time.
+    Each statistic's log-likelihood comes in a fresh row, which its
+    posterior then overwrites in place with the density.
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
         self.config = config
         self.grid = _phase_grid(grid_size)
         self.spacing = np.diff(self.grid)
-        self._density = np.empty_like(self.grid)
-        self._scratch = np.empty_like(self.grid)
-        self._trap = np.empty_like(self.spacing)
-        self._live = np.empty(grid_size, dtype=bool)
-        self.loglik = _loglik_function(config, self.grid, self._density, self._scratch)
+        self.loglik = _loglik_function(config, self.grid)
         self._moments = {}
 
     def _posterior(self, loglik: np.ndarray) -> np.ndarray:
-        """The posterior density of a log-likelihood row, in the density row
-        (which may be the log-likelihood row itself)."""
+        """The posterior density of a log-likelihood row, in that row."""
         peak = float(loglik.max())  # NaN anywhere makes it NaN
         if not np.isfinite(peak):
             raise PosteriorUnderflowError(
                 "posterior vanished at every grid node; the record is impossible "
                 "under the configured likelihood model"
             )
-        density = np.subtract(loglik, peak, out=self._density)  # flat prior: constant factor cancels
-        live = np.greater_equal(density, _EXP_FLOOR, out=self._live)
+        density = loglik
+        density -= peak  # flat prior: constant factor cancels
+        live = density >= _EXP_FLOOR
         lo, hi = int(live.argmax()), len(live) - int(live[::-1].argmax())
         density[:lo] = 0.0
         density[hi:] = 0.0
         np.exp(density[lo:hi], out=density[lo:hi])
-        norm = _trapezoid(density, self.spacing, self._trap)
+        norm = _trapezoid(density, self.spacing)
         if norm <= 0.0 or not math.isfinite(norm):
             raise PosteriorUnderflowError("posterior normalization underflowed")
-        return np.divide(density, norm, out=density)
+        density /= norm
+        return density
 
     def statistics(self, record: OutcomeRecord, checkpoints):
         """The record's statistic at each checkpoint (:func:`record_statistics`)."""
@@ -228,7 +219,7 @@ class LikelihoodTable:
     def posteriors(self, statistics: list):
         """Yield the posterior of each statistic in the list."""
         for loglik in self.loglik(statistics):
-            yield PosteriorGrid(nodes=self.grid, density=self._posterior(loglik).copy())
+            yield PosteriorGrid(nodes=self.grid, density=self._posterior(loglik))
 
     def moments(self, statistics) -> list[tuple[float, float]]:
         """Posterior mean and variance of each statistic, as :func:`estimate`
@@ -236,8 +227,7 @@ class LikelihoodTable:
         statistics = list(statistics)
         new = [s for s in dict.fromkeys(statistics) if s not in self._moments]
         for statistic, loglik in zip(new, self.loglik(new)):
-            self._moments[statistic] = _estimate(self.grid, self._posterior(loglik), self.spacing,
-                                                 self._scratch, self._trap)
+            self._moments[statistic] = _estimate(self.grid, self._posterior(loglik), self.spacing)
         return [self._moments[s] for s in statistics]
 
 
@@ -251,15 +241,15 @@ def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> Post
     return post
 
 
-def _estimate(nodes: np.ndarray, density: np.ndarray, spacing: np.ndarray,
-              scratch: np.ndarray | None = None,
-              trap: np.ndarray | None = None) -> tuple[float, float]:
-    # into the scratch and trapezoid rows when given; np.square is what ** 2 calls
-    phi_hat = _trapezoid(np.multiply(nodes, density, out=scratch), spacing, trap)
-    deviation = np.subtract(phi_hat, nodes, out=scratch)
-    np.square(deviation, out=deviation)
-    deviation *= density
-    return phi_hat, _trapezoid(deviation, spacing, trap)
+def _estimate(nodes: np.ndarray, density: np.ndarray,
+              spacing: np.ndarray) -> tuple[float, float]:
+    # in one temporary; np.square is what ** 2 calls
+    row = nodes * density
+    phi_hat = _trapezoid(row, spacing)
+    np.subtract(phi_hat, nodes, out=row)
+    np.square(row, out=row)
+    row *= density
+    return phi_hat, _trapezoid(row, spacing)
 
 
 def estimate(post: PosteriorGrid) -> tuple[float, float]:

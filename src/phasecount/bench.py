@@ -220,8 +220,8 @@ def run_saturate(run: SaturateRun) -> CommandResult:
     ``statistic_sampler``); nothing else is done per trial.  The trial
     streams of the whole run are seeded in array passes, cell after cell.  One
     likelihood table serves the run and evaluates the posterior once per
-    distinct statistic, in grid rows it allocates once; the outcome law is
-    computed once per cell and the FI reference columns once per phase.
+    distinct statistic; the outcome law is computed once per cell and the
+    FI reference columns once per phase.
     """
     pset = run.params
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",

@@ -1,15 +1,14 @@
 """Quantum and classical Fisher information for the supported measurements.
 
 ``fi_numeric`` derives the classical Fisher information mechanically from
-the outcome likelihoods (summing over counts, Gauss-Hermite quadrature over
-quadratures), while ``fi_analytic`` ships the ideal-parameter closed forms.
-The numeric path is the ground truth the closed forms are validated against.
+the outcome likelihoods (sums over ``count_law``, Gauss-Hermite quadrature
+over quadratures), while ``fi_analytic`` ships the ideal-parameter closed
+forms.  The numeric path is the ground truth they are validated against.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -36,9 +35,6 @@ from .photonics import (
 
 # Terms with probability below this are skipped in count sums (0*inf guard).
 PROB_FLOOR = 1e-300
-
-# Hard cap on the number of count terms before declaring non-convergence.
-MAX_COUNT_TERMS = 1_000_000
 
 # Count sums stop once the residual probability mass falls below this.
 COUNT_TAIL_MASS = 1e-14
@@ -70,15 +66,15 @@ class DerivativeRule(Enum):
 class FiOptions:
     """Knobs for the numeric Fisher-information evaluation.
 
-    derivative     -- analytic d(mean)/d(phi) where available, or central
-                      differences (step DIFFERENCE_STEP) with one Richardson
-                      extrapolation level
+    derivative     -- analytic d(mean)/d(phi) where available, or the one
+                      central-difference rule (step DIFFERENCE_STEP, one
+                      Richardson level) for counts and quadratures alike
     phi_zero_surrogate -- displaced counting is evaluated here when asked
                       for phi = 0 exactly, where the ideal likelihood is
                       degenerate; the substitution is flagged in the result
 
-    Count sums stop at COUNT_TAIL_MASS; continuous outcomes are integrated
-    on the fixed QUAD_POINTS-node rule.
+    Count sums run over the terms of ``count_law``, which stops at
+    COUNT_TAIL_MASS; continuous outcomes use the QUAD_POINTS-node rule.
     """
 
     derivative: DerivativeRule = DerivativeRule.ANALYTIC
@@ -139,6 +135,8 @@ def fi_analytic(scheme: Scheme, phi: float, probe: ProbeConfig) -> float:
     and reaches the QFI as phi -> 0.
     Homodyne: 4*alpha^2*cos^2(phi).  Heterodyne: 2*alpha^2 for all phi.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     a2 = probe.alpha**2
     if scheme is Scheme.DISPLACED_COUNTING:
         return 2.0 * a2 * (1.0 + math.cos(phi))
@@ -169,15 +167,14 @@ def fi_numeric(
     detector and is ignored by the homodyne/heterodyne schemes, whose
     densities carry no detector imperfections.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     if scheme is Scheme.DISPLACED_COUNTING:
         if det is None:
             det = DetectorModel()
         phi_eval, substituted = (opts.phi_zero_surrogate, True) if phi == 0.0 else (phi, False)
-        counts = count_model(probe, det, model)
-        if det.kind is DetectorKind.ON_OFF:
-            value = _fi_onoff(phi_eval, counts, opts)
-        else:
-            value = _fi_counts(phi_eval, counts, opts)
+        fi = _fi_onoff if det.kind is DetectorKind.ON_OFF else _fi_counts
+        value = fi(phi_eval, count_model(probe, det, model), opts)
         return FiResult(value, phi, phi_eval, substituted)
     if scheme is Scheme.HOMODYNE:
         return FiResult(_fi_homodyne(phi, probe, opts), phi, phi, False)
@@ -186,91 +183,86 @@ def fi_numeric(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _poisson_stream(w: float, lam: float, wdlam: float):
-    """Yield (w*p_n, w*dp_n/dphi) of one Poisson component, n = 0, 1, 2, ...,
-    until p_n underflows to 0; it stays 0 from there on.
+def count_law(phi: float, counts: CountModel,
+              terms: int | None = None) -> tuple[list[float], list[float]]:
+    """The lists (p_n, dp_n/dphi), n = 0, 1, 2, ..., up to the first n at
+    which 1 - (p_0 + ... + p_n), summed left to right, falls below
+    ``COUNT_TAIL_MASS``, or ``terms`` of them: the terms of the count sums.
 
-    The derivative of the n-th mass of a Poisson family is
-    d(lam)/dphi * (p_{n-1} - p_n), which avoids dividing by a vanishing
-    mean near perfect nulling.  ``wdlam`` is w * d(lam)/dphi.
+    Component w Pois(lam) adds w*p_n, with p_n = p_{n-1} * (lam / n), and
+    w*dlam*(p_{n-1} - p_n), free of any division by a vanishing mean, until
+    p_n underflows to 0, and (0, 0) from there.  The first runs on local
+    floats, so one component costs one Poisson loop; others ride in lists.
     """
-    p = math.exp(-lam)
-    prev = 0.0
-    n = 0
-    while p:
-        yield w * p, wdlam * (prev - p)
-        prev = p
+    lams = [float(lam) for lam in counts.means(phi)]
+    if any(map(math.isnan, lams)):  # a NaN mass never underflows, so the sum would not end
+        raise FiConvergenceError(f"count mean is NaN at phi={phi!r}: the intensities overflow")
+    (p, prev, lam, w, wdlam), *others = [
+        [math.exp(-lam), 0.0, lam, w, w * float(dlam)]
+        for w, lam, dlam in zip(counts.weights, lams, counts.dmeans(phi))]
+    masses, slopes = [], []
+    total, n = 0.0, 0
+    while True:
         n += 1
-        p *= lam / n
-
-
-def _add_streams(a, b):
-    """Termwise sum of two (p, dp) streams; a finished stream adds zeros."""
-    return ((pa + pb, da + db)
-            for (pa, da), (pb, db) in itertools.zip_longest(a, b, fillvalue=(0.0, 0.0)))
-
-
-def _analytic_stream(phi: float, counts: CountModel):
-    return functools.reduce(_add_streams, (
-        _poisson_stream(w, float(lam), w * float(dlam))
-        for w, lam, dlam in zip(counts.weights, counts.means(phi), counts.dmeans(phi))))
-
-
-def _count_pmf_stream(phi: float, counts: CountModel, opts: FiOptions):
-    """Yield (p_n, dp_n/dphi) for n = 0, 1, 2, ... until every component's
-    mass has underflowed to 0, after which the total mass cannot grow."""
-    if opts.derivative is DerivativeRule.ANALYTIC:
-        return _analytic_stream(phi, counts)
-    h = DIFFERENCE_STEP
-    offsets = (phi + h, phi - h, phi + 0.5 * h, phi - 0.5 * h, phi)
-    return ((p0, (4.0 * ((pp2 - pm2) / h) - (pp - pm) / (2.0 * h)) / 3.0)
-            for (pp, _), (pm, _), (pp2, _), (pm2, _), (p0, _)
-            in zip(*(_analytic_stream(x, counts) for x in offsets)))
-
-
-def _count_tail_error(phi: float, counts: CountModel, terms: int) -> FiConvergenceError:
-    mean = max(float(lam) for lam in counts.means(phi))
-    return FiConvergenceError(
-        f"count distribution did not reach tail mass {COUNT_TAIL_MASS:g} after "
-        f"{terms} terms at mean count {mean:.6g} (phi={phi!r}); above about 700 "
-        "counts exp(-mean) underflows and the count masses lose mass")
+        live = p
+        p_n = w * p
+        dp_n = wdlam * (prev - p) if p else 0.0
+        prev, p = p, p * (lam / n)
+        for other in others:
+            q, q_prev, lam_q, w_q, wdlam_q = other
+            if q:
+                p_n += w_q * q
+                dp_n += wdlam_q * (q_prev - q)
+                other[0] = q * (lam_q / n)
+                other[1] = q
+                live = True
+        if not (live or terms):  # every mass has underflowed: the tail is out of reach
+            raise FiConvergenceError(
+                f"count distribution did not reach tail mass {COUNT_TAIL_MASS:g} after "
+                f"{len(masses)} terms at mean count {max(lams):.6g} (phi={phi!r}); above "
+                "about 700 counts exp(-mean) underflows and the count masses lose mass")
+        masses.append(p_n)
+        slopes.append(dp_n)
+        total += p_n
+        if n == terms or (terms is None and 1.0 - total < COUNT_TAIL_MASS):
+            return masses, slopes
 
 
 def count_masses(phi: float, counts: CountModel) -> list[float]:
-    """Count probabilities p_n, n = 0, 1, 2, ..., up to the first n at which
-    the residual mass 1 - (p_0 + ... + p_n), summed left to right, falls
-    below ``COUNT_TAIL_MASS``: the terms the count FI sum runs over."""
-    masses = []
-    mass = 0.0
-    for p, _ in itertools.islice(_analytic_stream(phi, counts), MAX_COUNT_TERMS):
-        masses.append(p)
-        mass += p
-        if 1.0 - mass < COUNT_TAIL_MASS:
-            return masses
-    raise _count_tail_error(phi, counts, len(masses))
+    """The masses p_n of :func:`count_law`."""
+    return count_law(phi, counts)[0]
+
+
+def _central_difference(f, phi: float):
+    """d f/d phi: central differences of step DIFFERENCE_STEP and h/2, one Richardson level."""
+    h = DIFFERENCE_STEP
+    coarse = (f(phi + h) - f(phi - h)) / (2.0 * h)
+    fine = (f(phi + 0.5 * h) - f(phi - 0.5 * h)) / h
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _count_table(phi: float, counts: CountModel, opts: FiOptions, terms: int | None = None):
+    """:func:`count_law` with the slopes of ``opts.derivative``, on the terms phi needs."""
+    masses, slopes = count_law(phi, counts, terms)
+    if opts.derivative is DerivativeRule.CENTRAL_DIFFERENCE:
+        slopes = _central_difference(
+            lambda x: np.array(count_law(x, counts, len(masses))[0]), phi).tolist()
+    return masses, slopes
 
 
 def _fi_counts(phi: float, counts: CountModel, opts: FiOptions) -> float:
-    stream = _count_pmf_stream(phi, counts, opts)
     total = 0.0
-    mass = 0.0
-    n = 0
-    for n, (p, dp) in enumerate(itertools.islice(stream, MAX_COUNT_TERMS), 1):
+    for p, dp in zip(*_count_table(phi, counts, opts)):
         if p > PROB_FLOOR:
             total += dp * dp / p
-        mass += p
-        if 1.0 - mass < COUNT_TAIL_MASS:
-            return total
-    raise _count_tail_error(phi, counts, n)
+    return total
 
 
 def _fi_onoff(phi: float, counts: CountModel, opts: FiOptions) -> float:
-    # silence is the n = 0 count; an empty stream means p0 underflowed to 0
-    p0, dp0 = next(_count_pmf_stream(phi, counts, opts), (0.0, 0.0))
+    # silence is the n = 0 count, (0, 0) once every component's p0 underflows
+    (p0,), (dp0,) = _count_table(phi, counts, opts, terms=1)
     p_click = counts.silent_click(phi)[1]
-    total = 0.0
-    if p0 > PROB_FLOOR:
-        total += dp0 * dp0 / p0
+    total = dp0 * dp0 / p0 if p0 > PROB_FLOOR else 0.0
     if p_click > PROB_FLOOR:
         total += dp0 * dp0 / p_click
     return total
@@ -306,14 +298,7 @@ def _fi_homodyne(phi: float, probe, opts: FiOptions) -> float:
         score = 2.0 * t * dmean
     else:
         x = mean + t
-        h = DIFFERENCE_STEP
-
-        def logp(p):
-            return -((x - float(homodyne_mean(p, probe))) ** 2)
-
-        coarse = (logp(phi + h) - logp(phi - h)) / (2.0 * h)
-        fine = (logp(phi + 0.5 * h) - logp(phi - 0.5 * h)) / h
-        score = (4.0 * fine - coarse) / 3.0
+        score = _central_difference(lambda p: -((x - float(homodyne_mean(p, probe))) ** 2), phi)
     return float(np.dot(w, score**2))
 
 
@@ -330,16 +315,8 @@ def _fi_heterodyne(phi: float, probe, opts: FiOptions) -> float:
     else:
         re = mx + t[:, None]
         im = my + t[None, :]
-        h = DIFFERENCE_STEP
-
-        def logp(p):
-            cx = probe.alpha * math.cos(p)
-            cy = probe.alpha * math.sin(p)
-            return -((re - cx) ** 2) - (im - cy) ** 2
-
-        coarse = (logp(phi + h) - logp(phi - h)) / (2.0 * h)
-        fine = (logp(phi + 0.5 * h) - logp(phi - 0.5 * h)) / h
-        score = (4.0 * fine - coarse) / 3.0
+        score = _central_difference(lambda p: -((re - probe.alpha * math.cos(p)) ** 2)
+                                    - (im - probe.alpha * math.sin(p)) ** 2, phi)
     np.square(score, out=score)  # the weighted sum of score**2, in place
     score *= weight
     return float(score.sum())

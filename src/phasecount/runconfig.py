@@ -16,6 +16,7 @@ import yaml
 from .bayes import DEFAULT_GRID_SIZE
 from .fisher import Scheme
 from .photonics import DetectorKind, DetectorModel, LikelihoodModel, ProbeConfig
+from .sampling import _check_seed
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -279,7 +280,7 @@ def parse_simulate(cfg: dict) -> SimulateRun:
         if checkpoints[-1] > pulses:
             raise ConfigError("'checkpoints' must lie within [1, pulses]")
     grid_size = _positive_int(cfg, "grid_size", where, default=DEFAULT_GRID_SIZE)
-    seed = _get(cfg, "seed", int, where, default=0)
+    seed = _seed(_get(cfg, "seed", int, where, default=0))
     reference_trial = _get(cfg, "reference_trial", int, where, default=0)
     if not 0 <= reference_trial < trials:
         raise ConfigError("'reference_trial' must lie within [0, trials)")
@@ -287,6 +288,14 @@ def parse_simulate(cfg: dict) -> SimulateRun:
                        pulses=pulses, trials=trials, checkpoints=checkpoints,
                        grid_size=grid_size, seed=seed,
                        reference_trial=reference_trial)
+
+
+def _seed(seed: int) -> int:
+    """The seed if it is a 64-bit unsigned integer, as the trial seeding needs."""
+    try:
+        return _check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _default_checkpoints(pulses: int) -> tuple:
@@ -315,7 +324,7 @@ def parse_saturate(cfg: dict) -> SaturateRun:
     pulses_list = _positive_int_list(cfg, "pulses", where)
     trials = _positive_int(cfg, "trials", where, default=100)
     grid_size = _positive_int(cfg, "grid_size", where, default=DEFAULT_GRID_SIZE)
-    seed = _get(cfg, "seed", int, where, default=0)
+    seed = _seed(_get(cfg, "seed", int, where, default=0))
     return SaturateRun(phi_values=phi_values, pulses_list=pulses_list,
                        params=params, trials=trials, grid_size=grid_size, seed=seed)
 
@@ -349,7 +358,7 @@ def apply_overrides(run, seed: int | None = None, trials: int | None = None):
     """Apply the --seed/--trials flags of the seeded commands (simulate, saturate)."""
     updates = {}
     if seed is not None:
-        updates["seed"] = seed
+        updates["seed"] = _seed(seed)
     if trials is not None:
         if trials < 1:
             raise ConfigError("--trials must be >= 1")

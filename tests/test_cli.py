@@ -5,7 +5,7 @@ import textwrap
 import pytest
 import yaml
 
-from phasecount import cli
+from phasecount import cli, runconfig, sampling
 
 IDEAL_FI_CONFIG = textwrap.dedent("""\
     phi_grid:
@@ -227,6 +227,36 @@ def test_out_of_range_seed_exits_1_and_names_it(tmp_path, capsys, command, seed)
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
     assert f"seed must be a 64-bit unsigned integer, got {seed}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_of_range_seed_stops_at_config_load(tmp_path, capsys, monkeypatch):
+    # a bright number-resolving run builds a ~650-entry count table before it
+    # seeds any trial; a seed out of range must stop it before that
+    def no_table(*args):
+        raise AssertionError("count table built for a config with a bad seed")
+    monkeypatch.setattr(sampling, "count_distribution", no_table)
+    text = SIMULATE_CONFIG
+    for old, new in (("seed: 4242", "seed: -1"), ("detector: onoff", "detector: pnrd"),
+                     ("signal_intensity: 0.100", "signal_intensity: 200"),
+                     ("displacement_intensity: 0.101", "displacement_intensity: 202")):
+        text = text.replace(old, new)
+    cfg = _write(tmp_path, "run.yaml", text)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "seed must be a 64-bit unsigned integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_flag_is_a_config_error(seed):
+    run = runconfig.parse_saturate(yaml.safe_load(textwrap.dedent("""\
+        phi_grid: {values: [1.0]}
+        pulses: [100]
+        signal_intensity: 0.1
+    """)))
+    with pytest.raises(runconfig.ConfigError,
+                       match=f"seed must be a 64-bit unsigned integer, got {seed}"):
+        runconfig.apply_overrides(run, seed=seed)
 
 
 class TestSaturate:

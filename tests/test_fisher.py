@@ -134,6 +134,33 @@ class TestNumericFi:
                        FiOptions(derivative=rule), model)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_non_finite_phase_is_rejected_at_once(self, scheme, phi):
+        # a NaN count mass never underflows to end the count sum, and the
+        # quadratures would return nan or fail in math.cos
+        probe = ProbeConfig.from_intensities(0.1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"phi must be finite, got (nan|inf|-inf)"):
+            fi_numeric(scheme, phi, probe)
+        with pytest.raises(ValueError, match=r"phi must be finite"):
+            fi_analytic(scheme, phi, probe)
+        assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("rule", list(DerivativeRule))
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_overflowing_intensities_fail_fast(self, kind, rule):
+        # 2*a*b overflows and the fringe mean is inf * 0 = NaN, a mass that
+        # never underflows: the count sum must stop at once, not run on or
+        # return a number
+        probe = ProbeConfig.from_intensities(1e308)
+        start = time.perf_counter()
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(FiConvergenceError, match="NaN")):
+            fi_numeric(Scheme.DISPLACED_COUNTING, 1.0, probe, DetectorModel(kind=kind),
+                       FiOptions(derivative=rule))
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_never_exceeds_qfi_for_ideal_parameters(self, scheme):
         probe = ProbeConfig.from_intensities(0.1)

@@ -174,6 +174,14 @@ def _choice(mapping, key, table: dict, where, default=_REQUIRED):
     return value  # already-resolved default
 
 
+def _seed(seed: int) -> int:
+    """The seed if it is a 64-bit unsigned integer, as the trial seeding needs."""
+    try:
+        return _check_seed(seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def parse_phi_grid(entry, where: str, lo: float = 0.0, hi: float = math.pi) -> tuple:
     """A grid is either {values: [...]} or {start:, stop:, count:}."""
     if not isinstance(entry, dict):
@@ -288,14 +296,6 @@ def parse_simulate(cfg: dict) -> SimulateRun:
                        pulses=pulses, trials=trials, checkpoints=checkpoints,
                        grid_size=grid_size, seed=seed,
                        reference_trial=reference_trial)
-
-
-def _seed(seed: int) -> int:
-    """The seed if it is a 64-bit unsigned integer, as the trial seeding needs."""
-    try:
-        return _check_seed(seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _default_checkpoints(pulses: int) -> tuple:

@@ -185,7 +185,6 @@ class LikelihoodTable:
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
-        self.config = config
         self.grid = _phase_grid(grid_size)
         self.spacing = np.diff(self.grid)
         self.loglik = _loglik_function(config, self.grid)
@@ -212,10 +211,6 @@ class LikelihoodTable:
         density /= norm
         return density
 
-    def statistics(self, record: OutcomeRecord, checkpoints):
-        """The record's statistic at each checkpoint (:func:`record_statistics`)."""
-        return record_statistics(self.config, record.values, checkpoints)
-
     def posteriors(self, statistics: list):
         """Yield the posterior of each statistic in the list."""
         for loglik in self.loglik(statistics):
@@ -237,7 +232,8 @@ def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> Post
     An empty record returns the flat prior 1/pi.
     """
     table = LikelihoodTable(record.config, grid_size)
-    (post,) = table.posteriors(list(table.statistics(record, (len(record),))))
+    statistics = list(record_statistics(record.config, record.values, (len(record),)))
+    (post,) = table.posteriors(statistics)
     return post
 
 
@@ -277,4 +273,5 @@ def sequential_estimates(
         raise ValueError("checkpoints must lie within [1, pulses]")
 
     table = LikelihoodTable(record.config, grid_size)
-    return [(k, *moments) for k, moments in zip(ks, table.moments(table.statistics(record, ks)))]
+    statistics = record_statistics(record.config, record.values, ks)
+    return [(k, *moments) for k, moments in zip(ks, table.moments(statistics))]

@@ -140,9 +140,9 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     variance, across-trial means of both, and the reference curves
     1/(k*F) for displaced counting at the configured (experimental)
     parameters, ideal displaced counting, ideal homodyne, ideal
-    heterodyne, and the quantum bound.  Trials draw only their sufficient
-    statistics from streams seeded in array passes, and one likelihood table
-    serves the run.
+    heterodyne, and the quantum bound.  Trials reduce their draws to
+    sufficient statistics (``statistic_sampler``) from streams seeded in
+    array passes, and one likelihood table serves the run.
     """
     pset = run.params
     config = ExperimentConfig(
@@ -215,13 +215,13 @@ def _inverse(x: float) -> float:
 def run_saturate(run: SaturateRun) -> CommandResult:
     """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns.
 
-    Each trial draws only its sufficient statistic (click count, straight
-    from the uniforms; pulses and total count; or count histogram, see
-    ``statistic_sampler``); nothing else is done per trial.  The trial
-    streams of the whole run are seeded in array passes, cell after cell.  One
-    likelihood table serves the run and evaluates the posterior once per
-    distinct statistic; the outcome law is computed once per cell and the
-    FI reference columns once per phase.
+    Each trial reduces its draw to its sufficient statistic (click count of
+    the drawn clicks; pulses and total count, or count histogram, from the
+    uniforms, see ``statistic_sampler``); nothing else is done per trial.
+    The trial streams of the whole run are seeded in array passes, cell
+    after cell.  One likelihood table serves the run and evaluates the
+    posterior once per distinct statistic; the outcome law is computed once
+    per cell and the FI reference columns once per phase.
     """
     pset = run.params
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",
@@ -284,14 +284,12 @@ def run_povm_check(run: PovmCheckRun) -> tuple[list, float, bool]:
     worst = 0.0
     for eta in run.eta_values:
         for nu in run.nu_values:
-            det = DetectorModel(eta=eta, nu=nu, xi=1.0,
-                                kind=DetectorKind.NUMBER_RESOLVING,
-                                fock_cutoff=run.fock_cutoff)
+            det = DetectorModel(eta=eta, nu=nu, xi=1.0, kind=DetectorKind.NUMBER_RESOLVING)
             block = 0.0
             for phi in run.phi_values:
                 for n in range(run.max_n + 1):
                     model_p = pnrd_likelihood(n, phi, run.probe, det, run.model)
-                    oracle_p = born_probability_oracle(n, phi, run.probe, det)
+                    oracle_p = born_probability_oracle(n, phi, run.probe, det, run.fock_cutoff)
                     block = max(block, abs(model_p - oracle_p))
             lines.append(f"eta={eta:g} nu={nu:g}: max |model - oracle| = {block:.3e}")
             worst = max(worst, block)

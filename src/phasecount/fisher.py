@@ -228,11 +228,6 @@ def count_law(phi: float, counts: CountModel,
             return masses, slopes
 
 
-def count_masses(phi: float, counts: CountModel) -> list[float]:
-    """The masses p_n of :func:`count_law`."""
-    return count_law(phi, counts)[0]
-
-
 def _central_difference(f, phi: float):
     """d f/d phi: central differences of step DIFFERENCE_STEP and h/2, one Richardson level."""
     h = DIFFERENCE_STEP

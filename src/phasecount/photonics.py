@@ -74,6 +74,11 @@ class ProbeConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        # bounds every product in fringe_mean and mixture_component_means,
+        # the largest of which is 4*alpha*beta <= 2*(alpha^2 + beta^2)
+        if not math.isfinite(4.0 * (self.alpha * self.alpha + self.beta * self.beta)):
+            raise ValueError(f"intensities overflow: 4*(alpha^2 + beta^2) must be finite, "
+                             f"got alpha={self.alpha!r}, beta={self.beta!r}")
 
     @classmethod
     def from_intensities(cls, signal: float, displacement: float | None = None) -> "ProbeConfig":
@@ -89,22 +94,18 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Detector imperfections and the Fock-space truncation used for state numerics.
+    """Detector imperfections.
 
     eta  -- detection efficiency in [0, 1]
     nu   -- dark counts per pulse, >= 0
     xi   -- interference visibility in [0, 1]
     kind -- photon-number resolving or click/no-click
-    fock_cutoff -- explicit truncation; ``None`` selects an automatic cutoff
-                   of ``max(30, ceil(mu + 10*sqrt(mu)))`` for a state of mean
-                   photon number ``mu``
     """
 
     eta: float = 1.0
     nu: float = 0.0
     xi: float = 1.0
     kind: DetectorKind = DetectorKind.NUMBER_RESOLVING
-    fock_cutoff: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -113,13 +114,10 @@ class DetectorModel:
             raise ValueError(f"nu must be finite and >= 0, got {self.nu!r}")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError(f"xi must lie in [0, 1], got {self.xi!r}")
-        if self.fock_cutoff is not None and self.fock_cutoff < 1:
-            raise ValueError(f"fock_cutoff must be >= 1, got {self.fock_cutoff!r}")
 
-    def cutoff_for(self, mean_photons: float) -> int:
-        if self.fock_cutoff is not None:
-            return self.fock_cutoff
-        return max(30, math.ceil(mean_photons + 10.0 * math.sqrt(mean_photons)))
+
+def _cutoff_for(mean_photons: float) -> int:
+    return max(30, math.ceil(mean_photons + 10.0 * math.sqrt(mean_photons)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +257,7 @@ def povm_element(n: int, det: DetectorModel, cutoff: int | None = None) -> np.nd
     if det.kind is not DetectorKind.NUMBER_RESOLVING:
         raise ValueError("povm_element is defined for number-resolving detectors")
     if cutoff is None:
-        cutoff = det.cutoff_for(0.0)
+        cutoff = _cutoff_for(0.0)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff!r}")
 
@@ -345,13 +343,16 @@ def coherent_number_amplitudes(gamma: complex, cutoff: int) -> np.ndarray:
     return amps
 
 
-def born_probability_oracle(n: int, phi: float, probe: ProbeConfig, det: DetectorModel) -> float:
+def born_probability_oracle(n: int, phi: float, probe: ProbeConfig, det: DetectorModel,
+                            cutoff: int | None = None) -> float:
     """Outcome probability Tr[Pi_n rho] computed in the truncated Fock basis.
 
     Builds the photon-number distribution of the displaced signal
     |alpha e^{i phi} - beta> and contracts it with :func:`povm_element`.
     Deliberately independent of the closed-form likelihoods so it can serve
     as their cross-check; models no mode mismatch, hence requires xi = 1.
+    The Fock truncation ``cutoff`` defaults to ``max(30, ceil(mu + 10*sqrt(mu)))``
+    for the displaced signal's mean photon number ``mu``.
     """
     if n < 0:
         raise ValueError(f"photon-count outcome must be >= 0, got {n!r}")
@@ -361,7 +362,8 @@ def born_probability_oracle(n: int, phi: float, probe: ProbeConfig, det: Detecto
         raise ValueError("the Fock-space oracle models no mode mismatch; set xi = 1")
 
     gamma = probe.alpha * cmath.exp(1j * phi) - probe.beta
-    cutoff = det.cutoff_for(abs(gamma) ** 2)
+    if cutoff is None:
+        cutoff = _cutoff_for(abs(gamma) ** 2)
     number_pmf = np.abs(coherent_number_amplitudes(gamma, cutoff)) ** 2
     tail = 1.0 - float(number_pmf.sum())
     if tail > STATE_TAIL_GUARD:

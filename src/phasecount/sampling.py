@@ -8,11 +8,11 @@ avalanche mixer, so each trial's stream is independent of the others.
 Trial t of a run draws from ``default_rng(split_seed(seed, t))``'s PCG64
 stream, bit for bit; :func:`split_seeds` and :func:`trial_streams` seed
 all the trials of a run in array passes.
-:func:`statistic_sampler` draws the sufficient statistics of the counting
-schemes without the record: on/off click counts straight from the uniforms
-below the click probability, the histogram of inverse-CDF lookups counted
-from the sorted uniforms, or under the one-component (poisson-fringe) count
-model only its total S, as the pair (k, S).
+:func:`statistic_sampler` draws the sufficient statistics of
+number-resolving counts without the record: the histogram of inverse-CDF
+lookups counted from the sorted uniforms, or under the one-component
+(poisson-fringe) count model only its total S, as the pair (k, S).  Every
+other record is drawn and reduced by :func:`record_statistics`.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fisher import Scheme, count_masses
+from .fisher import Scheme, count_law
 from .photonics import (
     DetectorKind,
     DetectorModel,
@@ -211,10 +211,10 @@ def _set_states(seeds: np.ndarray) -> Iterator[np.random.Generator]:
 
 def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
                        model: LikelihoodModel) -> np.ndarray:
-    """Count probabilities p(0..N | phi): the Fisher-information count masses
-    (``fisher.count_masses``), cut where the count FI sum stops, so sampling
-    and analysis see the same distribution."""
-    return np.array(count_masses(phi, count_model(probe, det, model)))
+    """Count probabilities p(0..N | phi): the masses of ``fisher.count_law``,
+    cut where the count FI sum stops, so sampling and analysis see the same
+    distribution."""
+    return np.array(count_law(phi, count_model(probe, det, model))[0])
 
 
 def _outcome_draw(config: ExperimentConfig):
@@ -250,26 +250,12 @@ def _outcome_draw(config: ExperimentConfig):
     return outcomes
 
 
-def sampler(config: ExperimentConfig):
-    """The draw of :func:`sample` for ``config`` as a function of the seed.
-
-    The outcome law is computed once, here; each draw checks
-    ``replace(config, seed=seed)`` and reads the seed's stream from
-    :func:`trial_streams`.
-    """
-    outcomes = _outcome_draw(config)
-
-    def draw(seed: int) -> OutcomeRecord:
-        return OutcomeRecord(replace(config, seed=seed), outcomes(next(trial_streams([seed]))))
-    return draw
-
-
 def sample(config: ExperimentConfig) -> OutcomeRecord:
     """Draw ``config.pulses`` i.i.d. outcomes at the true phase.
 
     Identical configs (seed included) produce bit-identical records.
     """
-    return sampler(config)(config.seed)
+    return OutcomeRecord(config, _outcome_draw(config)(next(trial_streams([config.seed]))))
 
 
 def record_statistics(config: ExperimentConfig, values: np.ndarray, checkpoints):
@@ -279,9 +265,11 @@ def record_statistics(config: ExperimentConfig, values: np.ndarray, checkpoints)
     count for the mixture, or the quadrature statistic (k, sum, sum of squares)."""
     counting = config.scheme is Scheme.DISPLACED_COUNTING
     if counting and config.det.kind is DetectorKind.ON_OFF:
+        clicks, prev = 0, 0
         for k in checkpoints:
-            n_click = int(np.count_nonzero(values[:k]))
-            yield k - n_click, n_click
+            clicks += int(np.count_nonzero(values[prev:k]))
+            prev = k
+            yield k - clicks, clicks
     elif counting and config.model is LikelihoodModel.POISSON_FRINGE:
         # one Poisson component: the counts reach the likelihood through their total
         total, prev = 0, 0
@@ -316,41 +304,24 @@ def lookup_histogram(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def statistic_sampler(config: ExperimentConfig, checkpoints):
-    """:func:`sampler`'s draw reduced to :func:`record_statistics` at the
+    """:func:`sample`'s draw reduced to :func:`record_statistics` at the
     checkpoints, as a list, and taken as a function of the trial's PCG64
     Generator (one of :func:`trial_streams`), so that trial t of a run
-    reads ``default_rng(split_seed(seed, t))``'s stream bit for bit.  The
-    counting schemes keep no record, only the uniforms, drawn with
-    ``random(out=)`` into a buffer the sampler allocates once: on/off click
-    counts are the uniforms below the click probability, compared into one
-    reused bool buffer and counted per checkpoint segment; number-resolving
-    counts sort the uniforms per segment.  The total count S is the dot
-    product of the counts 0..N with the histogram, an exact integer like the
-    record's sum.  Quadratures draw the record, whose prefix sums are summed
-    afresh."""
-    if config.scheme is not Scheme.DISPLACED_COUNTING:
+    reads ``default_rng(split_seed(seed, t))``'s stream bit for bit.
+    Number-resolving counts keep no record, only the uniforms, sorted per
+    checkpoint segment; the total count S is the dot product of the counts
+    0..N with the histogram, an exact integer like the record's sum.  Every
+    other scheme, on/off clicks included, draws the record and reduces it."""
+    counting = config.scheme is Scheme.DISPLACED_COUNTING
+    if not (counting and config.det.kind is DetectorKind.NUMBER_RESOLVING):
         outcomes = _outcome_draw(config)
         return lambda rng: list(record_statistics(config, outcomes(rng), checkpoints))
-    u = np.empty(config.pulses)
-    if config.det.kind is DetectorKind.ON_OFF:
-        p_click = onoff_likelihood(True, config.phi_true, config.probe, config.det, config.model)
-        clicked = np.empty(config.pulses, dtype=bool)
-
-        def draw_clicks(rng) -> list:
-            np.less(rng.random(out=u), p_click, out=clicked)
-            statistics, clicks, prev = [], 0, 0
-            for k in checkpoints:
-                clicks += int(np.count_nonzero(clicked[prev:k]))
-                prev = k
-                statistics.append((k - clicks, clicks))
-            return statistics
-        return draw_clicks
     cdf = np.cumsum(count_distribution(config.phi_true, config.probe, config.det, config.model))
     fringe = config.model is LikelihoodModel.POISSON_FRINGE
     counts = np.arange(len(cdf))
 
     def draw_counts(rng) -> list:
-        rng.random(out=u)
+        u = rng.random(config.pulses)
         if not fringe:  # the histograms stop at the record's largest count
             top = min(int(np.searchsorted(cdf, u.max(initial=0.0), side="right")), len(cdf) - 1)
         histogram = np.zeros(len(cdf), dtype=np.int64)

@@ -78,11 +78,11 @@ def test_criterion_03_oracle_equivalence():
     worst = 0.0
     for eta in (1.0, 0.602):
         for nu in (0.0, 1.13e-4):
-            det = DetectorModel(eta=eta, nu=nu, xi=1.0, fock_cutoff=30)
+            det = DetectorModel(eta=eta, nu=nu, xi=1.0)
             for phi in (0.0, 0.5, 1.0, 2.0, math.pi):
                 for n in range(11):
                     dev = abs(pnrd_likelihood(n, phi, probe, det)
-                              - born_probability_oracle(n, phi, probe, det))
+                              - born_probability_oracle(n, phi, probe, det, cutoff=30))
                     worst = max(worst, dev)
     ok = worst < 1e-8
     assert _report(3, f"likelihood vs Fock oracle, max deviation {worst:.3e} "

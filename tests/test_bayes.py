@@ -23,7 +23,7 @@ from phasecount import (
 )
 from phasecount.bayes import LikelihoodTable
 from phasecount.photonics import fringe_mean
-from phasecount.sampling import statistic_sampler, trial_streams
+from phasecount.sampling import record_statistics, statistic_sampler, trial_streams
 
 
 def _ideal_counts_config(pulses, phi=0.5, seed=0):
@@ -45,7 +45,7 @@ class TestPosterior:
     def test_empty_record_returns_prior(self):
         record = OutcomeRecord(config=_ideal_counts_config(0),
                                values=np.array([], dtype=np.int64))
-        assert list(LikelihoodTable(record.config).statistics(record, (0,))) == [(0, 0)]
+        assert list(record_statistics(record.config, record.values, (0,))) == [(0, 0)]
         post = posterior(record)
         assert np.all(post.density == post.density[0])
         np.testing.assert_allclose(post.density, 1.0 / math.pi, rtol=1e-12)
@@ -213,7 +213,7 @@ class TestPosteriorKernel:
         table = LikelihoodTable(config, 257)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            statistics = list(table.statistics(record, (40,)))
+            statistics = list(record_statistics(config, record.values, (40,)))
             assert statistics == [(40 - clicks, clicks)]
             assert table.moments(statistics) == [estimate(posterior(record, 257))]
 

@@ -1,11 +1,16 @@
 """CLI surface: config validation, CSV/metadata contracts, exit codes."""
 
+import re
 import textwrap
+import warnings
+from pathlib import Path
 
 import pytest
 import yaml
 
 from phasecount import cli, runconfig, sampling
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 IDEAL_FI_CONFIG = textwrap.dedent("""\
     phi_grid:
@@ -244,6 +249,24 @@ def test_out_of_range_seed_stops_at_config_load(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run.csv"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     assert "seed must be a 64-bit unsigned integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,where", [
+    ("simulate", (CONFIGS / "experiment_simulate.yaml").read_text(), "simulate config"),
+    ("saturate", (CONFIGS / "experiment_saturate.yaml").read_text(), "saturate config"),
+    ("fi-curve", IDEAL_FI_CONFIG, "parameter_sets[0]"),
+], ids=["simulate", "saturate", "fi-curve"])
+def test_overflowing_intensities_stop_at_config_load(tmp_path, capsys, command, text, where):
+    # 4*(alpha^2 + beta^2) overflows: the fringe mean would be inf * 0 = NaN
+    text = re.sub(r"(signal|displacement)_intensity: .*", r"\1_intensity: 1.0e+308", text)
+    cfg = _write(tmp_path, "run.yaml", text)
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid parameter in {where}: intensities overflow" in err
     assert not out.exists()
 
 

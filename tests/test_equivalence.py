@@ -55,7 +55,12 @@ from phasecount.photonics import (
     mixture_weights,
     require_matched_amplitudes,
 )
-from phasecount.sampling import lookup_histogram, sampler, statistic_sampler, trial_streams
+from phasecount.sampling import (
+    lookup_histogram,
+    record_statistics,
+    statistic_sampler,
+    trial_streams,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -541,13 +546,13 @@ def test_table_moments_equal_trapezoid_reference(name):
     table = LikelihoodTable(config, 257)
     if name in FRINGE_COUNTS:
         _assert_within_longdouble(
-            table.moments(table.statistics(record, checkpoints)),
+            table.moments(record_statistics(config, record.values, checkpoints)),
             [_ld_moments(record.values[:k], config, grid) for k in checkpoints])
         return
     densities = [_ref_normalize(_ref_loglik_grid(record, grid, upto=k), grid)
                  for k in checkpoints]
     expected = [_ref_estimate(grid, density) for density in densities]
-    assert table.moments(table.statistics(record, checkpoints)) == expected
+    assert table.moments(record_statistics(config, record.values, checkpoints)) == expected
     for density, moments in zip(densities, expected):
         post = PosteriorGrid(nodes=grid, density=density)
         assert estimate(post) == moments
@@ -654,15 +659,14 @@ def _ref_sample(config):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sampler_draws_equal_per_call_reference(name):
     config = CASES[name]
-    draw = sampler(config)
     for seed in (0, 11, 2**64 - 1):
         want = _ref_sample(replace(config, seed=seed))
-        for got in (draw(seed), sample(replace(config, seed=seed))):
-            assert got.config == want.config
-            assert got.values.dtype == want.values.dtype
-            assert np.array_equal(got.values, want.values)
-    with pytest.raises(ValueError, match="seed"):
-        draw(2**64)
+        got = sample(replace(config, seed=seed))
+        assert got.config == want.config
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)
+    with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {2**64}"):
+        sample(replace(config, seed=2**64))
 
 
 # ---------------------------------------------------------------------------
@@ -676,16 +680,33 @@ def _checkpoint_sets(m):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_statistic_draw_equals_record_statistics(name):
     config = CASES[name]
-    table = LikelihoodTable(config, 129)
     for checkpoints in _checkpoint_sets(config.pulses):
         draw = statistic_sampler(config, checkpoints)
         seeds = (5, 6, 2**64 - 1)
         for seed, rng in zip(seeds, trial_streams(seeds)):
-            want = list(table.statistics(sample(replace(config, seed=seed)), checkpoints))
+            record = sample(replace(config, seed=seed))
+            want = list(record_statistics(config, record.values, checkpoints))
             assert draw(rng) == want
     empty = replace(config, pulses=0)
     assert (statistic_sampler(empty, ())(next(trial_streams([0])))
-            == list(table.statistics(sample(empty), ())) == [])
+            == list(record_statistics(empty, sample(empty).values, ())) == [])
+
+
+@pytest.mark.parametrize("name", ["onoff-fringe", "onoff-mixture"])
+def test_click_counts_equal_prefix_counts(name):
+    # record_statistics counts the clicks of each checkpoint segment and
+    # carries the running count; the reference counts each prefix afresh
+    config = CASES[name]
+    records = [sample(replace(config, seed=seed)).values for seed in (5, 6)]
+    records.append(np.ones(config.pulses, dtype=bool))
+    for values in records:
+        for checkpoints in _checkpoint_sets(config.pulses):
+            clicks = [int(np.count_nonzero(values[:k])) for k in checkpoints]
+            assert (list(record_statistics(config, values, checkpoints))
+                    == [(k - c, c) for k, c in zip(checkpoints, clicks)])
+    empty = replace(config, pulses=0)
+    assert list(record_statistics(empty, sample(empty).values, ())) == []
+    assert list(record_statistics(empty, sample(empty).values, (0,))) == [(0, 0)]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,6 +1,7 @@
 """Detector POVM, count/click likelihoods, quadrature densities, Fock oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from phasecount import (
     pnrd_likelihood,
     povm_element,
 )
+from phasecount import photonics
 
 FRINGE = LikelihoodModel.POISSON_FRINGE
 MIXTURE = LikelihoodModel.VISIBILITY_MIXTURE
@@ -34,37 +36,63 @@ class TestProbeAndDetectorValidation:
         probe = ProbeConfig.from_intensities(0.1)
         assert probe.alpha == probe.beta == math.sqrt(0.1)
 
+    def test_overflowing_intensities_rejected(self):
+        def fits(a, b):
+            return math.isfinite(4.0 * (a * a + b * b))
+        # the largest matched amplitude the bound admits, found by stepping ulps
+        edge = math.sqrt(sys.float_info.max / 8.0)
+        while fits(math.nextafter(edge, math.inf), math.nextafter(edge, math.inf)):
+            edge = math.nextafter(edge, math.inf)
+        while not fits(edge, edge):
+            edge = math.nextafter(edge, 0.0)
+        above = math.nextafter(edge, math.inf)
+        with pytest.raises(ValueError, match="intensities overflow"):
+            ProbeConfig(above, above)
+        with pytest.raises(ValueError, match="intensities overflow"):
+            ProbeConfig.from_intensities(1e308)
+        with pytest.raises(ValueError, match="intensities overflow"):
+            ProbeConfig.from_intensities(1e308, 0.0)
+        # at the edge every count mean and its derivative is finite, with no
+        # numpy warning (pytest turns RuntimeWarning into an error)
+        phis = np.array([0.0, 1e-3, 1.0, math.pi / 2, math.pi])
+        for beta in (edge, 0.5 * edge, 0.0):
+            probe = ProbeConfig(edge, beta)
+            for det in (DetectorModel(), DetectorModel(eta=0.602, nu=1.13e-4, xi=0.993)):
+                means = [photonics.fringe_mean(phis, probe, det),
+                         photonics.fringe_mean_derivative(phis, probe, det),
+                         *photonics.mixture_component_means(phis, probe, det),
+                         photonics.mixture_interfering_mean_derivative(phis, probe, det)]
+                assert all(np.all(np.isfinite(m)) for m in means)
+
     @pytest.mark.parametrize("kwargs", [
         {"eta": 1.2}, {"eta": -0.1}, {"nu": -1e-6}, {"xi": 1.5},
-        {"xi": -0.2}, {"fock_cutoff": 0},
+        {"xi": -0.2},
     ])
     def test_detector_invariants(self, kwargs):
         with pytest.raises(ValueError):
             DetectorModel(**kwargs)
 
     def test_automatic_cutoff_rule(self):
-        det = DetectorModel()
-        assert det.cutoff_for(0.0) == 30
-        assert det.cutoff_for(40.0) == math.ceil(40 + 10 * math.sqrt(40))
-        assert DetectorModel(fock_cutoff=7).cutoff_for(40.0) == 7
+        assert photonics._cutoff_for(0.0) == 30
+        assert photonics._cutoff_for(40.0) == math.ceil(40 + 10 * math.sqrt(40))
 
 
 class TestPovmElement:
     @pytest.mark.parametrize("n", [0, 1, 3, 7])
     def test_lossless_noiseless_is_projective(self, n):
-        coeffs = povm_element(n, DetectorModel(eta=1.0, nu=0.0, fock_cutoff=30))
+        coeffs = povm_element(n, DetectorModel(eta=1.0, nu=0.0))
         expected = np.zeros(31)
         expected[n] = 1.0
         np.testing.assert_allclose(coeffs, expected, atol=1e-15)
 
     def test_vacuum_element_is_loss_geometric(self):
-        coeffs = povm_element(0, DetectorModel(eta=0.5, nu=0.0, fock_cutoff=30))
+        coeffs = povm_element(0, DetectorModel(eta=0.5, nu=0.0))
         np.testing.assert_allclose(coeffs, 0.5 ** np.arange(31), rtol=1e-13)
 
     @pytest.mark.parametrize("eta", [0.3, 0.602, 1.0])
     @pytest.mark.parametrize("nu", [0.0, 1e-4])
     def test_completeness(self, eta, nu):
-        det = DetectorModel(eta=eta, nu=nu, fock_cutoff=30)
+        det = DetectorModel(eta=eta, nu=nu)
         total = np.zeros(31)
         for n in range(31 + 12):  # margin covers the dark-count tail
             coeffs = povm_element(n, det)
@@ -195,19 +223,19 @@ class TestBornOracle:
     @pytest.mark.parametrize("eta", [1.0, 0.602])
     @pytest.mark.parametrize("nu", [0.0, 1.13e-4])
     def test_matches_fringe_likelihood(self, ideal_probe, eta, nu):
-        det = DetectorModel(eta=eta, nu=nu, xi=1.0, fock_cutoff=30)
+        det = DetectorModel(eta=eta, nu=nu, xi=1.0)
         worst = max(
             abs(pnrd_likelihood(n, phi, ideal_probe, det, FRINGE)
-                - born_probability_oracle(n, phi, ideal_probe, det))
+                - born_probability_oracle(n, phi, ideal_probe, det, cutoff=30))
             for phi in (0.0, 0.5, 1.0, math.pi)
             for n in range(11)
         )
         assert worst < 1e-8
 
     def test_matches_with_mismatched_displacement(self, experiment_probe):
-        det = DetectorModel(eta=0.602, nu=1.13e-4, xi=1.0, fock_cutoff=30)
+        det = DetectorModel(eta=0.602, nu=1.13e-4, xi=1.0)
         for n in range(6):
-            assert born_probability_oracle(n, 1.0, experiment_probe, det) == \
+            assert born_probability_oracle(n, 1.0, experiment_probe, det, cutoff=30) == \
                 pytest.approx(pnrd_likelihood(n, 1.0, experiment_probe, det, FRINGE),
                               abs=1e-10)
 
@@ -218,7 +246,11 @@ class TestBornOracle:
     def test_truncation_guard(self):
         probe = ProbeConfig.from_intensities(10.0)
         with pytest.raises(FockTruncationError):
-            born_probability_oracle(0, math.pi, probe, DetectorModel(fock_cutoff=3))
+            born_probability_oracle(0, math.pi, probe, DetectorModel(), cutoff=3)
+
+    def test_rejects_cutoff_below_one(self, ideal_probe, ideal_detector):
+        with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
+            born_probability_oracle(0, 0.5, ideal_probe, ideal_detector, cutoff=0)
 
     def test_coherent_amplitudes_normalized(self):
         amps = coherent_number_amplitudes(math.sqrt(0.1), 30)

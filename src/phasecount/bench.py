@@ -24,7 +24,7 @@ from .photonics import (
     born_probability_oracle,
     pnrd_likelihood,
 )
-from .runconfig import FiCurveRun, PovmCheckRun, SaturateRun, SimulateRun
+from .runconfig import FiCurveRun, PovmCheckRun, SafeDumper, SaturateRun, SimulateRun
 from .sampling import (
     PRNG_IDENTITY,
     SEED_MIXER_IDENTITY,
@@ -56,10 +56,9 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path, result: CommandResult) -> None:
+    lines = [",".join(result.header), *(",".join(map(_format_cell, row)) for row in result.rows)]
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(result.header) + "\n")
-        for row in result.rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def metadata_path(csv_path) -> str:
@@ -79,7 +78,7 @@ def write_metadata(csv_path, result: CommandResult) -> None:
         },
     }
     with open(metadata_path(csv_path), "w", encoding="utf-8", newline="") as fh:
-        yaml.safe_dump(meta, fh, sort_keys=False, default_flow_style=False)
+        yaml.dump(meta, fh, Dumper=SafeDumper, sort_keys=False, default_flow_style=False)
 
 
 # ---------------------------------------------------------------------------
@@ -95,28 +94,20 @@ def run_fi_curve(run: FiCurveRun) -> CommandResult:
     zero surrogate applies).
     """
     opts = FiOptions()
-    header = ["phi", "phi_eval", "label"]
-    for scheme in run.schemes:
-        header.append(f"fi_{scheme.value}")
-    header.append("qfi")
-    for scheme in run.schemes:
-        header.append(f"fi_{scheme.value}_over_qfi")
+    names = [f"fi_{scheme.value}" for scheme in run.schemes]
+    header = ["phi", "phi_eval", "label", *names, "qfi", *(f"{n}_over_qfi" for n in names)]
 
-    rows = []
-    for phi in run.phi_values:
-        for pset in run.sets:
-            qfi = qfi_coherent(pset.probe)
-            phi_eval = phi
-            values = []
-            for scheme in run.schemes:
-                res = fi_numeric(scheme, phi, pset.probe, pset.det,
-                                 opts=opts, model=pset.model)
-                values.append(res.value)
-                if scheme is Scheme.DISPLACED_COUNTING:
-                    phi_eval = res.phi_evaluated
-            row = [phi, phi_eval, pset.label, *values, qfi]
-            row.extend(v / qfi for v in values)
-            rows.append(tuple(row))
+    phis = np.array(run.phi_values)
+    columns = []  # per set: label, QFI, phi_eval and the FI rows, one fi_numeric call per scheme
+    for pset in run.sets:
+        results = {scheme: fi_numeric(scheme, phis, pset.probe, pset.det, opts=opts,
+                                      model=pset.model) for scheme in run.schemes}
+        displaced = results.get(Scheme.DISPLACED_COUNTING)
+        evaluated = phis if displaced is None else displaced.phi_evaluated
+        columns.append((pset.label, qfi_coherent(pset.probe), evaluated.tolist(),
+                        list(zip(*(res.value.tolist() for res in results.values())))))
+    rows = [(phi, phi_eval[i], label, *values[i], qfi, *(v / qfi for v in values[i]))
+            for i, phi in enumerate(run.phi_values) for label, qfi, phi_eval, values in columns]
 
     meta = {
         "command": "fi-curve",

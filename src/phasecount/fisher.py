@@ -23,6 +23,7 @@ from .photonics import (
     LikelihoodModel,
     ProbeConfig,
     count_model,
+    exp_neg,
     homodyne_mean,
 )
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
@@ -41,6 +42,9 @@ COUNT_TAIL_MASS = 1e-14
 
 # Step in radians of the central-difference derivative rule.
 DIFFERENCE_STEP = 1e-5
+
+# Phases per count-law pass: its (phases x terms) arrays stay within a few MB.
+PHASE_BLOCK = 256
 
 # Gauss-Hermite nodes for continuous outcomes: 2 would be exact for their quadratic
 # log-densities, but the shipped homodyne and heterodyne values carry the bits of 128.
@@ -86,7 +90,7 @@ class FiOptions:
 
 
 class FiResult(NamedTuple):
-    """Numeric FI value plus where it was actually evaluated."""
+    """Numeric FI value plus where it was evaluated; arrays for an array of phases."""
 
     value: float
     phi_requested: float
@@ -153,82 +157,98 @@ def fi_analytic(scheme: Scheme, phi: float, probe: ProbeConfig) -> float:
 
 def fi_numeric(
     scheme: Scheme,
-    phi: float,
+    phi,
     probe: ProbeConfig,
     det: DetectorModel | None = None,
     opts: FiOptions = FiOptions(),
     model: LikelihoodModel = LikelihoodModel.POISSON_FRINGE,
 ) -> FiResult:
-    """Classical FI computed directly from the outcome likelihood.
+    """Classical FI computed directly from the outcome likelihood, at a phase
+    or over a 1-D array of phases: then every field of the result is an array,
+    and each value has the bits of its single-phase call.
 
-    Count outcomes are summed until the residual probability mass drops
-    below ``COUNT_TAIL_MASS``; continuous outcomes are integrated by
-    Gauss-Hermite quadrature.  ``det`` defaults to an ideal number-resolving
-    detector and is ignored by the homodyne/heterodyne schemes, whose
-    densities carry no detector imperfections.
+    Count outcomes are summed until the residual probability mass drops below
+    ``COUNT_TAIL_MASS``; continuous outcomes are integrated by Gauss-Hermite
+    quadrature.  ``det`` defaults to an ideal number-resolving detector and is
+    ignored by the homodyne/heterodyne schemes, whose densities carry no
+    detector imperfections.
     """
-    if not math.isfinite(phi):
+    phis = np.asarray(phi, dtype=float)
+    if not np.isfinite(phis).all():
         raise ValueError(f"phi must be finite, got {phi!r}")
+    substituted = (phis == 0.0) & (scheme is Scheme.DISPLACED_COUNTING)
+    phi_eval = np.where(substituted, opts.phi_zero_surrogate, phis)
     if scheme is Scheme.DISPLACED_COUNTING:
-        if det is None:
-            det = DetectorModel()
-        phi_eval, substituted = (opts.phi_zero_surrogate, True) if phi == 0.0 else (phi, False)
+        det = det or DetectorModel()
         fi = _fi_onoff if det.kind is DetectorKind.ON_OFF else _fi_counts
-        value = fi(phi_eval, count_model(probe, det, model), opts)
-        return FiResult(value, phi, phi_eval, substituted)
-    if scheme is Scheme.HOMODYNE:
-        return FiResult(_fi_homodyne(phi, probe, opts), phi, phi, False)
-    if scheme is Scheme.HETERODYNE:
-        return FiResult(_fi_heterodyne(phi, probe, opts), phi, phi, False)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        counts, flat = count_model(probe, det, model), np.atleast_1d(phi_eval)
+        values = np.concatenate([fi(flat[i:i + PHASE_BLOCK], counts, opts)
+                                 for i in range(0, flat.size, PHASE_BLOCK)])
+    elif scheme in (Scheme.HOMODYNE, Scheme.HETERODYNE):
+        fi = _fi_homodyne if scheme is Scheme.HOMODYNE else _fi_heterodyne
+        values = np.array([fi(x, probe, opts) for x in np.ravel(phis).tolist()])
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if phis.ndim == 0:
+        return FiResult(float(values[0]), phi, float(phi_eval), bool(substituted))
+    return FiResult(values, phi, phi_eval, substituted)
 
 
-def count_law(phi: float, counts: CountModel,
-              terms: int | None = None) -> tuple[list[float], list[float]]:
-    """The lists (p_n, dp_n/dphi), n = 0, 1, 2, ..., up to the first n at
-    which 1 - (p_0 + ... + p_n), summed left to right, falls below
-    ``COUNT_TAIL_MASS``, or ``terms`` of them: the terms of the count sums.
-
-    Component w Pois(lam) adds w*p_n, with p_n = p_{n-1} * (lam / n), and
-    w*dlam*(p_{n-1} - p_n), free of any division by a vanishing mean, until
-    p_n underflows to 0, and (0, 0) from there.  The first runs on local
-    floats, so one component costs one Poisson loop; others ride in lists.
+def count_law(phi, counts: CountModel, terms: int | None = None):
+    """The count table at a phase or over a 1-D array of phases: arrays
+    (masses, slopes) of p_n and dp_n/dphi, a row per phase with n = 0, 1, ...
+    along it, and the terms each phase takes: up to the first n at which
+    1 - (p_0 + ... + p_n), summed left to right, falls below ``COUNT_TAIL_MASS``,
+    or exactly ``terms``.  Component w Pois(lam) adds w*p_n, p_n = p_{n-1}*(lam/n)
+    from p_0 = exp(-lam), and w*dlam*(p_{n-1} - p_n) until p_n underflows to 0.
+    Both run along the rows in numpy's sequential accumulate, so every entry has
+    the bits of the term-by-term recurrence at any window length.  The window
+    starts some 8 sd past the largest mean with p_0 > 0 and doubles until each
+    phase has stopped or seen every component underflow.
     """
-    lams = [float(lam) for lam in counts.means(phi)]
-    if any(map(math.isnan, lams)):  # a NaN mass never underflows, so the sum would not end
-        raise FiConvergenceError(f"count mean is NaN at phi={phi!r}: the intensities overflow")
-    (p, prev, lam, w, wdlam), *others = [
-        [math.exp(-lam), 0.0, lam, w, w * float(dlam)]
-        for w, lam, dlam in zip(counts.weights, lams, counts.dmeans(phi))]
-    masses, slopes = [], []
-    total, n = 0.0, 0
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    lams = [np.broadcast_to(lam, phi.shape) for lam in counts.means(phi)]
+    nan = np.isnan(lams).any(axis=0)
+    if nan.any():  # a NaN mass never underflows, so the sum would not end
+        raise FiConvergenceError(
+            f"count mean is NaN at phi={float(phi[nan.argmax()])!r}: the intensities overflow")
+    components = [(w, lam, exp_neg(lam), w * np.broadcast_to(dlam, phi.shape))
+                  for w, lam, dlam in zip(counts.weights, lams, counts.dmeans(phi))]
+    top = max(float(lam[p0 > 0.0].max(initial=0.0)) for _, lam, p0, _ in components)
+    width = terms or int(top + 8.0 * math.sqrt(top)) + 16
     while True:
-        n += 1
-        live = p
-        p_n = w * p
-        dp_n = wdlam * (prev - p) if p else 0.0
-        prev, p = p, p * (lam / n)
-        for other in others:
-            q, q_prev, lam_q, w_q, wdlam_q = other
-            if q:
-                p_n += w_q * q
-                dp_n += wdlam_q * (q_prev - q)
-                other[0] = q * (lam_q / n)
-                other[1] = q
-                live = True
-        if not (live or terms):  # every mass has underflowed: the tail is out of reach
-            raise FiConvergenceError(
-                f"count distribution did not reach tail mass {COUNT_TAIL_MASS:g} after "
-                f"{len(masses)} terms at mean count {max(lams):.6g} (phi={phi!r}); above "
-                "about 700 counts exp(-mean) underflows and the count masses lose mass")
-        masses.append(p_n)
-        slopes.append(dp_n)
-        total += p_n
-        if n == terms or (terms is None and 1.0 - total < COUNT_TAIL_MASS):
-            return masses, slopes
+        masses, slopes, live = None, None, 0  # live: leading terms with some p_n != 0
+        for w, lam, p0, wdlam in components:
+            p = np.empty((phi.size, width))
+            p[:, 0] = p0
+            np.divide(lam[:, None], np.arange(1.0, width), out=p[:, 1:])
+            np.multiply.accumulate(p, axis=1, out=p)
+            slope = np.diff(p, axis=1, prepend=0.0)  # -(p_{n-1} - p_n), exactly
+            slope *= -wdlam[:, None]
+            slope[p == 0.0] = 0.0  # an underflowed component adds (0, 0)
+            live = np.maximum(live, np.count_nonzero(p, axis=1))
+            p *= w
+            masses = p if masses is None else np.add(masses, p, out=masses)
+            slopes = slope if slopes is None else np.add(slopes, slope, out=slopes)
+        if terms:
+            return masses, slopes, np.full(phi.shape, terms)
+        below = 1.0 - np.add.accumulate(masses, axis=1) < COUNT_TAIL_MASS
+        stopped, stop = below.any(axis=1), below.argmax(axis=1) + 1
+        failed = live < np.where(stopped, stop, width)  # every mass underflowed first
+        if (stopped | failed).all():
+            break
+        width *= 2
+    if failed.any():  # the tail is out of reach
+        k = failed.argmax()
+        raise FiConvergenceError(
+            f"count distribution did not reach tail mass {COUNT_TAIL_MASS:g} after "
+            f"{live[k]} terms at mean count {max(float(lam[k]) for lam in lams):.6g} "
+            f"(phi={float(phi[k])!r}); above about 700 counts exp(-mean) underflows and "
+            "the count masses lose mass")
+    return masses, slopes, stop
 
 
-def _central_difference(f, phi: float):
+def _central_difference(f, phi):
     """d f/d phi: central differences of step DIFFERENCE_STEP and h/2, one Richardson level."""
     h = DIFFERENCE_STEP
     coarse = (f(phi + h) - f(phi - h)) / (2.0 * h)
@@ -236,31 +256,30 @@ def _central_difference(f, phi: float):
     return (4.0 * fine - coarse) / 3.0
 
 
-def _count_table(phi: float, counts: CountModel, opts: FiOptions, terms: int | None = None):
+def _count_table(phi, counts: CountModel, opts: FiOptions, terms: int | None = None):
     """:func:`count_law` with the slopes of ``opts.derivative``, on the terms phi needs."""
-    masses, slopes = count_law(phi, counts, terms)
+    masses, slopes, terms = count_law(phi, counts, terms)
     if opts.derivative is DerivativeRule.CENTRAL_DIFFERENCE:
-        slopes = _central_difference(
-            lambda x: np.array(count_law(x, counts, len(masses))[0]), phi).tolist()
-    return masses, slopes
+        slopes = _central_difference(lambda x: count_law(x, counts, masses.shape[1])[0], phi)
+    return masses, slopes, terms
 
 
-def _fi_counts(phi: float, counts: CountModel, opts: FiOptions) -> float:
-    total = 0.0
-    for p, dp in zip(*_count_table(phi, counts, opts)):
-        if p > PROB_FLOOR:
-            total += dp * dp / p
-    return total
+def _fi_counts(phi, counts: CountModel, opts: FiOptions):
+    masses, slopes, terms = _count_table(phi, counts, opts)
+    floor = masses <= PROB_FLOOR
+    info = np.divide(np.square(slopes, out=slopes), masses, out=slopes, where=~floor)
+    info[floor] = 0.0
+    np.add.accumulate(info, axis=1, out=info)
+    return info[np.arange(len(terms)), terms - 1]
 
 
-def _fi_onoff(phi: float, counts: CountModel, opts: FiOptions) -> float:
+def _fi_onoff(phi, counts: CountModel, opts: FiOptions):
     # silence is the n = 0 count, (0, 0) once every component's p0 underflows
-    (p0,), (dp0,) = _count_table(phi, counts, opts, terms=1)
+    masses, slopes, _ = _count_table(phi, counts, opts, terms=1)
+    p0, info = masses[:, 0], np.square(slopes[:, 0])
     p_click = counts.silent_click(phi)[1]
-    total = dp0 * dp0 / p0 if p0 > PROB_FLOOR else 0.0
-    if p_click > PROB_FLOOR:
-        total += dp0 * dp0 / p_click
-    return total
+    total = np.divide(info, p0, out=np.zeros_like(p0), where=p0 > PROB_FLOOR)
+    return total + np.divide(info, p_click, out=np.zeros_like(p0), where=p_click > PROB_FLOOR)
 
 
 @functools.lru_cache(maxsize=None)

@@ -172,6 +172,18 @@ def require_matched_amplitudes(probe: ProbeConfig) -> None:
         )
 
 
+def require_finite_means(probe: ProbeConfig, det: DetectorModel) -> None:
+    """Raise unless 4*(alpha^2 + beta^2) + nu, which bounds every count mean, is finite."""
+    if not math.isfinite(4.0 * (probe.alpha * probe.alpha + probe.beta * probe.beta) + det.nu):
+        raise ValueError(f"nu overflows the count mean: 4*(alpha^2 + beta^2) + nu must be "
+                         f"finite, got nu={det.nu!r} at alpha={probe.alpha!r}, beta={probe.beta!r}")
+
+
+def exp_neg(lam):
+    """exp(-lam) by libm per element; numpy's SIMD exp may differ in the last ulp."""
+    return np.array([math.exp(-x) for x in np.ravel(lam).tolist()]).reshape(np.shape(lam))
+
+
 def _poisson_pmf(n: int, lam: float) -> float:
     if lam < 0.0:
         raise ValueError(f"Poisson mean must be >= 0, got {lam!r}")
@@ -197,13 +209,13 @@ class CountModel:
     means: Callable
     dmeans: Callable
 
-    def silent_click(self, phi: float) -> tuple[float, float]:
-        """Probabilities of no click and of a click at phase ``phi``."""
-        lams = [float(lam) for lam in self.means(phi)]
-        p0 = sum([w * math.exp(-lam) for w, lam in zip(self.weights, lams)])
+    def silent_click(self, phi):
+        """Probabilities of no click and of a click at a phase or an array of phases."""
+        lams = self.means(phi)
+        p0 = sum([w * exp_neg(lam) for w, lam in zip(self.weights, lams)])
         if len(lams) == 1:
             # one Poisson: expm1 keeps the click probability accurate at small means
-            return p0, float(-np.expm1(-lams[0]))
+            return p0, -np.expm1(-lams[0])
         return p0, 1.0 - p0
 
     def log_silent_click(self, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +234,7 @@ def count_model(probe: ProbeConfig, det: DetectorModel, model: LikelihoodModel) 
     A new Poisson-mixture noise model is one more branch here.  The means
     look ``fringe_mean`` and its kin up at call time.
     """
+    require_finite_means(probe, det)
     if model is LikelihoodModel.POISSON_FRINGE:
         return CountModel(
             weights=(1.0,),

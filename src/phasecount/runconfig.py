@@ -15,8 +15,13 @@ import yaml
 
 from .bayes import DEFAULT_GRID_SIZE
 from .fisher import Scheme
-from .photonics import DetectorKind, DetectorModel, LikelihoodModel, ProbeConfig
+from .photonics import (DetectorKind, DetectorModel, LikelihoodModel, ProbeConfig,
+                        require_finite_means)
 from .sampling import _check_seed
+
+# libyaml's parser and emitter where PyYAML was built with them; same documents
+SafeLoader, SafeDumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
+                          else (yaml.SafeLoader, yaml.SafeDumper))
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -98,7 +103,7 @@ class PovmCheckRun:
 
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, Loader=SafeLoader)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
@@ -229,6 +234,7 @@ def parse_parameter_set(mapping: dict, where: str, default_label: str = "set") -
             kind=_choice(mapping, "detector", _DETECTORS, where,
                          default=DetectorKind.NUMBER_RESOLVING),
         )
+        require_finite_means(probe, det)
     except ValueError as exc:
         raise ConfigError(f"invalid parameter in {where}: {exc}") from exc
     model = _choice(mapping, "model", _MODELS, where,

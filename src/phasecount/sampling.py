@@ -214,7 +214,8 @@ def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
     """Count probabilities p(0..N | phi): the masses of ``fisher.count_law``,
     cut where the count FI sum stops, so sampling and analysis see the same
     distribution."""
-    return np.array(count_law(phi, count_model(probe, det, model))[0])
+    masses, _, (terms,) = count_law(phi, count_model(probe, det, model))
+    return masses[0, :terms]
 
 
 def _outcome_draw(config: ExperimentConfig):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from phasecount import cli, runconfig, sampling
+from phasecount import bench, cli, runconfig, sampling
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -270,6 +270,31 @@ def test_overflowing_intensities_stop_at_config_load(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,text,where", [
+    ("simulate", (CONFIGS / "experiment_simulate.yaml").read_text(), "simulate config"),
+    ("saturate", (CONFIGS / "experiment_saturate.yaml").read_text(), "saturate config"),
+    ("fi-curve", IDEAL_FI_CONFIG, "parameter_sets[0]"),
+], ids=["simulate", "saturate", "fi-curve"])
+def test_dark_counts_that_overflow_the_mean_stop_at_config_load(tmp_path, capsys, command,
+                                                               text, where):
+    # 4*(alpha^2 + beta^2) is finite but adding nu overflows: the fringe mean
+    # would be inf, and the count sum would blame its tail mass
+    text = re.sub(r"(signal|displacement)_intensity: .*", r"\1_intensity: 2.0e+307", text)
+    text = re.sub(r"nu: .*\n", "", text)
+    text = text.replace("signal_intensity: 2.0e+307",
+                        "signal_intensity: 2.0e+307\n    nu: 1.7e+308" if command == "fi-curve"
+                        else "signal_intensity: 2.0e+307\nnu: 1.7e+308")
+    cfg = _write(tmp_path, "run.yaml", text)
+    out = tmp_path / "run.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid parameter in {where}: nu overflows the count mean" in err
+    assert "nu=1.7e+308" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_seed_flag_is_a_config_error(seed):
     run = runconfig.parse_saturate(yaml.safe_load(textwrap.dedent("""\
@@ -459,3 +484,48 @@ class TestCommonFlags:
                          "--trials", "3"]) == 0
         meta = yaml.safe_load((tmp_path / "sim.meta.yaml").read_text())
         assert meta["config"]["trials"] == 3
+
+
+class TestYamlBindings:
+    """Configs are parsed, and sidecars emitted, by libyaml where PyYAML has it;
+    the documents and the bytes are those of the pure-Python classes."""
+
+    def test_libyaml_is_used_where_available(self):
+        if yaml.__with_libyaml__:
+            assert runconfig.SafeLoader is yaml.CSafeLoader
+            assert runconfig.SafeDumper is yaml.CSafeDumper
+        else:
+            assert runconfig.SafeLoader is yaml.SafeLoader
+            assert runconfig.SafeDumper is yaml.SafeDumper
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_load_config_equals_safe_load(self, path):
+        assert runconfig.load_config(path) == yaml.safe_load(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("command,stem", [
+        ("fi-curve", "fi_curves_ideal"), ("fi-curve", "fi_curves_imperfect_bright"),
+        ("simulate", "experiment_simulate"), ("saturate", "experiment_saturate"),
+    ])
+    def test_sidecar_bytes_equal_pure_python_rendering(self, tmp_path, monkeypatch,
+                                                       command, stem):
+        text = (CONFIGS / f"{stem}.yaml").read_text()
+        cfg = _write(tmp_path, "run.yaml", re.sub(r"trials: \d+", "trials: 3", text))
+        fast, pure = tmp_path / "fast.csv", tmp_path / "pure.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(fast)]) == 0
+        monkeypatch.setattr(bench, "SafeDumper", yaml.SafeDumper)
+        assert cli.main([command, "--config", cfg, "--out", str(pure)]) == 0
+        sidecar = fast.with_suffix(".meta.yaml").read_bytes()
+        assert sidecar.replace(b"fast.csv", b"pure.csv") == \
+            pure.with_suffix(".meta.yaml").read_bytes()
+        assert fast.read_bytes() == pure.read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        "phi_grid: {values: [0.5\n",          # unclosed flow sequence
+        "phi_grid:\n  values: [0.5]\n bad: 1\n",  # indentation
+        "schemes: [displaced]\n\tphi_grid: 1\n",  # tab
+        "a: b: c\n",
+    ], ids=["unclosed", "indent", "tab", "nested-colon"])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, text):
+        cfg = _write(tmp_path, "bad.yaml", text)
+        assert cli.main(["fi-curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "error reading configuration" in capsys.readouterr().err

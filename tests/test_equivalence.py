@@ -55,12 +55,7 @@ from phasecount.photonics import (
     mixture_weights,
     require_matched_amplitudes,
 )
-from phasecount.sampling import (
-    lookup_histogram,
-    record_statistics,
-    statistic_sampler,
-    trial_streams,
-)
+from phasecount.sampling import record_statistics, statistic_sampler, trial_streams
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -302,21 +297,22 @@ def test_shipped_config_csv_bytes(stem, tmp_path):
 
 
 # Number-resolving Monte Carlo runs: a shipped config plus overrides, cut to a
-# few trials, and the SHA-256 of its CSV.  The sampler draws through the count
-# table, so these pin the draws that table yields.
+# few trials, and the SHA-256 of its CSV.  These pin the exact-law statistic
+# draws (numpy's Generator.poisson and multinomial streams) and the count
+# table the mixture draws over.
 PNRD_RUNS = {
     "simulate-desk": ("simulate", "experiment_simulate", {"detector": "pnrd", "trials": 10},
-                      "cba725641107125ad6f6a5883d4c5b6320f895d3524f3c96384f16df26971a48"),
+                      "35c5b30905470fcfe82f71a48eef4ac58b61866459ad6a6fa495596cfea8dd77"),
     "simulate-bright": ("simulate", "experiment_simulate", {
         "detector": "pnrd", "signal_intensity": 200, "displacement_intensity": 202,
         "phi_true": 2.88, "pulses": 100000, "trials": 4},
-        "df9acb68be022315cfc864352b75665708ffe00f7f6e6296a59f6eebe0903034"),
+        "638ebed8995e5b15c5e132da01ba153f426d7d6238541c0e5040a86d024b252f"),
     "simulate-mixture": ("simulate", "experiment_simulate", {
         "detector": "pnrd", "model": "visibility-mixture", "signal_intensity": 0.5,
         "displacement_intensity": 0.5, "xi": 0.9, "phi_true": 0.7, "trials": 10},
-        "6f513a1537b8da207921f120feddb08fccd8f96883eca4cfc9897a9869b5135a"),
+        "9b3f830ee0f45e04ad63d1d8b417805205d42c7343170b2db3670fda621f71df"),
     "saturate-desk": ("saturate", "experiment_saturate", {"detector": "pnrd", "trials": 10},
-                      "a92ebe45eef1f321911c808f24ccb8a14ac4c976cf095c6012ca6b49eb6e1741"),
+                      "0d74e302f5ee26d5699297de337dc7776e22f8c1b615f1de1c1354542585b505"),
 }
 
 
@@ -592,6 +588,15 @@ SHARED_RUNS = {
 }
 
 
+def _counts_with_statistic(config, statistic):
+    """``config.pulses`` counts whose number-resolving statistic is ``statistic``:
+    the total (k, S) spread as evenly as it goes, or the histogram's counts."""
+    if config.model is LikelihoodModel.POISSON_FRINGE:
+        k, total = statistic
+        return total // k + (np.arange(k) < total % k)
+    return np.repeat(np.arange(len(statistic)), statistic)
+
+
 @pytest.mark.parametrize("name", sorted(SHARED_RUNS))
 def test_saturate_run_table_matches_per_trial_reference(name):
     detector, model, (signal, displacement), xi = SHARED_RUNS[name]
@@ -608,13 +613,19 @@ def test_saturate_run_table_matches_per_trial_reference(name):
         for j, m in enumerate(run.pulses_list):
             base = (i * len(run.pulses_list) + j) * run.trials
             inv_mvar, variances = [], []
+            cell = ExperimentConfig(
+                scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
+                det=pset.det, pulses=m, model=pset.model)
+            draw = statistic_sampler(cell, (m,))
             for t in range(run.trials):
-                record = sample(ExperimentConfig(
-                    scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
-                    det=pset.det, pulses=m, model=pset.model,
-                    seed=split_seed(run.seed, base + t)))
-                values = record.values.astype(np.int64)
-                seen.setdefault((m, tuple(np.bincount(values).tolist())), set()).add(phi)
+                seed = split_seed(run.seed, base + t)
+                if detector == "onoff":
+                    record = sample(replace(cell, seed=seed))
+                else:  # a record with the statistic the trial's stream draws
+                    (statistic,) = draw(next(trial_streams([seed])))
+                    record = OutcomeRecord(cell, _counts_with_statistic(cell, statistic))
+                (statistic,) = record_statistics(cell, record.values, (m,))
+                seen.setdefault(statistic, set()).add(phi)
                 (_, _, var), = (_ld_sequential_estimates if name in FRINGE_COUNTS
                                 else _ref_sequential_estimates)(record, run.grid_size, (m,))
                 inv_mvar.append(1.0 / (m * var))
@@ -677,7 +688,15 @@ def _checkpoint_sets(m):
     return [(1,), (m,), (1, 2, m), runconfig._default_checkpoints(m)]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+# number-resolving statistics are drawn from their exact law, not from the
+# record's stream: tests/test_sampling.py::TestExactLawDraw compares their
+# distribution with the record path's
+RECORD_DRAWS = sorted(n for n, c in CASES.items()
+                      if not (c.scheme is Scheme.DISPLACED_COUNTING
+                              and c.det.kind is DetectorKind.NUMBER_RESOLVING))
+
+
+@pytest.mark.parametrize("name", RECORD_DRAWS)
 def test_statistic_draw_equals_record_statistics(name):
     config = CASES[name]
     for checkpoints in _checkpoint_sets(config.pulses):
@@ -716,41 +735,3 @@ def test_statistic_draw_checks_its_seed(name):
     for seed in (2**64, -1):
         with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
             [draw(rng) for rng in trial_streams([0, seed])]
-
-
-def _ref_lookup_histogram(cdf, uniforms):
-    counts = np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
-    return np.bincount(counts, minlength=len(cdf))
-
-
-# (cdf, uniforms): uniforms on CDF entries, runs of equal entries (counts of
-# zero mass), uniforms at or past cdf[-1] (the clamp), zero mass at count 0
-CRAFTED_LOOKUPS = {
-    "on-entries": ([0.25, 0.5, 0.75, 1.0], [0.0, 0.25, 0.5, 0.75, 0.5, 0.2499, 0.7501]),
-    "equal-runs": ([0.25, 0.5, 0.5, 0.5, 0.75, 0.75, 0.9], [0.5, 0.4999, 0.75, 0.6, 0.1]),
-    "clamp": ([0.3, 0.6, 0.9], [0.9, 0.95, 0.999999, 0.3, 0.89]),
-    "zero-first": ([0.0, 0.0, 0.5, 0.99], [0.0, 0.0, 0.2, 0.99, 0.5]),
-    "one-count": ([0.7], [0.0, 0.7, 0.9]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CRAFTED_LOOKUPS))
-def test_lookup_histogram_equals_searchsorted_bincount(name):
-    cdf, uniforms = (np.array(a, dtype=float) for a in CRAFTED_LOOKUPS[name])
-    want = _ref_lookup_histogram(cdf, uniforms)
-    assert np.array_equal(lookup_histogram(cdf, uniforms.copy()), want)
-    for u in uniforms:  # one-pulse segments
-        assert np.array_equal(lookup_histogram(cdf, np.array([u])),
-                              _ref_lookup_histogram(cdf, np.array([u])))
-
-
-def test_lookup_histogram_on_count_table_with_ties():
-    config = CASES["pnrd-fringe-bright"]
-    cdf = np.cumsum(count_distribution(config.phi_true, config.probe, config.det, config.model))
-    rng = np.random.default_rng(1)
-    uniforms = np.concatenate([rng.random(5000), cdf[::7], cdf[-3:], [1.0 - 2**-53]])
-    want = _ref_lookup_histogram(cdf, uniforms)
-    segment = uniforms[100:]  # a view, sorted in place
-    got = lookup_histogram(cdf, uniforms[:100]) + lookup_histogram(cdf, segment)
-    assert np.array_equal(got, want)
-    assert np.all(np.diff(segment) >= 0.0)

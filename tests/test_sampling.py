@@ -1,6 +1,7 @@
 """Seeded outcome generation: determinism, seed mixing, statistical checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from phasecount import (
     sample,
     split_seed,
 )
-from phasecount.sampling import split_seeds, trial_streams
+from phasecount.sampling import record_statistics, split_seeds, statistic_sampler, trial_streams
 
 SPLITMIX_GOLDEN = 0xE220A8397B1DCDAF  # split_seed(0, 0), frozen
 
@@ -235,3 +236,133 @@ class TestSampleStatistics:
             for phi in np.linspace(0.0, math.pi, 9):
                 pmf = count_distribution(phi, probe, det, model)
                 assert 1.0 - np.cumsum(pmf)[-1] < 1e-14, (intensity, phi)
+
+
+# ---------------------------------------------------------------------------
+# number-resolving statistics drawn from their exact law vs the record path
+# ---------------------------------------------------------------------------
+
+# Fixed before the first run: each comparison below rejects at 1e-3, so a
+# correct draw fails one of the 20 comparisons with probability about 2%,
+# and the fixed seeds make each outcome repeat.
+DRAW_ALPHA = 1e-3
+DRAW_TRIALS = 2000
+
+
+def _counts_config(phi, probe, det=DetectorModel(), pulses=300,
+                   model=LikelihoodModel.POISSON_FRINGE):
+    return ExperimentConfig(scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=probe,
+                            det=det, pulses=pulses, model=model)
+
+
+BENCH_DET = DetectorModel(eta=0.602, nu=1.13e-4, xi=0.993)
+# the poisson-fringe cases, with checkpoints that end at the record's end
+FRINGE_DRAWS = {
+    "fringe-ideal": _counts_config(1.0, ProbeConfig.from_intensities(0.1)),
+    "fringe-bench": _counts_config(1.0, ProbeConfig.from_intensities(0.100, 0.101),
+                                   BENCH_DET),
+    "fringe-bright": _counts_config(2.88, ProbeConfig.from_intensities(200, 202), BENCH_DET,
+                                    pulses=40),  # mean count ~474
+}
+# the visibility-mixture cases, with checkpoints that stop short of the
+# record's end, whose largest count still sets the histogram length
+MIXTURE_DRAWS = {
+    "mixture-matched": _counts_config(0.7, ProbeConfig.from_intensities(0.5),
+                                      DetectorModel(eta=0.602, nu=1.13e-4, xi=0.9),
+                                      model=LikelihoodModel.VISIBILITY_MIXTURE),
+    "mixture-ideal": _counts_config(0.3, ProbeConfig.from_intensities(0.1),
+                                    model=LikelihoodModel.VISIBILITY_MIXTURE),
+}
+EXACT_LAW_DRAWS = {**FRINGE_DRAWS, **MIXTURE_DRAWS}
+
+
+def _drawn_and_recorded(config, checkpoints, seed):
+    """DRAW_TRIALS statistics from statistic_sampler on the trial streams of
+    ``seed``, and as many from sample + record_statistics on those of seed + 1."""
+    draw = statistic_sampler(config, checkpoints)
+    drawn = [draw(rng) for rng in trial_streams(split_seeds(seed, 0, DRAW_TRIALS))]
+    recorded = [list(record_statistics(config, sample(replace(config, seed=s)).values,
+                                       checkpoints))
+                for s in split_seeds(seed + 1, 0, DRAW_TRIALS).tolist()]
+    return drawn, recorded
+
+
+def _chi_square_pvalue(first, second):
+    """Chi-square homogeneity p-value of two count vectors over the same
+    categories, adjacent categories pooled until each bin holds 10 counts."""
+    bins, pending = [], np.zeros(2)
+    for pair in zip(first, second):
+        pending = pending + pair
+        if pending.sum() >= 10:
+            bins.append(pending)
+            pending = np.zeros(2)
+    if len(bins) < 2:
+        return 1.0
+    bins[-1] = bins[-1] + pending
+    return stats.chi2_contingency(np.array(bins).T, correction=False).pvalue
+
+
+def _padded(histograms):
+    """The histograms as the rows of one array, zero-padded to the longest."""
+    out = np.zeros((len(histograms), max(map(len, histograms))), dtype=np.int64)
+    for row, histogram in zip(out, histograms):
+        row[:len(histogram)] = histogram
+    return out
+
+
+class TestExactLawDraw:
+    """statistic_sampler draws number-resolving statistics from their exact law;
+    the record path (sample + record_statistics) is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(FRINGE_DRAWS))
+    def test_total_count_law_equals_record_path(self, name):
+        config = FRINGE_DRAWS[name]
+        checkpoints = (1, 10, config.pulses // 2, config.pulses)
+        drawn, recorded = _drawn_and_recorded(config, checkpoints, seed=61)
+        for statistics in (drawn, recorded):
+            assert all([k for k, _ in trial] == list(checkpoints) for trial in statistics)
+            assert all(type(s) is int for trial in statistics for _, s in trial)
+        for j in range(len(checkpoints)):
+            totals = [[trial[j][1] for trial in statistics] for statistics in (drawn, recorded)]
+            assert stats.ks_2samp(*totals).pvalue > DRAW_ALPHA, checkpoints[j]
+
+    @pytest.mark.parametrize("name", sorted(MIXTURE_DRAWS))
+    def test_histogram_law_equals_record_path(self, name):
+        config = MIXTURE_DRAWS[name]
+        checkpoints = (1, 10, config.pulses // 2)
+        drawn, recorded = _drawn_and_recorded(config, checkpoints, seed=67)
+        for j, k in enumerate(checkpoints):
+            both = _padded([trial[j] for trial in drawn + recorded])
+            assert np.all(both.sum(axis=1) == k)
+            pooled = both[:DRAW_TRIALS].sum(axis=0), both[DRAW_TRIALS:].sum(axis=0)
+            assert _chi_square_pvalue(*pooled) > DRAW_ALPHA, k
+        # the histogram lengths: each stops at the trial's largest count,
+        # pulses past the last checkpoint included
+        lengths = _padded([np.bincount([len(trial[0]) for trial in statistics])
+                           for statistics in (drawn, recorded)])
+        assert _chi_square_pvalue(*lengths) > DRAW_ALPHA
+
+    @pytest.mark.parametrize("name", sorted(EXACT_LAW_DRAWS))
+    def test_no_pulses_give_no_statistics(self, name):
+        empty = replace(EXACT_LAW_DRAWS[name], pulses=0)
+        assert statistic_sampler(empty, ())(np.random.default_rng(0)) == []
+
+    def test_zero_mean_gives_zero_counts(self):
+        # perfect nulling: the count mean is 0 at phi = 0 for an ideal detector
+        checkpoints = (1, 10, 1000)
+        for model, want in ((LikelihoodModel.POISSON_FRINGE, [(1, 0), (10, 0), (1000, 0)]),
+                            (LikelihoodModel.VISIBILITY_MIXTURE, [(1,), (10,), (1000,)])):
+            config = _counts_config(0.0, ProbeConfig.from_intensities(0.1), pulses=1000,
+                                    model=model)
+            draw = statistic_sampler(config, checkpoints)
+            assert all(draw(rng) == want for rng in trial_streams(split_seeds(3, 0, 20)))
+
+    @pytest.mark.parametrize("name", sorted(EXACT_LAW_DRAWS))
+    def test_draws_are_prefix_stable_in_trials(self, name):
+        # raising the trial count extends a run: its first trials draw as before
+        config = EXACT_LAW_DRAWS[name]
+        draw = statistic_sampler(config, (1, 10, config.pulses))
+        few, many = ([draw(rng) for rng in trial_streams(split_seeds(71, 0, trials))]
+                     for trials in (5, 50))
+        assert many[:5] == few
+        assert len({repr(trial) for trial in many}) > 1

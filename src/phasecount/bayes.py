@@ -54,17 +54,36 @@ class PosteriorGrid:
             raise ValueError("posterior density must be nonnegative")
 
     def normalization(self) -> float:
-        return _trapezoid(self.density, np.diff(self.nodes))
+        return _Window(np.diff(self.nodes)).trapezoid(self.density)
 
 
-def _trapezoid(y: np.ndarray, spacing: np.ndarray) -> float:
-    # np.trapezoid(y, x) for spacing = np.diff(x): its operations, so its
-    # bits, in one temporary.  x * 0.5 and x / 2.0 round the same real
-    # number; ndarray.sum is add.reduce
-    row = y[1:] + y[:-1]
-    row *= spacing
-    row *= 0.5
-    return float(np.add.reduce(row))
+class _Window:
+    """The nodes outside which a function on a grid is 0, and np.trapezoid
+    over the whole grid for such a function.
+
+    The window runs from the node before ``lo`` to the node after
+    ``hi - 1``, where the grid has them, so that the function is 0 at the
+    window's ends unless they are the grid's.  Every sum goes through one
+    zero row of all the grid's terms, fresh per window, in which only the
+    terms between the window's nodes are written.  Every other term is an
+    exact 0, so the pairwise sum over the row has the bits of np.trapezoid.
+    x * 0.5 and x / 2.0 round the same real number; ndarray.sum is
+    add.reduce.
+    """
+
+    def __init__(self, spacing: np.ndarray, lo: int = 0, hi: int | None = None):
+        size = len(spacing) + 1
+        self.nodes = slice(max(lo - 1, 0), min(size if hi is None else hi + 1, size))
+        self._row = np.zeros(len(spacing))
+        self._terms = self._row[self.nodes.start:self.nodes.stop - 1]
+        self._spacing = spacing[self.nodes.start:self.nodes.stop - 1]
+
+    def trapezoid(self, y: np.ndarray) -> float:
+        """The integral of the function that is y on the window's nodes."""
+        np.add(y[1:], y[:-1], out=self._terms)
+        self._terms *= self._spacing
+        self._terms *= 0.5
+        return float(np.add.reduce(self._row))
 
 
 def _phase_grid(grid_size: int) -> np.ndarray:
@@ -108,13 +127,17 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
 
     model = count_model(probe, det, config.model)
     if det.kind is DetectorKind.ON_OFF:
-        log_p0, log_p1 = model.log_silent_click(grid)
+        # + 0.0 turns -0.0 (log p0 = -lam at lam = 0) into 0.0, so that a row,
+        # one product and one sum, has the bits of its terms added to a zero row
+        log_p0, log_p1 = (log_p + 0.0 for log_p in model.log_silent_click(grid))
 
         def click(n_silent, n_click):
-            row = np.zeros_like(grid)
-            for n, log_p in ((n_silent, log_p0), (n_click, log_p1)):
-                if n:  # 0 * log p1 is NaN where an ideal detector nulls, log p1 = -inf
-                    row += log_p * n
+            # 0 * log p1 is NaN where an ideal detector nulls, log p1 = -inf
+            if not n_click:
+                return log_p0 * n_silent if n_silent else np.zeros_like(grid)
+            row = log_p1 * n_click
+            if n_silent:
+                row += log_p0 * n_silent
             return row
         return lambda statistics: (click(*statistic) for statistic in statistics)
 
@@ -181,7 +204,12 @@ class LikelihoodTable:
     once.
 
     Each statistic's log-likelihood comes in a fresh row, which its
-    posterior then overwrites in place with the density.
+    posterior then overwrites in place with the density.  The row's peak
+    and the nodes within ``_EXP_FLOOR`` of it take full-grid passes; every
+    other step runs on the live window from the first to the last such
+    node, the density being exactly 0 outside it.  Each trapezoid sum goes
+    through a fresh zero row of all the grid's terms, so every moment keeps
+    the bits of the full-grid evaluation.
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
@@ -190,31 +218,37 @@ class LikelihoodTable:
         self.loglik = _loglik_function(config, self.grid)
         self._moments = {}
 
-    def _posterior(self, loglik: np.ndarray) -> np.ndarray:
-        """The posterior density of a log-likelihood row, in that row."""
+    def _posterior(self, loglik: np.ndarray) -> tuple[np.ndarray, _Window]:
+        """The posterior density of a log-likelihood row, in that row, and
+        the window outside which it is 0."""
         peak = float(loglik.max())  # NaN anywhere makes it NaN
-        if not np.isfinite(peak):
+        if not math.isfinite(peak):
             raise PosteriorUnderflowError(
                 "posterior vanished at every grid node; the record is impossible "
                 "under the configured likelihood model"
             )
         density = loglik
         density -= peak  # flat prior: constant factor cancels
-        live = density >= _EXP_FLOOR
-        lo, hi = int(live.argmax()), len(live) - int(live[::-1].argmax())
+        # the first and last live node: memchr over the mask's bytes, where
+        # argmax would copy the reversed mask
+        live = (density >= _EXP_FLOOR).tobytes()
+        lo, hi = live.find(1), live.rfind(1) + 1
         density[:lo] = 0.0
         density[hi:] = 0.0
-        np.exp(density[lo:hi], out=density[lo:hi])
-        norm = _trapezoid(density, self.spacing)
+        values = density[lo:hi]
+        np.exp(values, out=values)
+        window = _Window(self.spacing, lo, hi)
+        norm = window.trapezoid(density[window.nodes])
         if norm <= 0.0 or not math.isfinite(norm):
             raise PosteriorUnderflowError("posterior normalization underflowed")
-        density /= norm
-        return density
+        values /= norm
+        return density, window
 
     def posteriors(self, statistics: list):
         """Yield the posterior of each statistic in the list."""
         for loglik in self.loglik(statistics):
-            yield PosteriorGrid(nodes=self.grid, density=self._posterior(loglik))
+            density, _ = self._posterior(loglik)
+            yield PosteriorGrid(nodes=self.grid, density=density)
 
     def moments(self, statistics) -> list[tuple[float, float]]:
         """Posterior mean and variance of each statistic, as :func:`estimate`
@@ -222,7 +256,7 @@ class LikelihoodTable:
         statistics = list(statistics)
         new = [s for s in dict.fromkeys(statistics) if s not in self._moments]
         for statistic, loglik in zip(new, self.loglik(new)):
-            self._moments[statistic] = _estimate(self.grid, self._posterior(loglik), self.spacing)
+            self._moments[statistic] = _estimate(self.grid, *self._posterior(loglik))
         return [self._moments[s] for s in statistics]
 
 
@@ -238,19 +272,20 @@ def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> Post
 
 
 def _estimate(nodes: np.ndarray, density: np.ndarray,
-              spacing: np.ndarray) -> tuple[float, float]:
-    # in one temporary; np.square is what ** 2 calls
+              window: _Window) -> tuple[float, float]:
+    # over the window's nodes, in one temporary; np.square is what ** 2 calls
+    nodes, density = nodes[window.nodes], density[window.nodes]
     row = nodes * density
-    phi_hat = _trapezoid(row, spacing)
+    phi_hat = window.trapezoid(row)
     np.subtract(phi_hat, nodes, out=row)
     np.square(row, out=row)
     row *= density
-    return phi_hat, _trapezoid(row, spacing)
+    return phi_hat, window.trapezoid(row)
 
 
 def estimate(post: PosteriorGrid) -> tuple[float, float]:
     """Posterior mean and posterior variance under the grid's trapezoid rule."""
-    return _estimate(post.nodes, post.density, np.diff(post.nodes))
+    return _estimate(post.nodes, post.density, _Window(np.diff(post.nodes)))
 
 
 def sequential_estimates(

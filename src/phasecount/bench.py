@@ -205,21 +205,25 @@ def run_saturate(run: SaturateRun) -> CommandResult:
     Each trial draws only its sufficient statistic (click count of the
     drawn clicks; pulses and total count, or count histogram, from their
     exact law, see ``statistic_sampler``); nothing else is done per trial.
-    The trial streams of the whole run are seeded in array passes, cell
-    after cell.  One likelihood table serves the run and evaluates the
-    posterior once per distinct statistic; the outcome law is computed once
-    per cell and the FI reference columns once per phase.
+    The FI references of every phase come first, the numeric one in one
+    array call, so that a phase whose count sum fails (FiConvergenceError)
+    stops the run before any trial is drawn.  The trial streams of the
+    whole run are seeded in array passes, cell after cell.  One likelihood
+    table serves the run; each cell draws its trials and then looks their
+    statistics up in one call, which evaluates the posterior once per
+    distinct statistic.
     """
     pset = run.params
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",
               "fi_displaced_exp", "fi_displaced_ideal", "fi_homodyne_ideal")
+    f_exp = fi_numeric(Scheme.DISPLACED_COUNTING, np.array(run.phi_values), pset.probe,
+                       pset.det, model=pset.model).value.tolist()
     rows = []
     table = None
     cells = len(run.phi_values) * len(run.pulses_list)
     streams = trial_streams(split_seeds(run.seed, 0, cells * run.trials))
-    for phi in run.phi_values:
-        references = (fi_numeric(Scheme.DISPLACED_COUNTING, phi, pset.probe, pset.det,
-                                 model=pset.model).value,
+    for phi, fi_exp in zip(run.phi_values, f_exp):
+        references = (fi_exp,
                       fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
                       fi_analytic(Scheme.HOMODYNE, phi, pset.probe))
         for m in run.pulses_list:
@@ -229,10 +233,9 @@ def run_saturate(run: SaturateRun) -> CommandResult:
             )
             table = table or LikelihoodTable(cell, run.grid_size)
             draw = statistic_sampler(cell, (m,))
-            variances = []
-            for rng in islice(streams, run.trials):
-                ((_, variance),) = table.moments(draw(rng))
-                variances.append(variance)
+            statistics = [statistic for rng in islice(streams, run.trials)
+                          for statistic in draw(rng)]
+            variances = [variance for _, variance in table.moments(statistics)]
             rows.append((
                 phi, int(m),
                 float(np.mean([1.0 / (m * var) for var in variances])),

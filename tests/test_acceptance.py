@@ -181,6 +181,26 @@ def test_criterion_08_beats_ideal_reference_limits():
                       f"{heterodyne_ref:.5f}", ok)
 
 
+@pytest.mark.parametrize("kind", list(DetectorKind))
+def test_same_phase_advantage_windows(kind):
+    # at the experiment parameters the imperfect receiver beats ideal
+    # heterodyne (2 alpha^2) on about (0.31, 0.72) and ideal homodyne
+    # (4 alpha^2 cos^2 phi) on about (0.81, 1.98), each at the same phase
+    det = DetectorModel(eta=0.602, nu=1.13e-4, xi=0.993, kind=kind)
+    phis = np.array([0.35, 0.5, 0.7, 0.85, 1.0, 1.5, 1.95])
+    fisher = dict(zip(phis.tolist(), fi_numeric(Scheme.DISPLACED_COUNTING, phis,
+                                                 EXPERIMENT_PROBE, det).value.tolist()))
+    heterodyne_ref = 2.0 * 0.100
+    homodyne_ref = {phi: 4.0 * 0.100 * math.cos(phi) ** 2 for phi in fisher}
+    assert [fisher[phi] > heterodyne_ref for phi in (0.35, 0.5, 0.7, 0.85)] == [True] * 3 + [False]
+    assert ([fisher[phi] > homodyne_ref[phi] for phi in (0.7, 0.85, 1.0, 1.5, 1.95)]
+            == [False] + [True] * 4)
+    if kind is DetectorKind.ON_OFF:
+        assert fisher[0.5] == pytest.approx(0.2101, abs=5e-5)
+        assert fisher[1.0] == pytest.approx(0.1768, abs=5e-5)
+        assert homodyne_ref[1.0] == pytest.approx(0.1168, abs=5e-5)
+
+
 def test_criterion_09_simulate_determinism(tmp_path):
     config = tmp_path / "sim.yaml"
     config.write_text(textwrap.dedent("""\

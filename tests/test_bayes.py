@@ -21,8 +21,8 @@ from phasecount import (
     sequential_estimates,
     split_seed,
 )
-from phasecount.bayes import LikelihoodTable
-from phasecount.photonics import fringe_mean
+from phasecount.bayes import _EXP_FLOOR, LikelihoodTable
+from phasecount.photonics import count_model, fringe_mean
 from phasecount.sampling import record_statistics, statistic_sampler, trial_streams
 
 
@@ -196,8 +196,58 @@ class TestOneComponentCounts:
         assert all(len(key) == 2 and all(type(v) is int for v in key) for key in table._moments)
 
 
+def _full_grid_trapezoid(y, spacing):
+    row = y[1:] + y[:-1]
+    row *= spacing
+    row *= 0.5
+    return float(np.add.reduce(row))
+
+
+def _full_grid_loglik(table, config, statistic):
+    # the on/off row as a zero row plus one multiply-add per nonzero count
+    if config.det.kind is DetectorKind.ON_OFF:
+        row = np.zeros_like(table.grid)
+        model = count_model(config.probe, config.det, config.model)
+        for n, log_p in zip(statistic, model.log_silent_click(table.grid)):
+            if n:
+                row += log_p * n
+        return row
+    (row,) = table.loglik([statistic])
+    return row
+
+
+def _full_grid_posterior(loglik, spacing):
+    """Every step of the posterior over every node: the composition whose
+    bits the live-window kernel keeps."""
+    peak = float(loglik.max())
+    if not math.isfinite(peak):
+        raise PosteriorUnderflowError("posterior vanished at every grid node")
+    density = loglik - peak
+    live = density >= _EXP_FLOOR
+    lo, hi = int(live.argmax()), len(live) - int(live[::-1].argmax())
+    density[:lo] = 0.0
+    density[hi:] = 0.0
+    np.exp(density[lo:hi], out=density[lo:hi])
+    density /= _full_grid_trapezoid(density, spacing)
+    return density
+
+
+def _full_grid_moments(nodes, density, spacing):
+    row = nodes * density
+    phi_hat = _full_grid_trapezoid(row, spacing)
+    np.subtract(phi_hat, nodes, out=row)
+    np.square(row, out=row)
+    row *= density
+    return phi_hat, _full_grid_trapezoid(row, spacing)
+
+
+def _bits(moments):
+    return np.array(moments, dtype=float).tobytes()
+
+
 class TestPosteriorKernel:
-    """LikelihoodTable evaluates every posterior in rows it owns and reuses."""
+    """LikelihoodTable evaluates every posterior in fresh rows, elementwise
+    only on its live window, with the bits of the full-grid evaluation."""
 
     @staticmethod
     def _ideal_onoff_config(pulses):
@@ -245,3 +295,86 @@ class TestPosteriorKernel:
         assert table.moments(statistics) == once
         assert LikelihoodTable(config, 129).moments(statistics[::-1])[::-1] == once
         assert all(type(v) is float for moments in once for v in moments)
+
+    @staticmethod
+    def _assert_full_grid_bits(table, config, statistics):
+        spacing = np.diff(table.grid)
+        rows = [_full_grid_loglik(table, config, s) for s in statistics]
+        for row, statistic in zip(rows, statistics):
+            ((got,),) = [table.loglik([statistic])]
+            assert got.tobytes() == row.tobytes()
+        want = [_full_grid_posterior(row, spacing) for row in rows]
+        for post, density in zip(table.posteriors(statistics), want, strict=True):
+            assert post.density.tobytes() == density.tobytes()
+        moments = [_full_grid_moments(table.grid, density, spacing) for density in want]
+        assert _bits(table.moments(statistics)) == _bits(moments)
+        return want
+
+    def test_window_touching_the_first_node(self):
+        # no counts in 2,000 pulses: the peak is the nulled node phi = 0
+        config = _ideal_counts_config(2000)
+        (density,) = self._assert_full_grid_bits(LikelihoodTable(config), config, [(2000, 0)])
+        assert density[0] > 0.0 and density[-1] == 0.0
+
+    def test_window_touching_the_last_node(self):
+        # S/k = 0.4 = 4 alpha^2, the largest mean, reached at phi = pi
+        config = _ideal_counts_config(2000)
+        (density,) = self._assert_full_grid_bits(LikelihoodTable(config), config, [(2000, 800)])
+        assert density[-1] > 0.0 and density[0] == 0.0
+
+    def test_single_live_node(self):
+        # S/k is the mean at node 20 of 65 and k is so large that both
+        # neighbours lie more than -_EXP_FLOOR below the peak
+        config = _ideal_counts_config(10**8)
+        table = LikelihoodTable(config, 65)
+        k = 10**8
+        s = round(k * float(fringe_mean(table.grid[20], config.probe, config.det)))
+        (density,) = self._assert_full_grid_bits(table, config, [(k, s)])
+        assert np.flatnonzero(density).tolist() == [20]
+
+    @pytest.mark.parametrize("name", ["flat", "onoff-few-pulses"])
+    def test_whole_grid_live(self, name):
+        config, statistic = {
+            "flat": (_ideal_counts_config(0), (0, 0)),
+            "onoff-few-pulses": (_experiment_config(10, 0), (7, 3)),
+        }[name]
+        (density,) = self._assert_full_grid_bits(LikelihoodTable(config), config, [statistic])
+        assert np.all(density > 0.0)
+
+    @pytest.mark.parametrize("name", ["onoff", "pnrd-fringe"])
+    def test_ideal_detector_rows_with_minus_inf_nodes(self, name):
+        # a click, or a count, is impossible at the nulled node phi = 0
+        config, statistics = {
+            "onoff": (self._ideal_onoff_config(40), [(33, 7), (0, 40), (40, 0)]),
+            "pnrd-fringe": (_ideal_counts_config(40), [(40, 2), (40, 30), (40, 0)]),
+        }[name]
+        table = LikelihoodTable(config, 257)
+        assert np.isneginf(_full_grid_loglik(table, config, statistics[0])[0])
+        densities = self._assert_full_grid_bits(table, config, statistics)
+        assert densities[0][0] == 0.0 and densities[1][0] == 0.0
+
+    @pytest.mark.parametrize("name", ["impossible-count", "nan-quadrature"])
+    def test_statistic_after_an_underflow_gets_fresh_table_moments(self, name):
+        config, bad, good = {
+            # no light and no dark counts: one count is impossible everywhere
+            "impossible-count": (
+                ExperimentConfig(scheme=Scheme.DISPLACED_COUNTING, phi_true=0.5,
+                                 probe=ProbeConfig(0.0, 0.0), det=DetectorModel(), pulses=3),
+                (3, 1), (3, 0)),
+            # a NaN quadrature sum makes every node NaN
+            "nan-quadrature": (
+                ExperimentConfig(scheme=Scheme.HOMODYNE, phi_true=0.8,
+                                 probe=ProbeConfig.from_intensities(0.1), det=DetectorModel(),
+                                 pulses=3),
+                (3, math.nan, 1.0), (3, 0.5, 1.2)),
+        }[name]
+        table = LikelihoodTable(config, 129)
+        with pytest.raises(PosteriorUnderflowError):
+            table.moments([bad])
+        fresh = LikelihoodTable(config, 129).moments([good])
+        assert _bits(table.moments([good])) == _bits(fresh)
+        with pytest.raises(PosteriorUnderflowError):
+            next(table.posteriors([bad]))
+        (post,) = table.posteriors([good])
+        (fresh_post,) = LikelihoodTable(config, 129).posteriors([good])
+        assert post.density.tobytes() == fresh_post.density.tobytes()

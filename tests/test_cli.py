@@ -384,6 +384,33 @@ class TestSaturate:
         _, rows = _rows(out)
         assert len(rows) == 3 * 2
 
+    def test_bright_phase_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # mean count ~726 at the second phase, where the count sum cannot
+        # reach its tail mass: the run stops at the FI references, before
+        # the first phase's 2,000 trials are drawn
+        seeded = []
+        monkeypatch.setattr(bench, "trial_streams",
+                            lambda seeds: seeded.append(seeds) or sampling.trial_streams(seeds))
+        cfg = _write(tmp_path, "bright.yaml", textwrap.dedent("""\
+            phi_grid: {values: [0.1, 3.14159]}
+            pulses: [1000, 10000]
+            trials: 2000
+            seed: 1
+            signal_intensity: 300
+            displacement_intensity: 303
+            eta: 0.602
+            xi: 1.0
+            nu: 1.13e-4
+            detector: pnrd
+        """))
+        out = tmp_path / "bright.csv"
+        start = time.perf_counter()
+        assert cli.main(["saturate", "--config", cfg, "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "tail mass" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bright.yaml"]
+        assert seeded == []
+
     def test_finite_sample_runs_leave_the_information_bound(self, tmp_path):
         # tiny records near phi = pi: the prior-bounded posterior variance
         # makes 1/(m*Var) land far above the Fisher information

@@ -17,9 +17,7 @@ from .bayes import (
     sequential_estimates,
 )
 from .fisher import (
-    DerivativeRule,
     FiConvergenceError,
-    FiOptions,
     FiResult,
     Scheme,
     fi_analytic,
@@ -36,8 +34,6 @@ from .photonics import (
     ProbeConfig,
     born_probability_oracle,
     coherent_number_amplitudes,
-    heterodyne_density,
-    homodyne_density,
     onoff_likelihood,
     pnrd_likelihood,
     povm_element,
@@ -54,12 +50,10 @@ from .sampling import (
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
-    "DerivativeRule",
     "DetectorKind",
     "DetectorModel",
     "ExperimentConfig",
     "FiConvergenceError",
-    "FiOptions",
     "FiResult",
     "FockTruncationError",
     "LikelihoodModel",
@@ -77,8 +71,6 @@ __all__ = [
     "estimate",
     "fi_analytic",
     "fi_numeric",
-    "heterodyne_density",
-    "homodyne_density",
     "onoff_likelihood",
     "pnrd_likelihood",
     "posterior",

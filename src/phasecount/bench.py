@@ -17,7 +17,7 @@ import yaml
 
 from . import __version__
 from .bayes import LikelihoodTable
-from .fisher import FiOptions, Scheme, fi_analytic, fi_numeric, qfi_coherent
+from .fisher import Scheme, fi_analytic, fi_numeric, qfi_coherent
 from .photonics import (
     DetectorKind,
     DetectorModel,
@@ -87,15 +87,14 @@ def run_fi_curve(run: FiCurveRun) -> CommandResult:
     evaluated (it differs from ``phi`` only on the phi = 0 row, where the
     zero surrogate applies).
     """
-    opts = FiOptions()
     names = [f"fi_{scheme.value}" for scheme in run.schemes]
     header = ["phi", "phi_eval", "label", *names, "qfi", *(f"{n}_over_qfi" for n in names)]
 
     phis = np.array(run.phi_values)
     columns = []  # per set: label, QFI, phi_eval and the FI rows, one fi_numeric call per scheme
     for pset in run.sets:
-        results = {scheme: fi_numeric(scheme, phis, pset.probe, pset.det, opts=opts,
-                                      model=pset.model) for scheme in run.schemes}
+        results = {scheme: fi_numeric(scheme, phis, pset.probe, pset.det, model=pset.model)
+                   for scheme in run.schemes}
         displaced = results.get(Scheme.DISPLACED_COUNTING)
         evaluated = phis if displaced is None else displaced.phi_evaluated
         columns.append((pset.label, qfi_coherent(pset.probe), evaluated.tolist(),

@@ -2,15 +2,15 @@
 
 ``fi_numeric`` derives the classical Fisher information mechanically from
 the outcome likelihoods (sums over ``count_law``, Gauss-Hermite quadrature
-over quadratures), while ``fi_analytic`` ships the ideal-parameter closed
-forms.  The numeric path is the ground truth they are validated against.
+over quadratures), with one analytic derivative d(mean)/d(phi) per scheme,
+while ``fi_analytic`` ships the ideal-parameter closed forms.  The numeric
+path is the ground truth they are validated against.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -24,12 +24,12 @@ from .photonics import (
     ProbeConfig,
     count_model,
     exp_neg,
-    homodyne_mean,
 )
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .photonics import (
     fringe_mean,
     fringe_mean_derivative,
+    homodyne_mean,
     mixture_component_means,
     mixture_interfering_mean_derivative,
 )
@@ -40,8 +40,9 @@ PROB_FLOOR = 1e-300
 # Count sums stop once the residual probability mass falls below this.
 COUNT_TAIL_MASS = 1e-14
 
-# Step in radians of the central-difference derivative rule.
-DIFFERENCE_STEP = 1e-5
+# Displaced counting is evaluated at this phase when asked for phi = 0 exactly,
+# where the ideal likelihood is degenerate; the substitution is flagged in the result.
+PHI_ZERO_SURROGATE = 1e-6
 
 # Phases per count-law pass: its (phases x terms) arrays stay within a few MB.
 PHASE_BLOCK = 256
@@ -59,34 +60,6 @@ class Scheme(Enum):
     DISPLACED_COUNTING = "displaced"
     HOMODYNE = "homodyne"
     HETERODYNE = "heterodyne"
-
-
-class DerivativeRule(Enum):
-    ANALYTIC = "analytic"
-    CENTRAL_DIFFERENCE = "central"
-
-
-@dataclass(frozen=True)
-class FiOptions:
-    """Knobs for the numeric Fisher-information evaluation.
-
-    derivative     -- analytic d(mean)/d(phi) where available, or the one
-                      central-difference rule (step DIFFERENCE_STEP, one
-                      Richardson level) for counts and quadratures alike
-    phi_zero_surrogate -- displaced counting is evaluated here when asked
-                      for phi = 0 exactly, where the ideal likelihood is
-                      degenerate; the substitution is flagged in the result
-
-    Count sums run over the terms of ``count_law``, which stops at
-    COUNT_TAIL_MASS; continuous outcomes use the QUAD_POINTS-node rule.
-    """
-
-    derivative: DerivativeRule = DerivativeRule.ANALYTIC
-    phi_zero_surrogate: float = 1e-6
-
-    def __post_init__(self):
-        if self.phi_zero_surrogate <= 0.0:
-            raise ValueError("phi_zero_surrogate must be > 0")
 
 
 class FiResult(NamedTuple):
@@ -160,33 +133,36 @@ def fi_numeric(
     phi,
     probe: ProbeConfig,
     det: DetectorModel | None = None,
-    opts: FiOptions = FiOptions(),
+    *,
     model: LikelihoodModel = LikelihoodModel.POISSON_FRINGE,
 ) -> FiResult:
     """Classical FI computed directly from the outcome likelihood, at a phase
     or over a 1-D array of phases: then every field of the result is an array,
     and each value has the bits of its single-phase call.
 
-    Count outcomes are summed until the residual probability mass drops below
-    ``COUNT_TAIL_MASS``; continuous outcomes are integrated by Gauss-Hermite
-    quadrature.  ``det`` defaults to an ideal number-resolving detector and is
-    ignored by the homodyne/heterodyne schemes, whose densities carry no
-    detector imperfections.
+    Count outcomes are summed over the terms of ``count_law``, until the
+    residual probability mass drops below ``COUNT_TAIL_MASS``, with the
+    analytic slopes dp_n/dphi; continuous outcomes are integrated by the
+    QUAD_POINTS-node Gauss-Hermite rule with the analytic score.  Displaced
+    counting at phi = 0 is evaluated at ``PHI_ZERO_SURROGATE`` and flagged.
+    ``det`` defaults to an ideal number-resolving detector and is ignored by
+    the homodyne/heterodyne schemes, whose densities carry no detector
+    imperfections.
     """
     phis = np.asarray(phi, dtype=float)
     if not np.isfinite(phis).all():
         raise ValueError(f"phi must be finite, got {phi!r}")
     substituted = (phis == 0.0) & (scheme is Scheme.DISPLACED_COUNTING)
-    phi_eval = np.where(substituted, opts.phi_zero_surrogate, phis)
+    phi_eval = np.where(substituted, PHI_ZERO_SURROGATE, phis)
     if scheme is Scheme.DISPLACED_COUNTING:
         det = det or DetectorModel()
         fi = _fi_onoff if det.kind is DetectorKind.ON_OFF else _fi_counts
         counts, flat = count_model(probe, det, model), np.atleast_1d(phi_eval)
-        values = np.concatenate([fi(flat[i:i + PHASE_BLOCK], counts, opts)
+        values = np.concatenate([fi(flat[i:i + PHASE_BLOCK], counts)
                                  for i in range(0, flat.size, PHASE_BLOCK)])
     elif scheme in (Scheme.HOMODYNE, Scheme.HETERODYNE):
         fi = _fi_homodyne if scheme is Scheme.HOMODYNE else _fi_heterodyne
-        values = np.array([fi(x, probe, opts) for x in np.ravel(phis).tolist()])
+        values = np.array([fi(x, probe) for x in np.ravel(phis).tolist()])
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if phis.ndim == 0:
@@ -248,24 +224,8 @@ def count_law(phi, counts: CountModel, terms: int | None = None):
     return masses, slopes, stop
 
 
-def _central_difference(f, phi):
-    """d f/d phi: central differences of step DIFFERENCE_STEP and h/2, one Richardson level."""
-    h = DIFFERENCE_STEP
-    coarse = (f(phi + h) - f(phi - h)) / (2.0 * h)
-    fine = (f(phi + 0.5 * h) - f(phi - 0.5 * h)) / h
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _count_table(phi, counts: CountModel, opts: FiOptions, terms: int | None = None):
-    """:func:`count_law` with the slopes of ``opts.derivative``, on the terms phi needs."""
-    masses, slopes, terms = count_law(phi, counts, terms)
-    if opts.derivative is DerivativeRule.CENTRAL_DIFFERENCE:
-        slopes = _central_difference(lambda x: count_law(x, counts, masses.shape[1])[0], phi)
-    return masses, slopes, terms
-
-
-def _fi_counts(phi, counts: CountModel, opts: FiOptions):
-    masses, slopes, terms = _count_table(phi, counts, opts)
+def _fi_counts(phi, counts: CountModel):
+    masses, slopes, terms = count_law(phi, counts)
     floor = masses <= PROB_FLOOR
     info = np.divide(np.square(slopes, out=slopes), masses, out=slopes, where=~floor)
     info[floor] = 0.0
@@ -273,9 +233,9 @@ def _fi_counts(phi, counts: CountModel, opts: FiOptions):
     return info[np.arange(len(terms)), terms - 1]
 
 
-def _fi_onoff(phi, counts: CountModel, opts: FiOptions):
+def _fi_onoff(phi, counts: CountModel):
     # silence is the n = 0 count, (0, 0) once every component's p0 underflows
-    masses, slopes, _ = _count_table(phi, counts, opts, terms=1)
+    masses, slopes, _ = count_law(phi, counts, terms=1)
     p0, info = masses[:, 0], np.square(slopes[:, 0])
     p_click = counts.silent_click(phi)[1]
     total = np.divide(info, p0, out=np.zeros_like(p0), where=p0 > PROB_FLOOR)
@@ -302,35 +262,24 @@ def _hermgauss_product_weight(points: int) -> np.ndarray:
     return weight
 
 
-def _fi_homodyne(phi: float, probe, opts: FiOptions) -> float:
+def _fi_homodyne(phi: float, probe) -> float:
     # x = mean + t with t the Hermite nodes: the density has variance 1/2,
-    # so log p(x|phi) = -(x - mean(phi))^2 + const.
+    # so log p(x|phi) = -(x - mean(phi))^2 + const, with score 2*t*dmean.
     t, w = _hermgauss_normalized(QUAD_POINTS)
-    mean = float(homodyne_mean(phi, probe))
-    if opts.derivative is DerivativeRule.ANALYTIC:
-        dmean = math.sqrt(2.0) * probe.alpha * math.cos(phi)
-        score = 2.0 * t * dmean
-    else:
-        x = mean + t
-        score = _central_difference(lambda p: -((x - float(homodyne_mean(p, probe))) ** 2), phi)
+    dmean = math.sqrt(2.0) * probe.alpha * math.cos(phi)
+    score = 2.0 * t * dmean
     return float(np.dot(w, score**2))
 
 
-def _fi_heterodyne(phi: float, probe, opts: FiOptions) -> float:
+def _fi_heterodyne(phi: float, probe) -> float:
     t, _ = _hermgauss_normalized(QUAD_POINTS)
     weight = _hermgauss_product_weight(QUAD_POINTS)
     mx = probe.alpha * math.cos(phi)
     my = probe.alpha * math.sin(phi)
-    if opts.derivative is DerivativeRule.ANALYTIC:
-        dmx, dmy = -my, mx
-        # score(u, v) = 2*u*dmx + 2*v*dmy on the product Hermite grid
-        score = np.add.outer(t * dmx, t * dmy)
-        score *= 2.0
-    else:
-        re = mx + t[:, None]
-        im = my + t[None, :]
-        score = _central_difference(lambda p: -((re - probe.alpha * math.cos(p)) ** 2)
-                                    - (im - probe.alpha * math.sin(p)) ** 2, phi)
+    dmx, dmy = -my, mx
+    # score(u, v) = 2*u*dmx + 2*v*dmy on the product Hermite grid
+    score = np.add.outer(t * dmx, t * dmy)
+    score *= 2.0
     np.square(score, out=score)  # the weighted sum of score**2, in place
     score *= weight
     return float(score.sum())

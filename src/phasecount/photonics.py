@@ -4,8 +4,8 @@ The probe is a weak coherent pulse of amplitude ``alpha`` that picks up an
 unknown phase shift ``phi``.  The receiver displaces the field by ``-beta``
 (nominally ``beta == alpha``, which nulls the signal at ``phi = 0``) and
 counts the residual photons.  This module evaluates the detector POVM and
-the outcome likelihoods of that receiver, plus the quadrature densities of
-the homodyne and heterodyne references.
+the outcome likelihoods of that receiver, plus the quadrature mean of the
+homodyne reference.
 
 Quadrature convention: vacuum variance 1/2, i.e. x = (a + a^dag)/sqrt(2).
 """
@@ -326,19 +326,6 @@ def onoff_likelihood(
 def homodyne_mean(phi, probe: ProbeConfig):
     """Mean of the measured quadrature, sqrt(2)*alpha*sin(phi)."""
     return math.sqrt(2.0) * probe.alpha * np.sin(np.asarray(phi, dtype=float))
-
-
-def homodyne_density(x: float, phi: float, probe: ProbeConfig) -> float:
-    """Gaussian quadrature density: mean sqrt(2)*alpha*sin(phi), variance 1/2."""
-    dx = x - float(homodyne_mean(phi, probe))
-    return math.exp(-dx * dx) / math.sqrt(math.pi)
-
-
-def heterodyne_density(re: float, im: float, phi: float, probe: ProbeConfig) -> float:
-    """Husimi density of the phase-shifted signal, (1/pi) e^{-|z - alpha e^{i phi}|^2}."""
-    dre = re - probe.alpha * math.cos(phi)
-    dim = im - probe.alpha * math.sin(phi)
-    return math.exp(-(dre * dre + dim * dim)) / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import yaml
 
-from .bayes import DEFAULT_GRID_SIZE
+from .bayes import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
 from .fisher import Scheme
 from .photonics import (DetectorKind, DetectorModel, LikelihoodModel, ProbeConfig,
                         require_finite_means)
@@ -137,10 +137,10 @@ def _number(mapping, key, where, default=_REQUIRED) -> float:
     return float(value)
 
 
-def _positive_int(mapping, key, where, default=_REQUIRED) -> int:
+def _positive_int(mapping, key, where, default=_REQUIRED, least: int = 1) -> int:
     value = _get(mapping, key, int, where, default)
-    if value < 1:
-        raise ConfigError(f"key '{key}' in {where} must be >= 1, got {value!r}")
+    if value < least:
+        raise ConfigError(f"key '{key}' in {where} must be >= {least}, got {value!r}")
     return value
 
 
@@ -283,6 +283,8 @@ def parse_simulate(cfg: dict) -> SimulateRun:
         {k: v for k, v in cfg.items() if k in _PARAM_KEYS}, where, "experiment")
     scheme = _choice(cfg, "scheme", _SCHEMES, where, default=Scheme.DISPLACED_COUNTING)
     phi_true = _number(cfg, "phi_true", where)
+    if not 0.0 <= phi_true <= math.pi:
+        raise ConfigError(f"key 'phi_true' in {where} must lie in [0, pi], got {phi_true!r}")
     pulses = _positive_int(cfg, "pulses", where)
     trials = _positive_int(cfg, "trials", where, default=100)
     if "checkpoints" not in cfg:
@@ -293,7 +295,7 @@ def parse_simulate(cfg: dict) -> SimulateRun:
             raise ConfigError("'checkpoints' must be strictly increasing")
         if checkpoints[-1] > pulses:
             raise ConfigError("'checkpoints' must lie within [1, pulses]")
-    grid_size = _positive_int(cfg, "grid_size", where, default=DEFAULT_GRID_SIZE)
+    grid_size = _positive_int(cfg, "grid_size", where, DEFAULT_GRID_SIZE, MIN_GRID_SIZE)
     seed = _seed(_get(cfg, "seed", int, where, default=0))
     reference_trial = _get(cfg, "reference_trial", int, where, default=0)
     if not 0 <= reference_trial < trials:
@@ -329,7 +331,7 @@ def parse_saturate(cfg: dict) -> SaturateRun:
                                 lo=eps, hi=math.pi - eps)
     pulses_list = _positive_int_list(cfg, "pulses", where)
     trials = _positive_int(cfg, "trials", where, default=100)
-    grid_size = _positive_int(cfg, "grid_size", where, default=DEFAULT_GRID_SIZE)
+    grid_size = _positive_int(cfg, "grid_size", where, DEFAULT_GRID_SIZE, MIN_GRID_SIZE)
     seed = _seed(_get(cfg, "seed", int, where, default=0))
     return SaturateRun(phi_values=phi_values, pulses_list=pulses_list,
                        params=params, trials=trials, grid_size=grid_size, seed=seed)

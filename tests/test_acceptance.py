@@ -15,7 +15,6 @@ from phasecount import (
     DetectorKind,
     DetectorModel,
     ExperimentConfig,
-    FiOptions,
     LikelihoodModel,
     ProbeConfig,
     Scheme,
@@ -109,14 +108,12 @@ def test_criterion_05_low_intensity_dip_contrast():
     # zero phase for a weak probe but not for a bright one; the near-zero
     # point is taken at plot resolution (0.02 rad), where the contrast is
     # well defined for both intensities
-    opts = FiOptions(phi_zero_surrogate=0.02)
     parts = []
     for intensity, expect_dip in ((0.10, True), (10.0, False)):
         probe = ProbeConfig.from_intensities(intensity)
         for xi in (0.998, 0.99):
             det = DetectorModel(eta=1.0, nu=1e-5, xi=xi)
-            near_zero = fi_numeric(Scheme.DISPLACED_COUNTING, 0.0, probe, det,
-                                   opts=opts,
+            near_zero = fi_numeric(Scheme.DISPLACED_COUNTING, 0.02, probe, det,
                                    model=LikelihoodModel.VISIBILITY_MIXTURE).value
             away = fi_numeric(Scheme.DISPLACED_COUNTING, 0.3, probe, det,
                               model=LikelihoodModel.VISIBILITY_MIXTURE).value

@@ -322,6 +322,59 @@ def test_dark_counts_that_overflow_the_mean_stop_at_config_load(tmp_path, capsys
     assert not out.exists()
 
 
+SATURATE_CONFIG = textwrap.dedent("""\
+    phi_grid: {values: [1.0, 3.1]}
+    pulses: [100]
+    trials: 2
+    grid_size: 257
+    seed: 4242
+    signal_intensity: 0.100
+    displacement_intensity: 0.101
+    detector: onoff
+""")
+
+
+def _run_config(command, bright, **values):
+    """The simulate or saturate test config, with a bright number-resolving
+    probe (mean count ~1200 at phi = 3.1) if asked and some keys replaced."""
+    text = SIMULATE_CONFIG if command == "simulate" else SATURATE_CONFIG
+    if bright:
+        for old, new in (("detector: onoff", "detector: pnrd"),
+                         ("signal_intensity: 0.100", "signal_intensity: 300"),
+                         ("displacement_intensity: 0.101", "displacement_intensity: 303")):
+            text = text.replace(old, new)
+    for key, value in values.items():
+        text = re.sub(rf"(?m)^{key}: .*$", f"{key}: {value}", text)
+    return text
+
+
+@pytest.mark.parametrize("bright", [False, True], ids=["weak", "bright"])
+@pytest.mark.parametrize("command,key,value,message", [
+    ("simulate", "phi_true", 3.3, "must lie in [0, pi], got 3.3"),
+    ("simulate", "phi_true", -0.1, "must lie in [0, pi], got -0.1"),
+    ("simulate", "grid_size", 64, "must be >= 65, got 64"),
+    ("saturate", "grid_size", 64, "must be >= 65, got 64"),
+    ("saturate", "grid_size", 10, "must be >= 65, got 10"),
+])
+def test_out_of_range_key_stops_at_config_load(tmp_path, capsys, command, key, value,
+                                               message, bright):
+    # a bright probe fails its FI reference with exit 2; a bad key must stop
+    # the run first, with exit 1 and the key named
+    cfg = _write(tmp_path, "run.yaml", _run_config(command, bright, **{key: value}))
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"key '{key}' in {command} config {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "saturate"])
+def test_smallest_grid_size_runs(tmp_path, command):
+    cfg = _write(tmp_path, "run.yaml", _run_config(command, False, grid_size=65))
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_out_of_range_seed_flag_is_a_config_error(seed):
     run = runconfig.parse_saturate(yaml.safe_load(textwrap.dedent("""\

@@ -5,10 +5,11 @@ bits of its phases evaluated one at a time, which must give the pins.
 
 Each FI pin is the first 16 hex digits of the SHA-256 of the values written
 with ``float.hex``, one per line, in grid order.  Every parameter set of the
-three shipped fi-curve configs is pinned under both derivative rules and
-both detector kinds (the configured number-resolving detector and an on/off
-detector with the same efficiency, dark counts and visibility); the ideal
-config's quadrature columns are pinned too.
+three shipped fi-curve configs is pinned under both derivative rules (the
+analytic rule of ``fi_numeric`` and the central differences of
+``fi_oracle``) and both detector kinds (the configured number-resolving
+detector and an on/off detector with the same efficiency, dark counts and
+visibility); the ideal config's quadrature columns are pinned too.
 """
 
 import hashlib
@@ -20,12 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fi_oracle import central_fi
 from phasecount import (
-    DerivativeRule,
     DetectorKind,
     DetectorModel,
     FiConvergenceError,
-    FiOptions,
     LikelihoodModel,
     ProbeConfig,
     Scheme,
@@ -33,7 +33,7 @@ from phasecount import (
     fi_numeric,
     runconfig,
 )
-from phasecount.fisher import count_law
+from phasecount.fisher import PHI_ZERO_SURROGATE, count_law
 from phasecount.photonics import count_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -114,48 +114,53 @@ def _digest(values) -> str:
 
 
 def _case(key):
-    """(phases, scheme, probe, detector, options, model) of one pin."""
-    stem, label, rule, column = key
+    """(phases, scheme, probe, detector, model) of one pin."""
+    stem, label, _, column = key
     run = runconfig.parse_fi_curve(runconfig.load_config(CONFIGS / f"{stem}.yaml"))
     (pset,) = [p for p in run.sets if p.label == label]
-    opts = FiOptions(derivative=DerivativeRule(rule))
     if column in {k.value for k in DetectorKind}:
         det = replace(pset.det, kind=DetectorKind(column))
-        return run.phi_values, Scheme.DISPLACED_COUNTING, pset.probe, det, opts, pset.model
-    return run.phi_values, Scheme(column), pset.probe, pset.det, opts, pset.model
+        return run.phi_values, Scheme.DISPLACED_COUNTING, pset.probe, det, pset.model
+    return run.phi_values, Scheme(column), pset.probe, pset.det, pset.model
+
+
+def _fi(key):
+    """The pinned FI of ``key`` as a function of a phase or an array of phases."""
+    _, scheme, probe, det, model = _case(key)
+    if key[2] == "central":
+        return lambda phi: central_fi(scheme, phi, probe, det, model=model)
+    return lambda phi: fi_numeric(scheme, phi, probe, det, model=model).value
 
 
 @pytest.mark.parametrize("key", sorted(FI_GRID_PINS), ids="-".join)
 def test_fi_per_phase_is_pinned(key):
-    phases, scheme, probe, det, opts, model = _case(key)
-    values = [fi_numeric(scheme, phi, probe, det, opts, model).value for phi in phases]
-    assert _digest(values) == FI_GRID_PINS[key]
+    fi = _fi(key)
+    assert _digest([fi(phi) for phi in _case(key)[0]]) == FI_GRID_PINS[key]
 
 
 @pytest.mark.parametrize("key", sorted(FI_GRID_PINS), ids="-".join)
 def test_fi_over_the_grid_is_pinned(key):
-    phases, scheme, probe, det, opts, model = _case(key)
-    res = fi_numeric(scheme, np.array(phases), probe, det, opts, model)
-    assert _digest(res.value) == FI_GRID_PINS[key]
+    phases, scheme, probe, det, model = _case(key)
+    assert _digest(_fi(key)(np.array(phases))) == FI_GRID_PINS[key]
+    res = fi_numeric(scheme, np.array(phases), probe, det, model=model)
     zero = np.array(phases) == 0.0
     if scheme is not Scheme.DISPLACED_COUNTING:
         zero[:] = False
     np.testing.assert_array_equal(res.zero_substituted, zero)
     np.testing.assert_array_equal(res.phi_evaluated,
-                                  np.where(zero, opts.phi_zero_surrogate, phases))
+                                  np.where(zero, PHI_ZERO_SURROGATE, phases))
 
 
 def test_zero_phase_row_is_the_surrogate():
     # the ideal grid starts at phi = 0, where displaced counting is evaluated
     # at the surrogate phase and says so, in the array and at the single phase
-    phases, scheme, probe, det, opts, model = _case(
-        ("fi_curves_ideal", "ideal", "analytic", "pnrd"))
+    phases, scheme, probe, det, model = _case(("fi_curves_ideal", "ideal", "analytic", "pnrd"))
     assert phases[0] == 0.0
-    grid = fi_numeric(scheme, np.array(phases), probe, det, opts, model)
-    single = fi_numeric(scheme, 0.0, probe, det, opts, model)
+    grid = fi_numeric(scheme, np.array(phases), probe, det, model=model)
+    single = fi_numeric(scheme, 0.0, probe, det, model=model)
     assert single.zero_substituted and grid.zero_substituted[0]
     assert not grid.zero_substituted[1:].any()
-    assert single.phi_evaluated == grid.phi_evaluated[0] == opts.phi_zero_surrogate
+    assert single.phi_evaluated == grid.phi_evaluated[0] == PHI_ZERO_SURROGATE
     assert single.phi_requested == 0.0
     assert float.hex(single.value) == float.hex(float(grid.value[0]))
 
@@ -226,18 +231,17 @@ def test_bright_count_table_is_pinned():
     assert (len(table), hashlib.sha256(table.tobytes()).hexdigest()) == BRIGHT_TABLE
 
 
-@pytest.mark.parametrize("rule", list(DerivativeRule))
 @pytest.mark.parametrize("case", sorted(BRIGHT_FAILURES))
-def test_bright_failure_message_is_pinned(case, rule):
+def test_bright_failure_message_is_pinned(case):
     model, intensities, det, phi, message = BRIGHT_FAILURES[case]
     probe = ProbeConfig.from_intensities(*intensities)
     start = time.perf_counter()
     with pytest.raises(FiConvergenceError) as info:
-        fi_numeric(Scheme.DISPLACED_COUNTING, phi, probe, det, FiOptions(derivative=rule), model)
+        fi_numeric(Scheme.DISPLACED_COUNTING, phi, probe, det, model=model)
     assert time.perf_counter() - start < 0.1
     assert str(info.value) == message
     # in an array the first failing phase names itself, whatever comes before
     with pytest.raises(FiConvergenceError) as info:
         fi_numeric(Scheme.DISPLACED_COUNTING, np.array([1.0, phi, 0.5]), probe, det,
-                   FiOptions(derivative=rule), model)
+                   model=model)
     assert str(info.value) == message

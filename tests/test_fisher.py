@@ -6,12 +6,11 @@ import time
 import numpy as np
 import pytest
 
+from fi_oracle import central_fi
 from phasecount import (
     DetectorKind,
     DetectorModel,
-    DerivativeRule,
     FiConvergenceError,
-    FiOptions,
     LikelihoodModel,
     ProbeConfig,
     Scheme,
@@ -104,7 +103,7 @@ class TestNumericFi:
         probe = ProbeConfig.from_intensities(0.1)
         res = fi_numeric(Scheme.DISPLACED_COUNTING, 0.0, probe)
         assert res.zero_substituted
-        assert res.phi_evaluated == FiOptions().phi_zero_surrogate
+        assert res.phi_evaluated == fisher.PHI_ZERO_SURROGATE
         assert res.value == pytest.approx(0.4, rel=1e-6)
 
     def test_phase_insensitive_noise_degrades_at_zero(self):
@@ -117,22 +116,20 @@ class TestNumericFi:
         assert res.zero_substituted
         assert res.value < 0.4
 
-    @pytest.mark.parametrize("rule", list(DerivativeRule))
     @pytest.mark.parametrize("model,intensities,xi", [
         (LikelihoodModel.POISSON_FRINGE, (300.0, 303.0), 1.0),  # mean count ~726
         # xi = 1 leaves the background component with weight 0
         (LikelihoodModel.VISIBILITY_MIXTURE, (310.0, 310.0), 1.0),
         (LikelihoodModel.VISIBILITY_MIXTURE, (310.0, 310.0), 0.9),
     ])
-    def test_bright_probe_fails_fast(self, model, intensities, xi, rule):
+    def test_bright_probe_fails_fast(self, model, intensities, xi):
         # exp(-mean) is subnormal or 0: the count masses can no longer reach
         # the tail-mass target, and the sum must say so at once
         probe = ProbeConfig.from_intensities(*intensities)
         det = DetectorModel(eta=0.602, nu=1.13e-4, xi=xi)
         start = time.perf_counter()
         with pytest.raises(FiConvergenceError, match="tail mass"):
-            fi_numeric(Scheme.DISPLACED_COUNTING, math.pi, probe, det,
-                       FiOptions(derivative=rule), model)
+            fi_numeric(Scheme.DISPLACED_COUNTING, math.pi, probe, det, model=model)
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
@@ -148,9 +145,8 @@ class TestNumericFi:
             fi_analytic(scheme, phi, probe)
         assert time.perf_counter() - start < 0.01
 
-    @pytest.mark.parametrize("rule", list(DerivativeRule))
     @pytest.mark.parametrize("kind", list(DetectorKind))
-    def test_overflowing_intensities_fail_fast(self, kind, rule, monkeypatch):
+    def test_overflowing_intensities_fail_fast(self, kind, monkeypatch):
         # ProbeConfig rejects intensities that overflow, so a count model
         # with a NaN mean is built by hand: a NaN mass never underflows, and
         # the count sum must stop at once, not run on or return a number
@@ -160,7 +156,7 @@ class TestNumericFi:
         start = time.perf_counter()
         with pytest.raises(FiConvergenceError, match="NaN"):
             fi_numeric(Scheme.DISPLACED_COUNTING, 1.0, ProbeConfig.from_intensities(0.1),
-                       DetectorModel(kind=kind), FiOptions(derivative=rule))
+                       DetectorModel(kind=kind))
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -213,17 +209,13 @@ class TestNumericFi:
         det = DetectorModel(kind=kind, **det_kwargs)
         analytic = fi_numeric(Scheme.DISPLACED_COUNTING, 0.7, ideal_probe, det,
                               model=model).value
-        central = fi_numeric(
-            Scheme.DISPLACED_COUNTING, 0.7, ideal_probe, det,
-            opts=FiOptions(derivative=DerivativeRule.CENTRAL_DIFFERENCE),
-            model=model).value
+        central = central_fi(Scheme.DISPLACED_COUNTING, 0.7, ideal_probe, det, model=model)
         assert central == pytest.approx(analytic, rel=1e-6)
 
     @pytest.mark.parametrize("scheme", [Scheme.HOMODYNE, Scheme.HETERODYNE])
     def test_central_difference_continuous(self, scheme, ideal_probe):
-        opts = FiOptions(derivative=DerivativeRule.CENTRAL_DIFFERENCE)
-        assert fi_numeric(scheme, 1.0, ideal_probe, opts=opts).value == pytest.approx(
-            fi_analytic(scheme, 1.0, ideal_probe), rel=1e-6)
+        assert central_fi(scheme, 1.0, ideal_probe) == pytest.approx(
+            fi_numeric(scheme, 1.0, ideal_probe).value, rel=1e-6)
 
     def test_hermite_rule_is_shared_and_read_only(self):
         nodes, weights = fisher._hermgauss_normalized(128)
@@ -234,14 +226,3 @@ class TestNumericFi:
         assert fisher._hermgauss_product_weight(128) is weight
         assert not weight.flags.writeable
         assert np.array_equal(weight, np.outer(weights, weights))
-
-
-class TestFiOptionsValidation:
-    @pytest.mark.parametrize("field", ["step", "count_tail_mass"])
-    def test_fixed_constants_are_not_fields(self, field):
-        with pytest.raises(TypeError, match=field):
-            FiOptions(**{field: 1e-5})
-
-    def test_surrogate_positive(self):
-        with pytest.raises(ValueError, match="phi_zero_surrogate"):
-            FiOptions(phi_zero_surrogate=0.0)

@@ -1,4 +1,4 @@
-"""Detector POVM, count/click likelihoods, quadrature densities, Fock oracle."""
+"""Detector POVM, count/click likelihoods, Fock oracle."""
 
 import math
 import re
@@ -16,8 +16,6 @@ from phasecount import (
     ProbeConfig,
     born_probability_oracle,
     coherent_number_amplitudes,
-    heterodyne_density,
-    homodyne_density,
     onoff_likelihood,
     pnrd_likelihood,
     povm_element,
@@ -206,32 +204,6 @@ class TestOnOffLikelihood:
         grid = np.linspace(0.0, math.pi, 200)
         clicks = [onoff_likelihood(True, phi, ideal_probe, ideal_detector) for phi in grid]
         assert all(b >= a for a, b in zip(clicks, clicks[1:]))
-
-
-class TestQuadratureDensities:
-    def test_homodyne_peak_at_zero_phase(self, ideal_probe):
-        assert homodyne_density(0.0, 0.0, ideal_probe) == pytest.approx(
-            1.0 / math.sqrt(math.pi), abs=1e-15)
-
-    @pytest.mark.parametrize("phi", [0.0, 0.9, 2.5])
-    def test_homodyne_normalization(self, ideal_probe, phi):
-        x = np.linspace(-9.0, 9.0, 4001)
-        dens = [homodyne_density(v, phi, ideal_probe) for v in x]
-        assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-8)
-
-    def test_heterodyne_peak_value(self, ideal_probe):
-        phi = 0.8
-        mx = ideal_probe.alpha * math.cos(phi)
-        my = ideal_probe.alpha * math.sin(phi)
-        assert heterodyne_density(mx, my, phi, ideal_probe) == pytest.approx(
-            1.0 / math.pi, abs=1e-15)
-
-    def test_heterodyne_normalization(self, ideal_probe):
-        grid = np.linspace(-7.0, 7.0, 501)
-        re, im = np.meshgrid(grid, grid)
-        dens = np.exp(-((re - ideal_probe.alpha) ** 2) - im**2) / math.pi
-        total = np.trapezoid(np.trapezoid(dens, grid, axis=1), grid)
-        assert total == pytest.approx(1.0, abs=1e-8)
 
 
 class TestBornOracle:

@@ -4,17 +4,18 @@ information and of the count and click likelihoods, for both count models.
 The hex strings were produced by the per-model implementation that
 preceded :class:`phasecount.photonics.CountModel`; the comparison is
 ``==`` on every bit.  phi = 0 exercises the zero-phase surrogate.  The
+``"analytic"`` keys pin :func:`phasecount.fi_numeric`, the ``"central"``
+keys the central-difference oracle :func:`fi_oracle.central_fi`.  The
 quadrature pins were produced by the Gauss-Hermite evaluation that built its
 128 x 128 score and weight grids afresh on every call.
 """
 
 import pytest
 
+from fi_oracle import central_fi
 from phasecount import (
-    DerivativeRule,
     DetectorKind,
     DetectorModel,
-    FiOptions,
     LikelihoodModel,
     ProbeConfig,
     Scheme,
@@ -141,13 +142,19 @@ LIKELIHOOD_PINS = {
 }
 
 
+def _fi(rule, scheme, phi, probe, det=None, model=LikelihoodModel.POISSON_FRINGE) -> float:
+    """fi_numeric's value under the analytic rule, the oracle's under the central one."""
+    if rule == "central":
+        return central_fi(scheme, phi, probe, det, model=model)
+    return fi_numeric(scheme, phi, probe, det, model=model).value
+
+
 @pytest.mark.parametrize("key", sorted(FI_PINS))
 def test_fi_numeric_counting_is_pinned(key):
     name, kind, rule, phi = key
     model, probe, params = PARAMETER_SETS[name]
     det = DetectorModel(kind=DetectorKind(kind), **params)
-    opts = FiOptions(derivative=DerivativeRule(rule))
-    value = fi_numeric(Scheme.DISPLACED_COUNTING, phi, probe, det, opts, model).value
+    value = _fi(rule, Scheme.DISPLACED_COUNTING, phi, probe, det, model)
     assert value.hex() == FI_PINS[key]
 
 
@@ -155,17 +162,15 @@ def test_fi_numeric_counting_is_pinned(key):
 def test_fi_numeric_bright_mixture_is_pinned(key):
     intensity, kind, rule, phi = key
     det = DetectorModel(kind=DetectorKind(kind), **BRIGHT_MIXTURE_DETECTOR)
-    opts = FiOptions(derivative=DerivativeRule(rule))
-    value = fi_numeric(Scheme.DISPLACED_COUNTING, phi, ProbeConfig.from_intensities(intensity),
-                       det, opts, LikelihoodModel.VISIBILITY_MIXTURE).value
+    value = _fi(rule, Scheme.DISPLACED_COUNTING, phi, ProbeConfig.from_intensities(intensity),
+                det, LikelihoodModel.VISIBILITY_MIXTURE)
     assert value.hex() == BRIGHT_MIXTURE_FI_PINS[key]
 
 
 @pytest.mark.parametrize("key", sorted(QUADRATURE_FI_PINS))
 def test_fi_numeric_quadrature_is_pinned(key):
     name, scheme, rule, phi = key
-    opts = FiOptions(derivative=DerivativeRule(rule))
-    value = fi_numeric(Scheme(scheme), phi, QUADRATURE_PROBES[name], opts=opts).value
+    value = _fi(rule, Scheme(scheme), phi, QUADRATURE_PROBES[name])
     assert value.hex() == QUADRATURE_FI_PINS[key]
 
 

@@ -1,5 +1,6 @@
 """CLI surface: config validation, CSV/metadata contracts, exit codes."""
 
+import math
 import re
 import textwrap
 import time
@@ -352,6 +353,7 @@ def _run_config(command, bright, **values):
 @pytest.mark.parametrize("command,key,value,message", [
     ("simulate", "phi_true", 3.3, "must lie in [0, pi], got 3.3"),
     ("simulate", "phi_true", -0.1, "must lie in [0, pi], got -0.1"),
+    ("simulate", "phi_true", ".nan", "must lie in [0, pi], got nan"),
     ("simulate", "grid_size", 64, "must be >= 65, got 64"),
     ("saturate", "grid_size", 64, "must be >= 65, got 64"),
     ("saturate", "grid_size", 10, "must be >= 65, got 10"),
@@ -372,6 +374,14 @@ def test_smallest_grid_size_runs(tmp_path, command):
     cfg = _write(tmp_path, "run.yaml", _run_config(command, False, grid_size=65))
     out = tmp_path / "run.csv"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("phi_true", [0.0, math.pi], ids=["zero", "pi"])
+def test_phi_true_range_is_closed(tmp_path, phi_true):
+    cfg = _write(tmp_path, "run.yaml", _run_config("simulate", False, phi_true=repr(phi_true)))
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert out.exists()
 
 

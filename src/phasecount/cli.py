@@ -6,6 +6,9 @@ Subcommands
     saturate    mean 1/(m*Var) against the FI per (phi, m) cell (CSV)
     povm-check  cross-validation of the count likelihood vs the Fock oracle
 
+simulate and saturate take --seed and --trials, which set the config's seed
+and trials keys before the config is parsed.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical-check failure.
 """
 
@@ -47,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=needs_out,
                          help="output CSV path" if needs_out else "optional report path")
         if name in _SEEDED:
-            cmd.add_argument("--seed", type=int, help="override the configured master seed")
-            cmd.add_argument("--trials", type=int, help="override the configured trial count")
+            cmd.add_argument("--seed", type=int, help="set the config's seed key")
+            cmd.add_argument("--trials", type=int, help="set the config's trials key")
     return parser
 
 
@@ -68,9 +71,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = runconfig.load_config(args.config)
-        run = _PARSERS[args.command](cfg)
         if args.command in _SEEDED:
-            run = runconfig.apply_overrides(run, seed=args.seed, trials=args.trials)
+            # a flag is its key: the same check, message and sidecar entry
+            for key in ("seed", "trials"):
+                if getattr(args, key) is not None:
+                    cfg[key] = getattr(args, key)
+        run = _PARSERS[args.command](cfg)
 
         if args.command == "fi-curve":
             result = bench.run_fi_curve(run)

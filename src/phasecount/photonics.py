@@ -32,7 +32,7 @@ class ModelMismatchError(ValueError):
 
 
 class FockTruncationError(RuntimeError):
-    """The configured Fock cutoff leaves too much probability mass uncaptured."""
+    """The Fock cutoff leaves too much probability mass uncaptured."""
 
 
 class DetectorKind(Enum):
@@ -117,7 +117,9 @@ class DetectorModel:
 
 
 def _cutoff_for(mean_photons: float) -> int:
-    return max(30, math.ceil(mean_photons + 10.0 * math.sqrt(mean_photons)))
+    # max(30, ceil(mu + 10 sqrt(mu))); a NaN mean (a NaN phase) gets 30, so
+    # that the oracle returns NaN for it rather than raising
+    return math.ceil(max(30.0, mean_photons + 10.0 * math.sqrt(mean_photons)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +364,16 @@ def born_probability_oracle(n: int, phi: float, probe: ProbeConfig, det: Detecto
         raise ValueError("the Fock-space oracle models no mode mismatch; set xi = 1")
 
     gamma = probe.alpha * cmath.exp(1j * phi) - probe.beta
+    mean_photons = abs(gamma) ** 2
     if cutoff is None:
-        cutoff = _cutoff_for(abs(gamma) ** 2)
+        cutoff = _cutoff_for(mean_photons)
     number_pmf = np.abs(coherent_number_amplitudes(gamma, cutoff)) ** 2
     tail = 1.0 - float(number_pmf.sum())
     if tail > STATE_TAIL_GUARD:
+        # above a mean photon number of about 1,400, e^{-mu/2} is subnormal
+        # or zero and no cutoff helps
         raise FockTruncationError(
-            f"state tail mass {tail:.3e} beyond cutoff {cutoff} exceeds "
-            f"{STATE_TAIL_GUARD:g}; raise fock_cutoff"
+            f"state tail mass {tail:.3e} beyond Fock cutoff {cutoff} exceeds "
+            f"{STATE_TAIL_GUARD:g} at mean photon number {mean_photons:.6g}"
         )
     return float(np.dot(povm_element(n, det, cutoff=cutoff), number_pmf))

@@ -2,14 +2,17 @@
 
 Configs are flat key-value documents with limited nesting (phase grids and
 parameter-set lists).  Unknown keys are rejected with the offending key
-named, so typos fail loudly instead of silently running defaults.
+named, so typos fail loudly instead of silently running defaults, and so
+are NaN and infinite numbers.  The ``parse_*`` functions are the only
+checks a setting passes: the CLI writes its ``--seed`` and ``--trials``
+flags into the mapping as the ``seed`` and ``trials`` keys before parsing.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import yaml
 
@@ -73,7 +76,6 @@ class SimulateRun:
     checkpoints: tuple
     grid_size: int
     seed: int
-    reference_trial: int
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ class PovmCheckRun:
     nu_values: tuple
     phi_values: tuple
     max_n: int
-    fock_cutoff: int
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +134,10 @@ def _get(mapping: dict, key: str, kinds, where: str, default=_REQUIRED):
 
 
 def _number(mapping, key, where, default=_REQUIRED) -> float:
-    value = _get(mapping, key, (int, float), where, default)
-    return float(value)
+    value = float(_get(mapping, key, (int, float), where, default))
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' in {where} must be a finite number, got {value!r}")
+    return value
 
 
 def _positive_int(mapping, key, where, default=_REQUIRED, least: int = 1) -> int:
@@ -162,8 +165,9 @@ def _number_list(mapping, key, where, default=_REQUIRED) -> tuple:
         raise ConfigError(f"key '{key}' in {where} must be a nonempty list")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"entry {i} of '{key}' in {where} must be a number, got {v!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError(
+                f"entry {i} of '{key}' in {where} must be a finite number, got {v!r}")
         out.append(float(v))
     return tuple(out)
 
@@ -273,7 +277,7 @@ def parse_fi_curve(cfg: dict) -> FiCurveRun:
 
 
 _SIM_KEYS = {"scheme", "phi_true", "pulses", "trials", "checkpoints",
-             "grid_size", "seed", "reference_trial"} | (_PARAM_KEYS - {"label"})
+             "grid_size", "seed"} | (_PARAM_KEYS - {"label"})
 
 
 def parse_simulate(cfg: dict) -> SimulateRun:
@@ -282,7 +286,8 @@ def parse_simulate(cfg: dict) -> SimulateRun:
     params = parse_parameter_set(
         {k: v for k, v in cfg.items() if k in _PARAM_KEYS}, where, "experiment")
     scheme = _choice(cfg, "scheme", _SCHEMES, where, default=Scheme.DISPLACED_COUNTING)
-    phi_true = _number(cfg, "phi_true", where)
+    # not _number: the range check names the range for NaN and inf too
+    phi_true = float(_get(cfg, "phi_true", (int, float), where))
     if not 0.0 <= phi_true <= math.pi:
         raise ConfigError(f"key 'phi_true' in {where} must lie in [0, pi], got {phi_true!r}")
     pulses = _positive_int(cfg, "pulses", where)
@@ -297,13 +302,9 @@ def parse_simulate(cfg: dict) -> SimulateRun:
             raise ConfigError("'checkpoints' must lie within [1, pulses]")
     grid_size = _positive_int(cfg, "grid_size", where, DEFAULT_GRID_SIZE, MIN_GRID_SIZE)
     seed = _seed(_get(cfg, "seed", int, where, default=0))
-    reference_trial = _get(cfg, "reference_trial", int, where, default=0)
-    if not 0 <= reference_trial < trials:
-        raise ConfigError("'reference_trial' must lie within [0, trials)")
     return SimulateRun(scheme=scheme, phi_true=phi_true, params=params,
                        pulses=pulses, trials=trials, checkpoints=checkpoints,
-                       grid_size=grid_size, seed=seed,
-                       reference_trial=reference_trial)
+                       grid_size=grid_size, seed=seed)
 
 
 def _default_checkpoints(pulses: int) -> tuple:
@@ -338,7 +339,7 @@ def parse_saturate(cfg: dict) -> SaturateRun:
 
 
 _POVM_KEYS = {"signal_intensity", "displacement_intensity", "model",
-              "eta_values", "nu_values", "phi_values", "max_n", "fock_cutoff"}
+              "eta_values", "nu_values", "phi_values", "max_n"}
 
 
 def parse_povm_check(cfg: dict) -> PovmCheckRun:
@@ -356,21 +357,5 @@ def parse_povm_check(cfg: dict) -> PovmCheckRun:
     phi_values = _number_list(cfg, "phi_values", where,
                               default=(0.0, 0.5, 1.0, 2.0, math.pi))
     max_n = _positive_int(cfg, "max_n", where, default=10)
-    cutoff = _positive_int(cfg, "fock_cutoff", where, default=30)
     return PovmCheckRun(probe=probe, model=model, eta_values=eta_values,
-                        nu_values=nu_values, phi_values=phi_values,
-                        max_n=max_n, fock_cutoff=cutoff)
-
-
-def apply_overrides(run, seed: int | None = None, trials: int | None = None):
-    """Apply the --seed/--trials flags of the seeded commands (simulate, saturate)."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = _seed(seed)
-    if trials is not None:
-        if trials < 1:
-            raise ConfigError("--trials must be >= 1")
-        updates["trials"] = trials
-        if isinstance(run, SimulateRun) and run.reference_trial >= trials:
-            updates["reference_trial"] = 0
-    return replace(run, **updates)
+                        nu_values=nu_values, phi_values=phi_values, max_n=max_n)

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from phasecount import bench, cli, runconfig, sampling
+from phasecount.photonics import LikelihoodModel, ProbeConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -386,15 +387,45 @@ def test_phi_true_range_is_closed(tmp_path, phi_true):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_out_of_range_seed_flag_is_a_config_error(seed):
-    run = runconfig.parse_saturate(yaml.safe_load(textwrap.dedent("""\
+def test_out_of_range_seed_flag_is_a_config_error(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "sat.yaml", textwrap.dedent("""\
         phi_grid: {values: [1.0]}
         pulses: [100]
         signal_intensity: 0.1
-    """)))
-    with pytest.raises(runconfig.ConfigError,
-                       match=f"seed must be a 64-bit unsigned integer, got {seed}"):
-        runconfig.apply_overrides(run, seed=seed)
+    """))
+    out = tmp_path / "sat.csv"
+    assert cli.main(["saturate", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 1
+    assert f"seed must be a 64-bit unsigned integer, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("simulate", _run_config("simulate", False, xi=".nan"),
+     "key 'xi' in simulate config must be a finite number, got nan"),
+    ("saturate", _run_config("saturate", False, signal_intensity=".inf"),
+     "key 'signal_intensity' in saturate config must be a finite number, got inf"),
+    ("fi-curve", IDEAL_FI_CONFIG.replace("values: [0.0, 0.5, 1.5707963267948966]",
+                                         "{start: 0.0, stop: .inf, count: 3}"),
+     "key 'stop' in phi_grid must be a finite number, got inf"),
+    ("fi-curve", IDEAL_FI_CONFIG.replace("[0.0, 0.5,", "[0.0, .nan,"),
+     "entry 1 of 'values' in phi_grid must be a finite number, got nan"),
+], ids=["simulate-xi", "saturate-signal", "fi-curve-stop", "fi-curve-values"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, text, message):
+    cfg = _write(tmp_path, "run.yaml", text)
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "saturate"])
+def test_trials_flag_gets_the_key_check(tmp_path, capsys, command):
+    # a flag sets its key, so it fails with the key's own message
+    cfg = _write(tmp_path, "run.yaml", _run_config(command, False))
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out), "--trials", "0"]) == 1
+    assert f"key 'trials' in {command} config must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSaturate:
@@ -541,13 +572,43 @@ class TestPovmCheck:
         assert "matched amplitudes" in capsys.readouterr().err
 
     def test_insufficient_cutoff_reports_numeric_failure(self, tmp_path, capsys):
+        # mean photon number 1,600 at phi = pi: e^{-mu/2} underflows, so the
+        # derived cutoff of 2,000 captures no mass
         cfg = _write(tmp_path, "povm.yaml", textwrap.dedent("""\
-            signal_intensity: 10.0
-            fock_cutoff: 3
+            signal_intensity: 400.0
             phi_values: [3.141592653589793]
         """))
         assert cli.main(["povm-check", "--config", cfg]) == 2
-        assert "tail mass" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "tail mass 1.000e+00 beyond Fock cutoff 2000" in err
+        assert "at mean photon number 1600" in err
+        assert "fock_cutoff" not in err
+
+    def test_bright_state_gets_a_derived_cutoff(self, tmp_path, capsys):
+        # mean photon number 40 at phi = pi, beyond a fixed cutoff of 30
+        cfg = _write(tmp_path, "povm.yaml", textwrap.dedent("""\
+            signal_intensity: 10.0
+            phi_values: [3.141592653589793]
+        """))
+        assert cli.main(["povm-check", "--config", cfg]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_non_finite_phase_is_a_config_error(self, tmp_path, capsys, value):
+        cfg = _write(tmp_path, "povm.yaml", f"signal_intensity: 0.1\nphi_values: [{value}]\n")
+        assert cli.main(["povm-check", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "entry 0 of 'phi_values' in povm-check config must be a finite number" \
+            in captured.err
+        assert "PASS" not in captured.out
+
+    def test_nan_deviation_fails(self):
+        run = runconfig.PovmCheckRun(
+            probe=ProbeConfig.from_intensities(0.1, 0.1), model=LikelihoodModel.POISSON_FRINGE,
+            eta_values=(1.0,), nu_values=(0.0,), phi_values=(0.5, math.nan), max_n=2)
+        lines, worst, passed = bench.run_povm_check(run)
+        assert math.isnan(worst) and not passed
+        assert lines[-1] == "overall max deviation = nan (FAIL, tolerance 1e-08)"
 
 
 class TestCommonFlags:
@@ -584,15 +645,20 @@ class TestCommonFlags:
         assert cli.main(argv) == 0
         assert "usage:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command,text,where", [
-        ("simulate", SIMULATE_CONFIG + "fock_cutoff: 30\n", "simulate config"),
-        ("fi-curve", IDEAL_FI_CONFIG + "    fock_cutoff: 30\n", "parameter_sets[0]"),
-    ], ids=["simulate", "fi-curve"])
-    def test_fock_cutoff_is_a_povm_check_key_only(self, tmp_path, capsys,
-                                                  command, text, where):
+    @pytest.mark.parametrize("command,text,key,where", [
+        ("simulate", SIMULATE_CONFIG + "fock_cutoff: 30\n", "fock_cutoff", "simulate config"),
+        ("fi-curve", IDEAL_FI_CONFIG + "    fock_cutoff: 30\n", "fock_cutoff",
+         "parameter_sets[0]"),
+        ("povm-check", "signal_intensity: 0.1\nfock_cutoff: 30\n", "fock_cutoff",
+         "povm-check config"),
+        ("simulate", SIMULATE_CONFIG + "reference_trial: 0\n", "reference_trial",
+         "simulate config"),
+    ], ids=["simulate-fock_cutoff", "fi-curve-fock_cutoff", "povm-check-fock_cutoff",
+            "simulate-reference_trial"])
+    def test_deleted_keys_are_unknown(self, tmp_path, capsys, command, text, key, where):
         cfg = _write(tmp_path, "cfg.yaml", text)
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
-        assert f"unknown key 'fock_cutoff' in {where}" in capsys.readouterr().err
+        assert f"unknown key '{key}' in {where}" in capsys.readouterr().err
 
     def test_trials_override(self, tmp_path):
         cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG)
@@ -646,6 +712,39 @@ class TestYamlBindings:
         cfg = _write(tmp_path, "bad.yaml", text)
         assert cli.main(["fi-curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "error reading configuration" in capsys.readouterr().err
+
+
+class TestRegeneration:
+    """A sidecar's ``config`` block, written back as a config file and run
+    with no flags, gives the same CSV bytes."""
+
+    @staticmethod
+    def _shipped(stem, **keys):
+        text = (CONFIGS / f"{stem}.yaml").read_text()
+        for key, value in keys.items():
+            text = re.sub(rf"(?m)^{key}: .*$", f"{key}: {value}", text)
+        return text
+
+    @pytest.mark.parametrize("command,stem,keys,flags", [
+        ("fi-curve", "fi_curves_ideal", {}, []),
+        ("fi-curve", "fi_curves_imperfect_weak", {}, []),
+        ("fi-curve", "fi_curves_imperfect_bright", {}, []),
+        ("saturate", "experiment_saturate", {}, []),
+        ("simulate", "experiment_simulate", {}, []),
+        ("simulate", "experiment_simulate", {"detector": "pnrd"}, []),
+        ("simulate", "experiment_simulate", {}, ["--seed", "7", "--trials", "3"]),
+    ], ids=["fi_curves_ideal", "fi_curves_imperfect_weak", "fi_curves_imperfect_bright",
+            "experiment_saturate", "experiment_simulate", "simulate-pnrd", "simulate-flags"])
+    def test_sidecar_config_regenerates_the_csv(self, tmp_path, command, stem, keys, flags):
+        cfg = _write(tmp_path, "run.yaml", self._shipped(stem, **keys))
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(first), *flags]) == 0
+        config = yaml.safe_load(first.with_suffix(".meta.yaml").read_text())["config"]
+        if flags:
+            assert (config["seed"], config["trials"]) == (7, 3)
+        again = _write(tmp_path, "again.yaml", yaml.safe_dump(config, sort_keys=False))
+        assert cli.main([command, "--config", again, "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestCsvCells:

@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .bayes import (
     DEFAULT_GRID_SIZE,
+    GridResolutionError,
     PosteriorGrid,
     PosteriorUnderflowError,
     estimate,
@@ -56,6 +57,7 @@ __all__ = [
     "FiConvergenceError",
     "FiResult",
     "FockTruncationError",
+    "GridResolutionError",
     "LikelihoodModel",
     "ModelMismatchError",
     "OutcomeRecord",

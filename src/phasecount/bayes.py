@@ -4,11 +4,13 @@ The posterior over phi lives on a uniform grid spanning [0, pi] (the
 identifiable half-interval: every likelihood here depends on phi only
 through cos(phi)) with a flat prior and trapezoid integration.  Likelihoods
 are accumulated in the log domain with max-subtraction, since products over
-~1e6 pulses underflow any direct evaluation.  Additive constants in the
-log-likelihood are dropped; they cancel in the normalization.  A
-single-Poisson (poisson-fringe) count record enters only through (k, S),
-its pulses and total count: S log(lam) - k lam, taken relative to its value
-at lam = S/k so that the large constant never reaches the subtraction.
+~1e6 pulses underflow any direct evaluation; additive constants cancel in
+the normalization and are dropped.  Each posterior is exactly 0 outside its
+live window, from the first to the last node within e^-80 of its peak
+(about 12.6 sd each side of a Gaussian peak).  A single-Poisson
+(poisson-fringe) count record enters only through (k, S), its pulses and
+total count: S log(lam) - k lam, taken relative to its value at lam = S/k
+so that the large constant never reaches the subtraction.
 """
 
 from __future__ import annotations
@@ -28,16 +30,32 @@ from .sampling import ExperimentConfig, OutcomeRecord, record_statistics
 DEFAULT_GRID_SIZE = 4097
 MIN_GRID_SIZE = 65
 
-# exp(x) underflows to exactly 0 below x = -745.13..., and numpy takes over
-# ten times longer to say so than to evaluate a normal value: a posterior
-# sets the nodes before its first and after its last log-density at or
-# above this floor to 0 and evaluates exp only between them
-_EXP_FLOOR = -746.0
+# a posterior is 0 before its first and after its last log-density at or
+# above this floor and takes exp only between them.  Against the exp of every
+# node, some 30,000 statistics over every scheme and model keep their moments'
+# bits at floors -60, -80, -100 and -708, and some move at -45 (by a few parts
+# in 1e15): nodes below e^-80 ~ 1.8e-35 of the peak go with a margin of e^35
+_EXP_FLOOR = -80.0
 
 
 class PosteriorUnderflowError(RuntimeError):
     """Every grid node has zero posterior mass: the record is impossible
     under the configured likelihood model."""
+
+
+class GridResolutionError(RuntimeError):
+    """The Cramer-Rao sd is below one grid spacing: the moments are wrong."""
+
+
+def require_resolved(fisher_information: float, pulses: int, grid_size: int) -> None:
+    """Raise GridResolutionError when the Cramer-Rao sd after ``pulses``
+    pulses, 1/sqrt(pulses * F), is below one spacing pi/(grid_size - 1)."""
+    spacing = math.pi / (grid_size - 1)
+    if pulses * fisher_information * spacing * spacing > 1.0:
+        raise GridResolutionError(
+            f"grid_size {grid_size} cannot resolve the posterior after {pulses} pulses: its "
+            f"Cramer-Rao sd is {(pulses * fisher_information) ** -0.5 / spacing:.3g} of a "
+            "grid spacing; raise grid_size")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +161,12 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
 
     if config.model is LikelihoodModel.POISSON_FRINGE:
         (lam,) = model.means(grid)
+        if lam.all():
+            log1p = np.log1p
+        else:  # lam = 0, an ideal detector's null: log1p(-1) = -inf
+            def log1p(x):  # np.errstate costs about a grid pass: only here
+                with np.errstate(divide="ignore"):
+                    return np.log1p(x)
 
         def centred(k, s):
             # S log(lam) - k lam less its value at the peak lam = S/k, so that
@@ -151,8 +175,7 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
                 return lam * -k
             x = lam * (k / s)
             x -= 1.0
-            with np.errstate(divide="ignore"):  # lam = 0 nodes: log1p(-1) = -inf
-                row = np.log1p(x)
+            row = log1p(x)
             row -= x
             row *= s
             return row
@@ -204,12 +227,12 @@ class LikelihoodTable:
     once.
 
     Each statistic's log-likelihood comes in a fresh row, which its
-    posterior then overwrites in place with the density.  The row's peak
-    and the nodes within ``_EXP_FLOOR`` of it take full-grid passes; every
-    other step runs on the live window from the first to the last such
-    node, the density being exactly 0 outside it.  Each trapezoid sum goes
-    through a fresh zero row of all the grid's terms, so every moment keeps
-    the bits of the full-grid evaluation.
+    posterior overwrites in place with the density.  Only the peak and the
+    live test take full-grid passes; every other step runs on the live
+    window from the first to the last node within ``_EXP_FLOOR`` of the peak
+    (about 12.6 sd each side of a Gaussian one), the density being exactly 0
+    outside it.  Each trapezoid sum runs over a fresh zero row of all the
+    grid's terms, so every moment keeps the bits of the full-grid evaluation.
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bayes import LikelihoodTable
+from .bayes import LikelihoodTable, require_resolved
 from .fisher import Scheme, fi_analytic, fi_numeric, qfi_coherent
 from .photonics import (
     DetectorKind,
@@ -130,10 +130,11 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     streams seeded in array passes, and one likelihood table serves the run.
     """
     pset = run.params
-    # first, so that a probe the count sums cannot handle (FiConvergenceError)
-    # fails before any trial is drawn
+    # before any draw: FiConvergenceError for a probe the count sums cannot
+    # handle, GridResolutionError for a posterior the grid cannot resolve
     f_exp = fi_numeric(run.scheme, run.phi_true, pset.probe, pset.det,
                        model=pset.model).value
+    require_resolved(f_exp, run.checkpoints[-1], run.grid_size)
     config = ExperimentConfig(
         scheme=run.scheme, phi_true=run.phi_true, probe=pset.probe,
         det=pset.det, pulses=run.pulses, model=pset.model,
@@ -204,18 +205,20 @@ def run_saturate(run: SaturateRun) -> CommandResult:
     drawn clicks; pulses and total count, or count histogram, from their
     exact law, see ``statistic_sampler``); nothing else is done per trial.
     The FI references of every phase come first, the numeric one in one
-    array call, so that a phase whose count sum fails (FiConvergenceError)
-    stops the run before any trial is drawn.  The trial streams of the
-    whole run are seeded in array passes, cell after cell.  One likelihood
-    table serves the run; each cell draws its trials and then looks their
-    statistics up in one call, which evaluates the posterior once per
-    distinct statistic.
+    array call, so that a phase whose count sum fails (FiConvergenceError),
+    or whose posterior at the largest pulse count the grid cannot resolve
+    (GridResolutionError), stops the run before any trial is drawn.  The
+    trial streams of the whole run are seeded in array passes, cell after
+    cell.  One likelihood table serves the run; each cell draws its trials
+    and then looks their statistics up in one call, which evaluates the
+    posterior once per distinct statistic.
     """
     pset = run.params
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",
               "fi_displaced_exp", "fi_displaced_ideal", "fi_homodyne_ideal")
     f_exp = fi_numeric(Scheme.DISPLACED_COUNTING, np.array(run.phi_values), pset.probe,
                        pset.det, model=pset.model).value.tolist()
+    require_resolved(max(f_exp), max(run.pulses_list), run.grid_size)
     rows = []
     table = None
     cells = len(run.phi_values) * len(run.pulses_list)

@@ -20,7 +20,7 @@ import sys
 import yaml
 
 from . import bench, runconfig
-from .bayes import PosteriorUnderflowError
+from .bayes import GridResolutionError, PosteriorUnderflowError
 from .fisher import FiConvergenceError
 from .photonics import FockTruncationError, ModelMismatchError
 from .runconfig import ConfigError
@@ -98,7 +98,8 @@ def main(argv=None) -> int:
     except (OSError, yaml.YAMLError) as exc:
         print(f"error reading configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FockTruncationError, FiConvergenceError, PosteriorUnderflowError) as exc:
+    except (FockTruncationError, FiConvergenceError, GridResolutionError,
+            PosteriorUnderflowError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -133,8 +133,16 @@ def _get(mapping: dict, key: str, kinds, where: str, default=_REQUIRED):
     return value
 
 
+def _float(value: int | float) -> float:
+    """float(value), with an int beyond the float range as an infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _number(mapping, key, where, default=_REQUIRED) -> float:
-    value = float(_get(mapping, key, (int, float), where, default))
+    value = _float(_get(mapping, key, (int, float), where, default))
     if not math.isfinite(value):
         raise ConfigError(f"key '{key}' in {where} must be a finite number, got {value!r}")
     return value
@@ -165,10 +173,11 @@ def _number_list(mapping, key, where, default=_REQUIRED) -> tuple:
         raise ConfigError(f"key '{key}' in {where} must be a nonempty list")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        number = v if isinstance(v, bool) or not isinstance(v, (int, float)) else _float(v)
+        if not isinstance(number, float) or not math.isfinite(number):
             raise ConfigError(
-                f"entry {i} of '{key}' in {where} must be a finite number, got {v!r}")
-        out.append(float(v))
+                f"entry {i} of '{key}' in {where} must be a finite number, got {number!r}")
+        out.append(number)
     return tuple(out)
 
 
@@ -287,7 +296,7 @@ def parse_simulate(cfg: dict) -> SimulateRun:
         {k: v for k, v in cfg.items() if k in _PARAM_KEYS}, where, "experiment")
     scheme = _choice(cfg, "scheme", _SCHEMES, where, default=Scheme.DISPLACED_COUNTING)
     # not _number: the range check names the range for NaN and inf too
-    phi_true = float(_get(cfg, "phi_true", (int, float), where))
+    phi_true = _float(_get(cfg, "phi_true", (int, float), where))
     if not 0.0 <= phi_true <= math.pi:
         raise ConfigError(f"key 'phi_true' in {where} must lie in [0, pi], got {phi_true!r}")
     pulses = _positive_int(cfg, "pulses", where)

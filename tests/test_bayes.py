@@ -11,6 +11,7 @@ from phasecount import (
     DetectorKind,
     DetectorModel,
     ExperimentConfig,
+    LikelihoodModel,
     OutcomeRecord,
     PosteriorUnderflowError,
     ProbeConfig,
@@ -21,7 +22,7 @@ from phasecount import (
     sequential_estimates,
     split_seed,
 )
-from phasecount.bayes import _EXP_FLOOR, LikelihoodTable
+from phasecount.bayes import _EXP_FLOOR, GridResolutionError, LikelihoodTable, require_resolved
 from phasecount.photonics import count_model, fringe_mean
 from phasecount.sampling import record_statistics, statistic_sampler, trial_streams
 
@@ -196,6 +197,22 @@ class TestOneComponentCounts:
         assert all(len(key) == 2 and all(type(v) is int for v in key) for key in table._moments)
 
 
+class TestRequireResolved:
+    """The Cramer-Rao sd after the pulses must span one grid spacing."""
+
+    @pytest.mark.parametrize("pulses", [1, 10**6])
+    def test_threshold_is_one_spacing(self, pulses):
+        spacing = math.pi / 4096
+        require_resolved(1.0 / (pulses * (1.01 * spacing) ** 2), pulses, 4097)
+        with pytest.raises(GridResolutionError, match=(
+                f"grid_size 4097 cannot resolve the posterior after {pulses} pulses: "
+                "its Cramer-Rao sd is 0.99 of a grid spacing")):
+            require_resolved(1.0 / (pulses * (0.99 * spacing) ** 2), pulses, 4097)
+
+    def test_no_information_is_no_failure(self):
+        require_resolved(0.0, 10**9, 65)
+
+
 def _full_grid_trapezoid(y, spacing):
     row = y[1:] + y[:-1]
     row *= spacing
@@ -205,7 +222,7 @@ def _full_grid_trapezoid(y, spacing):
 
 def _full_grid_loglik(table, config, statistic):
     # the on/off row as a zero row plus one multiply-add per nonzero count
-    if config.det.kind is DetectorKind.ON_OFF:
+    if config.scheme is Scheme.DISPLACED_COUNTING and config.det.kind is DetectorKind.ON_OFF:
         row = np.zeros_like(table.grid)
         model = count_model(config.probe, config.det, config.model)
         for n, log_p in zip(statistic, model.log_silent_click(table.grid)):
@@ -216,14 +233,14 @@ def _full_grid_loglik(table, config, statistic):
     return row
 
 
-def _full_grid_posterior(loglik, spacing):
+def _full_grid_posterior(loglik, spacing, floor=_EXP_FLOOR):
     """Every step of the posterior over every node: the composition whose
     bits the live-window kernel keeps."""
     peak = float(loglik.max())
     if not math.isfinite(peak):
         raise PosteriorUnderflowError("posterior vanished at every grid node")
     density = loglik - peak
-    live = density >= _EXP_FLOOR
+    live = density >= floor
     lo, hi = int(live.argmax()), len(live) - int(live[::-1].argmax())
     density[:lo] = 0.0
     density[hi:] = 0.0
@@ -378,3 +395,64 @@ class TestPosteriorKernel:
         (post,) = table.posteriors([good])
         (fresh_post,) = LikelihoodTable(config, 129).posteriors([good])
         assert post.density.tobytes() == fresh_post.density.tobytes()
+
+
+# below exp's underflow edge, -745.13: the full-row composition at this floor
+# takes the exp of every node
+_UNDERFLOW_FLOOR = -746.0
+
+
+def _sweep_configs():
+    """(config, statistics) sets over every scheme and count model."""
+    experiment = _experiment_config(10, 0)
+    ideal_onoff = TestPosteriorKernel._ideal_onoff_config(10)
+    pnrd = replace(experiment, det=replace(experiment.det, kind=DetectorKind.NUMBER_RESOLVING))
+    bright = replace(pnrd, probe=ProbeConfig.from_intensities(200, 202))
+    ideal_pnrd = _ideal_counts_config(10)
+    clicks = [(m - c, c) for m, step in ((10, 1), (1000, 1), (10_000, 7))
+              for c in range(0, m + 1, step)]
+    ideal_clicks = [(m - c, c) for m in (40, 4000) for c in range(0, m + 1, m // 40)]
+
+    def totals(config, count=150):
+        # (k, S) from no counts to past the largest mean count of the grid
+        lam_max = float(count_model(config.probe, config.det, config.model).means(math.pi)[0])
+        return [(k, s) for k in (10, 1000, 100_000)
+                for s in np.unique(np.linspace(0, 1.2 * k * lam_max, count).astype(int)).tolist()]
+
+    def drawn(config, checkpoints, seeds=range(6)):
+        draw = statistic_sampler(replace(config, pulses=checkpoints[-1]), checkpoints)
+        return [s for rng in trial_streams(list(seeds)) for s in draw(rng)]
+
+    checkpoints = (10, 100, 1000, 10_000, 100_000)
+    mixture = replace(pnrd, phi_true=0.7, probe=ProbeConfig.from_intensities(0.5),
+                      det=replace(pnrd.det, xi=0.9), model=LikelihoodModel.VISIBILITY_MIXTURE)
+    homodyne = replace(experiment, scheme=Scheme.HOMODYNE, phi_true=0.8)
+    heterodyne = replace(experiment, scheme=Scheme.HETERODYNE, phi_true=2.2)
+    return {
+        "onoff": (experiment, clicks),
+        "onoff-ideal": (ideal_onoff, ideal_clicks),
+        "pnrd-fringe-weak": (pnrd, totals(pnrd)),
+        "pnrd-fringe-bright": (bright, totals(bright)),
+        "pnrd-fringe-ideal": (ideal_pnrd, totals(ideal_pnrd, 40)),
+        "pnrd-mixture": (mixture, drawn(mixture, checkpoints[:4])),
+        "homodyne": (homodyne, drawn(homodyne, checkpoints)),
+        "heterodyne": (heterodyne, drawn(heterodyne, checkpoints)),
+    }
+
+
+SWEEP = _sweep_configs()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_floor_keeps_the_bits_of_the_whole_row_moments(name):
+    """The moments of the live window cut at ``_EXP_FLOOR`` have the bits of
+    the posterior that takes every node's exp."""
+    config, statistics = SWEEP[name]
+    table = LikelihoodTable(config)
+    spacing = np.diff(table.grid)
+    want = []
+    for statistic in statistics:
+        density = _full_grid_posterior(_full_grid_loglik(table, config, statistic),
+                                       spacing, _UNDERFLOW_FLOOR)
+        want.append(_full_grid_moments(table.grid, density, spacing))
+    assert _bits(table.moments(statistics)) == _bits(want)

@@ -370,6 +370,52 @@ def test_out_of_range_key_stops_at_config_load(tmp_path, capsys, command, key, v
     assert not out.exists()
 
 
+UNRESOLVED_KEYS = textwrap.dedent("""\
+    signal_intensity: 10
+    displacement_intensity: 10.1
+    eta: 0.602
+    nu: 1.13e-4
+    xi: 0.993
+    detector: pnrd
+    model: poisson-fringe
+    trials: 3
+""")
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("simulate", "phi_true: 1.0\npulses: 1000000000\n"),
+    ("saturate", "phi_grid: {values: [1.0, 2.0]}\npulses: [1000000000]\n"),
+], ids=["simulate", "saturate"])
+def test_unresolvable_posterior_fails_before_drawing(tmp_path, capsys, monkeypatch,
+                                                     command, keys):
+    # mean count ~10 over 1e9 pulses: the Cramer-Rao sd is about 1% of a grid
+    # spacing, where the moments are wrong (simulate variances down to 0.0)
+    # or there are none (a 0.0 variance divides 1/(m*Var) by zero)
+    seeded = []
+    monkeypatch.setattr(bench, "trial_streams",
+                        lambda seeds: seeded.append(seeds) or sampling.trial_streams(seeds))
+    cfg = _write(tmp_path, "run.yaml", keys + UNRESOLVED_KEYS)
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("grid_size 4097 cannot resolve the posterior after 1000000000 pulses: "
+            "its Cramer-Rao sd is 0.00966 of a grid spacing") in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.yaml"]
+    assert seeded == []
+
+
+def test_bright_benchmark_simulate_is_resolved(tmp_path):
+    # the 1e5-pulse bright number-resolving run: sd/spacing about 1.44
+    text = (CONFIGS / "experiment_simulate.yaml").read_text()
+    for key, value in (("detector", "pnrd"), ("pulses", 100000), ("signal_intensity", 200),
+                       ("displacement_intensity", 202), ("phi_true", 2.88), ("trials", 1)):
+        text = re.sub(rf"(?m)^{key}: .*$", f"{key}: {value}", text)
+    cfg = _write(tmp_path, "run.yaml", text)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "saturate"])
 def test_smallest_grid_size_runs(tmp_path, command):
     cfg = _write(tmp_path, "run.yaml", _run_config(command, False, grid_size=65))
@@ -409,7 +455,13 @@ def test_out_of_range_seed_flag_is_a_config_error(tmp_path, capsys, seed):
      "key 'stop' in phi_grid must be a finite number, got inf"),
     ("fi-curve", IDEAL_FI_CONFIG.replace("[0.0, 0.5,", "[0.0, .nan,"),
      "entry 1 of 'values' in phi_grid must be a finite number, got nan"),
-], ids=["simulate-xi", "saturate-signal", "fi-curve-stop", "fi-curve-values"])
+    # YAML integers beyond the float range, where float() raises OverflowError
+    ("saturate", _run_config("saturate", False, signal_intensity="1" + "0" * 400),
+     "key 'signal_intensity' in saturate config must be a finite number, got inf"),
+    ("saturate", SATURATE_CONFIG.replace("[1.0, 3.1]", "[1.0, -1" + "0" * 400 + "]"),
+     "entry 1 of 'values' in phi_grid must be a finite number, got -inf"),
+], ids=["simulate-xi", "saturate-signal", "fi-curve-stop", "fi-curve-values",
+        "saturate-signal-overflow", "saturate-values-overflow"])
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, text, message):
     cfg = _write(tmp_path, "run.yaml", text)
     out = tmp_path / "run.csv"

@@ -95,6 +95,9 @@ def main(argv=None) -> int:
     except (ConfigError, ModelMismatchError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        print("configuration error: the run does not fit in memory", file=sys.stderr)
+        return EXIT_CONFIG
     except (OSError, yaml.YAMLError) as exc:
         print(f"error reading configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

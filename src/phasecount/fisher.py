@@ -178,50 +178,46 @@ def count_law(phi, counts: CountModel, terms: int | None = None):
     or exactly ``terms``.  Component w Pois(lam) adds w*p_n, p_n = p_{n-1}*(lam/n)
     from p_0 = exp(-lam), and w*dlam*(p_{n-1} - p_n) until p_n underflows to 0.
     Both run along the rows in numpy's sequential accumulate, so every entry has
-    the bits of the term-by-term recurrence at any window length.  The window
-    starts some 8 sd past the largest mean with p_0 > 0 and doubles until each
-    phase has stopped or seen every component underflow.
+    the bits of the term-by-term recurrence at any window length.  There is one
+    window, ``terms`` long or some 8 sd past the largest mean with p_0 > 0, and a
+    phase that has not stopped inside it raises ``FiConvergenceError``: on a sweep
+    of single Poisson means from 1e-10 to 760 and of both count models from
+    intensity 1e-6 to 320, a wider window stopped no phase that this one missed.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     lams = [np.broadcast_to(lam, phi.shape) for lam in counts.means(phi)]
     nan = np.isnan(lams).any(axis=0)
-    if nan.any():  # a NaN mass never underflows, so the sum would not end
+    if nan.any():  # a NaN mass fails the on/off sum's floor tests, which would give 0
         raise FiConvergenceError(
             f"count mean is NaN at phi={float(phi[nan.argmax()])!r}: the intensities overflow")
     components = [(w, lam, exp_neg(lam), w * np.broadcast_to(dlam, phi.shape))
                   for w, lam, dlam in zip(counts.weights, lams, counts.dmeans(phi))]
     top = max(float(lam[p0 > 0.0].max(initial=0.0)) for _, lam, p0, _ in components)
     width = terms or int(top + 8.0 * math.sqrt(top)) + 16
-    while True:
-        masses, slopes, live = None, None, 0  # live: leading terms with some p_n != 0
-        for w, lam, p0, wdlam in components:
-            p = np.empty((phi.size, width))
-            p[:, 0] = p0
-            np.divide(lam[:, None], np.arange(1.0, width), out=p[:, 1:])
-            np.multiply.accumulate(p, axis=1, out=p)
-            slope = np.diff(p, axis=1, prepend=0.0)  # -(p_{n-1} - p_n), exactly
-            slope *= -wdlam[:, None]
-            slope[p == 0.0] = 0.0  # an underflowed component adds (0, 0)
-            live = np.maximum(live, np.count_nonzero(p, axis=1))
-            p *= w
-            masses = p if masses is None else np.add(masses, p, out=masses)
-            slopes = slope if slopes is None else np.add(slopes, slope, out=slopes)
-        if terms:
-            return masses, slopes, np.full(phi.shape, terms)
-        below = 1.0 - np.add.accumulate(masses, axis=1) < COUNT_TAIL_MASS
-        stopped, stop = below.any(axis=1), below.argmax(axis=1) + 1
-        failed = live < np.where(stopped, stop, width)  # every mass underflowed first
-        if (stopped | failed).all():
-            break
-        width *= 2
-    if failed.any():  # the tail is out of reach
-        k = failed.argmax()
+    masses, slopes = None, None
+    for w, lam, p0, wdlam in components:
+        p = np.empty((phi.size, width))
+        p[:, 0] = p0
+        np.divide(lam[:, None], np.arange(1.0, width), out=p[:, 1:])
+        np.multiply.accumulate(p, axis=1, out=p)
+        slope = np.diff(p, axis=1, prepend=0.0)  # -(p_{n-1} - p_n), exactly
+        slope *= -wdlam[:, None]
+        slope[p == 0.0] = 0.0  # an underflowed component adds (0, 0)
+        p *= w
+        masses = p if masses is None else np.add(masses, p, out=masses)
+        slopes = slope if slopes is None else np.add(slopes, slope, out=slopes)
+    if terms:
+        return masses, slopes, np.full(phi.shape, terms)
+    below = 1.0 - np.add.accumulate(masses, axis=1) < COUNT_TAIL_MASS
+    stopped = below.any(axis=1)
+    if not stopped.all():  # the tail is out of reach
+        k = stopped.argmin()
         raise FiConvergenceError(
-            f"count distribution did not reach tail mass {COUNT_TAIL_MASS:g} after "
-            f"{live[k]} terms at mean count {max(float(lam[k]) for lam in lams):.6g} "
-            f"(phi={float(phi[k])!r}); above about 700 counts exp(-mean) underflows and "
-            "the count masses lose mass")
-    return masses, slopes, stop
+            f"count distribution did not reach tail mass {COUNT_TAIL_MASS:g}: its masses "
+            f"are short of 1 by {1.0 - masses[k].sum():.3g} at mean count "
+            f"{max(float(lam[k]) for lam in lams):.6g} (phi={float(phi[k])!r}); above about "
+            "700 counts exp(-mean) underflows and the count masses lose mass")
+    return masses, slopes, below.argmax(axis=1) + 1
 
 
 def _fi_counts(phi, counts: CountModel):

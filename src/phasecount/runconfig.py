@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
 from .bayes import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
@@ -192,6 +193,13 @@ def _choice(mapping, key, table: dict, where, default=_REQUIRED):
     return value  # already-resolved default
 
 
+def _check_streams(streams: int, where: str) -> None:
+    """A run seeds its trial streams in one array, which numpy caps at intp's range."""
+    if streams > np.iinfo(np.intp).max:
+        raise ConfigError(f"key 'trials' in {where} asks for {streams} trial streams, "
+                          f"more than the {np.iinfo(np.intp).max} one array can seed")
+
+
 def _seed(seed: int) -> int:
     """The seed if it is a 64-bit unsigned integer, as the trial seeding needs."""
     try:
@@ -265,6 +273,8 @@ def parse_fi_curve(cfg: dict) -> FiCurveRun:
     phi_values = parse_phi_grid(_get(cfg, "phi_grid", dict, where), "phi_grid")
     scheme_names = _get(cfg, "schemes", list, where,
                         default=[s.value for s in Scheme])
+    if not scheme_names:
+        raise ConfigError(f"key 'schemes' in {where} must be a nonempty list")
     schemes = []
     for name in scheme_names:
         if name not in _SCHEMES:
@@ -279,6 +289,9 @@ def parse_fi_curve(cfg: dict) -> FiCurveRun:
         if not isinstance(entry, dict):
             raise ConfigError(f"entry {i} of 'parameter_sets' must be a mapping")
         sets.append(parse_parameter_set(entry, f"parameter_sets[{i}]", f"set{i}"))
+        if sets[-1].probe.alpha == 0.0:
+            raise ConfigError(f"key 'signal_intensity' in parameter_sets[{i}] must be > 0: "
+                              "the FI/QFI columns are 0/0 at zero signal")
     labels = [s.label for s in sets]
     if len(set(labels)) != len(labels):
         raise ConfigError("parameter-set labels must be unique")
@@ -301,6 +314,7 @@ def parse_simulate(cfg: dict) -> SimulateRun:
         raise ConfigError(f"key 'phi_true' in {where} must lie in [0, pi], got {phi_true!r}")
     pulses = _positive_int(cfg, "pulses", where)
     trials = _positive_int(cfg, "trials", where, default=100)
+    _check_streams(trials, where)
     if "checkpoints" not in cfg:
         checkpoints = _default_checkpoints(pulses)
     else:
@@ -341,6 +355,7 @@ def parse_saturate(cfg: dict) -> SaturateRun:
                                 lo=eps, hi=math.pi - eps)
     pulses_list = _positive_int_list(cfg, "pulses", where)
     trials = _positive_int(cfg, "trials", where, default=100)
+    _check_streams(trials * len(phi_values) * len(pulses_list), where)
     grid_size = _positive_int(cfg, "grid_size", where, DEFAULT_GRID_SIZE, MIN_GRID_SIZE)
     seed = _seed(_get(cfg, "seed", int, where, default=0))
     return SaturateRun(phi_values=phi_values, pulses_list=pulses_list,

@@ -122,6 +122,22 @@ class TestFiCurve:
         assert cli.main(["fi-curve", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "tail mass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        (IDEAL_FI_CONFIG.replace("schemes: [displaced, homodyne, heterodyne]", "schemes: []"),
+         "key 'schemes' in fi-curve config must be a nonempty list"),
+        # the FI/QFI columns would divide by a QFI of 0
+        (IDEAL_FI_CONFIG + "  - label: dark\n    signal_intensity: 0\n"
+                           "    displacement_intensity: 0.1\n",
+         "key 'signal_intensity' in parameter_sets[1] must be > 0"),
+    ], ids=["empty-schemes", "zero-signal"])
+    def test_empty_schemes_and_zero_signal_stop_at_load(self, tmp_path, capsys, text,
+                                                        message):
+        cfg = _write(tmp_path, "fi.yaml", text)
+        out = tmp_path / "fi.csv"
+        assert cli.main(["fi-curve", "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_bright_probe_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
@@ -477,6 +493,35 @@ def test_trials_flag_gets_the_key_check(tmp_path, capsys, command):
     out = tmp_path / "run.csv"
     assert cli.main([command, "--config", cfg, "--out", str(out), "--trials", "0"]) == 1
     assert f"key 'trials' in {command} config must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,flags,streams", [
+    ("simulate", _run_config("simulate", False, trials="1" + "0" * 30), [], 10**30),
+    ("simulate", _run_config("simulate", False), ["--trials", str(10**30)], 10**30),
+    # 2**62 trials fit, but not over the config's two phases
+    ("saturate", _run_config("saturate", False, trials=2**62), [], 2**63),
+], ids=["simulate", "simulate-flag", "saturate"])
+def test_more_trial_streams_than_an_array_holds_is_a_config_error(
+        tmp_path, capsys, monkeypatch, command, text, flags, streams):
+    monkeypatch.setattr(bench, "split_seeds", lambda *args: pytest.fail("seeds were made"))
+    cfg = _write(tmp_path, "run.yaml", text)
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    assert (f"key 'trials' in {command} config asks for {streams} trial streams"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_run_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+    monkeypatch.setattr(bench, "split_seeds", no_memory)
+    cfg = _write(tmp_path, "run.yaml", SIMULATE_CONFIG)
+    out = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert ("configuration error: the run does not fit in memory"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -93,18 +93,18 @@ _TAIL = ("; above about 700 counts exp(-mean) underflows and the count masses lo
 BRIGHT_FAILURES = {
     # exp(-786.392) is 0: no count mass at all
     "ideal-200": (LikelihoodModel.POISSON_FRINGE, (200.0, 200.0), DetectorModel(), 2.88,
-                  "count distribution did not reach tail mass 1e-14 after 0 terms at mean "
-                  "count 786.392 (phi=2.88)" + _TAIL),
-    # exp(-726.008) is subnormal: the masses rise, lose mass, then underflow
+                  "count distribution did not reach tail mass 1e-14: its masses are short "
+                  "of 1 by 1 at mean count 786.392 (phi=2.88)" + _TAIL),
+    # exp(-726.008) is subnormal: the masses grow from a p_0 with too few bits
     "fringe-300": (LikelihoodModel.POISSON_FRINGE, (300.0, 303.0),
                    DetectorModel(eta=0.602, nu=1.13e-4), math.pi,
-                   "count distribution did not reach tail mass 1e-14 after 1988 terms at "
-                   "mean count 726.008 (phi=3.141592653589793)" + _TAIL),
-    # the interfering component is 0 throughout, the background underflows at 925
+                   "count distribution did not reach tail mass 1e-14: its masses are short "
+                   "of 1 by 3.41e-10 at mean count 726.008 (phi=3.141592653589793)" + _TAIL),
+    # the interfering component is 0 throughout, only the background's 2/11 is left
     "mixture-310": (LikelihoodModel.VISIBILITY_MIXTURE, (310.0, 310.0),
                     DetectorModel(eta=0.602, nu=1.13e-4, xi=0.9), math.pi,
-                    "count distribution did not reach tail mass 1e-14 after 925 terms at "
-                    "mean count 746.48 (phi=3.141592653589793)" + _TAIL),
+                    "count distribution did not reach tail mass 1e-14: its masses are short "
+                    "of 1 by 0.818 at mean count 746.48 (phi=3.141592653589793)" + _TAIL),
 }
 
 
@@ -211,9 +211,13 @@ def _term_by_term(phi, counts):
     # the background's tail stop at 124 terms, and its slope must stop with it
     (LikelihoodModel.VISIBILITY_MIXTURE, 100.0, 0.99, (0.02, 0.05)),
     (LikelihoodModel.POISSON_FRINGE, 200.0, 0.993, (2.88,)),
+    # signal mean counts from about 1e-6 to 700 over the dark counts
+    *[(model, intensity, xi, (0.5, math.pi)) for model in LikelihoodModel
+      for xi in (0.99, 1.0) for intensity in np.geomspace(4.2e-7, 290.0, 30).tolist()],
 ])
 def test_count_law_is_the_term_by_term_recurrence(model, intensity, xi, phases):
-    # masses bit for bit; slopes by value, as the sign of a zero slope is free
+    # masses bit for bit; slopes by value, as the sign of a zero slope is free;
+    # the recurrence has no window, so equal terms show one window holds every stop
     counts = count_model(ProbeConfig.from_intensities(intensity),
                          DetectorModel(eta=0.602, nu=1.13e-4, xi=xi), model)
     masses, slopes, terms = count_law(np.array(phases), counts)

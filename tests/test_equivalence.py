@@ -62,17 +62,14 @@ from phasecount.photonics import (
     require_matched_amplitudes,
 )
 from phasecount.sampling import record_statistics, statistic_sampler, trial_streams
+from test_traced_fi_curves import _load
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # SHA-256 of the CSV each shipped config produces: the byte-identity
-# contract of the shipped outputs.
-SHIPPED_CSV_SHA256 = {
-    "fi_curves_ideal": "7c108e4133930fec5964bed52e992324e5080beebc6a3025efa7966e7d4ce8c9",
-    "fi_curves_imperfect_weak": "15af39bee2c3069b8faa74f080ad6ffbe7d10a37374ec73c0ea7a8a925fe6f01",
-    "fi_curves_imperfect_bright": "929f52a7a0ffbeb7bfc3bcbf592f4bf6f790a6678dbaff257b0c06bcae72460c",
-    "experiment_saturate": "5684e8c4fb3bc8d36ca917e43d1b60a75dc4e1a9538b28e9d45cad33aa0f119d",
-}
+# contract of the shipped outputs, held once, by the benchmark's workloads.
+with pytest.MonkeyPatch.context() as _monkeypatch:
+    SHIPPED_CSV_SHA256 = _load("workloads", _monkeypatch).SHIPPED_CSV_SHA256
 
 
 # ---------------------------------------------------------------------------

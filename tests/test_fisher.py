@@ -148,8 +148,8 @@ class TestNumericFi:
     @pytest.mark.parametrize("kind", list(DetectorKind))
     def test_overflowing_intensities_fail_fast(self, kind, monkeypatch):
         # ProbeConfig rejects intensities that overflow, so a count model
-        # with a NaN mean is built by hand: a NaN mass never underflows, and
-        # the count sum must stop at once, not run on or return a number
+        # with a NaN mean is built by hand: a NaN mass fails every floor test,
+        # and the count sum must stop at once, not return a number
         nan_model = CountModel(weights=(1.0,), means=lambda phi: (math.nan,),
                                dmeans=lambda phi: (0.0,))
         monkeypatch.setattr(fisher, "count_model", lambda probe, det, model: nan_model)

@@ -116,8 +116,54 @@ def run_fi_curve(run: FiCurveRun) -> CommandResult:
 
 
 # ---------------------------------------------------------------------------
-# simulate
+# simulate and saturate: the seeded Monte Carlo
 # ---------------------------------------------------------------------------
+
+def _monte_carlo(run, scheme: Scheme, cells: list) -> tuple[dict, list]:
+    """The numeric FI at each phase and, per cell (phi, pulses, checkpoints),
+    the posterior (mean, variance) at each trial's checkpoints, trial after trial.
+
+    The FI of every phase comes first, in one array call, so that a phase
+    whose count sum fails (FiConvergenceError), or a posterior the grid
+    cannot resolve at the most informative phase and the last checkpoint
+    (GridResolutionError), stops the run before any trial is drawn.  Cell
+    c's trial t draws stream c*trials + t, the streams of the whole run
+    seeded in array passes.  A trial draws only its sufficient statistics
+    (``statistic_sampler``); one likelihood table serves the run, and each
+    cell looks its trials' statistics up in one call, which evaluates the
+    posterior once per distinct statistic.
+    """
+    pset = run.params
+    phis = list(dict.fromkeys(phi for phi, _, _ in cells))
+    fisher = dict(zip(phis, fi_numeric(scheme, np.array(phis), pset.probe, pset.det,
+                                       model=pset.model).value.tolist()))
+    require_resolved(max(fisher.values()), max(c[-1] for _, _, c in cells), run.grid_size)
+
+    def config(phi, pulses):
+        return ExperimentConfig(scheme=scheme, phi_true=phi, probe=pset.probe,
+                                det=pset.det, pulses=pulses, model=pset.model)
+    table = LikelihoodTable(config(*cells[0][:2]), run.grid_size)
+    streams = trial_streams(split_seeds(run.seed, 0, len(cells) * run.trials))
+    moments = []
+    for phi, pulses, checkpoints in cells:
+        draw = statistic_sampler(config(phi, pulses), checkpoints)
+        moments.append(table.moments([s for rng in islice(streams, run.trials)
+                                      for s in draw(rng)]))
+    return fisher, moments
+
+
+def _seeded_metadata(command: str, run, head: dict, tail: dict) -> dict:
+    """A seeded command's sidecar: its config keys ``head``, the parameter
+    set's less ``label``, ``tail``, then grid_size and seed."""
+    params = run.params.describe()
+    del params["label"]
+    return {
+        "command": command,
+        "prng": PRNG_IDENTITY,
+        "seed_mixer": SEED_MIXER_IDENTITY,
+        "config": {**head, **params, **tail, "grid_size": run.grid_size, "seed": run.seed},
+    }
+
 
 def run_simulate(run: SimulateRun) -> CommandResult:
     """Estimator trajectories versus pulse count, with reference bound curves.
@@ -126,67 +172,26 @@ def run_simulate(run: SimulateRun) -> CommandResult:
     across-trial means of both, and the reference curves 1/(k*F) for
     displaced counting at the configured (experimental) parameters, ideal
     displaced counting, ideal homodyne, ideal heterodyne, and the quantum
-    bound.  Trials draw sufficient statistics (``statistic_sampler``) from
-    streams seeded in array passes, and one likelihood table serves the run.
+    bound.  One cell of the seeded Monte Carlo (``_monte_carlo``).
     """
-    pset = run.params
-    # before any draw: FiConvergenceError for a probe the count sums cannot
-    # handle, GridResolutionError for a posterior the grid cannot resolve
-    f_exp = fi_numeric(run.scheme, run.phi_true, pset.probe, pset.det,
-                       model=pset.model).value
-    require_resolved(f_exp, run.checkpoints[-1], run.grid_size)
-    config = ExperimentConfig(
-        scheme=run.scheme, phi_true=run.phi_true, probe=pset.probe,
-        det=pset.det, pulses=run.pulses, model=pset.model,
-    )
-    table = LikelihoodTable(config, run.grid_size)
-    draw = statistic_sampler(config, run.checkpoints)
-    trials = [table.moments(draw(rng))
-              for rng in trial_streams(split_seeds(run.seed, 0, run.trials))]
-    phi_hat = np.array([[e[0] for e in trial] for trial in trials])
-    variance = np.array([[e[1] for e in trial] for trial in trials])
+    pset, phi = run.params, run.phi_true
+    fisher, (cell,) = _monte_carlo(run, run.scheme, [(phi, run.pulses, run.checkpoints)])
+    phi_hat, variance = (np.array(column).reshape(run.trials, -1) for column in zip(*cell))
+    bounds = (fisher[phi], *(fi_analytic(s, phi, pset.probe) for s in
+                             (Scheme.DISPLACED_COUNTING, Scheme.HOMODYNE, Scheme.HETERODYNE)),
+              qfi_coherent(pset.probe))
 
-    f_dis = fi_analytic(Scheme.DISPLACED_COUNTING, run.phi_true, pset.probe)
-    f_hom = fi_analytic(Scheme.HOMODYNE, run.phi_true, pset.probe)
-    f_het = fi_analytic(Scheme.HETERODYNE, run.phi_true, pset.probe)
-    qfi = qfi_coherent(pset.probe)
-
-    header = (
-        "k", "phi_hat_trial", "variance_trial", "phi_hat_mean", "variance_mean",
-        "crb_displaced_exp", "crb_displaced_ideal", "crb_homodyne_ideal",
-        "crb_heterodyne_ideal", "crb_qfi",
-    )
-    rows = []
-    for j, k in enumerate(run.checkpoints):
-        rows.append((
-            int(k),
-            float(phi_hat[0, j]),
-            float(variance[0, j]),
-            float(np.mean(phi_hat[:, j])),
-            float(np.mean(variance[:, j])),
-            _inverse(k * f_exp),
-            _inverse(k * f_dis),
-            _inverse(k * f_hom),
-            _inverse(k * f_het),
-            _inverse(k * qfi),
-        ))
-
-    meta = {
-        "command": "simulate",
-        "prng": PRNG_IDENTITY,
-        "seed_mixer": SEED_MIXER_IDENTITY,
-        "config": {
-            "scheme": run.scheme.value,
-            "phi_true": run.phi_true,
-            **pset.describe(),
-            "pulses": run.pulses,
-            "trials": run.trials,
-            "checkpoints": [int(k) for k in run.checkpoints],
-            "grid_size": run.grid_size,
-            "seed": run.seed,
-        },
-    }
-    meta["config"].pop("label", None)
+    header = ("k", "phi_hat_trial", "variance_trial", "phi_hat_mean", "variance_mean",
+              "crb_displaced_exp", "crb_displaced_ideal", "crb_homodyne_ideal",
+              "crb_heterodyne_ideal", "crb_qfi")
+    rows = [(int(k), float(phi_hat[0, j]), float(variance[0, j]),
+             float(np.mean(phi_hat[:, j])), float(np.mean(variance[:, j])),
+             *(_inverse(k * f) for f in bounds))
+            for j, k in enumerate(run.checkpoints)]
+    meta = _seeded_metadata(
+        "simulate", run, {"scheme": run.scheme.value, "phi_true": phi},
+        {"pulses": run.pulses, "trials": run.trials,
+         "checkpoints": [int(k) for k in run.checkpoints]})
     return CommandResult(header=header, rows=tuple(rows), metadata=meta)
 
 
@@ -194,70 +199,29 @@ def _inverse(x: float) -> float:
     return 1.0 / x if x > 0.0 else float("inf")
 
 
-# ---------------------------------------------------------------------------
-# saturate
-# ---------------------------------------------------------------------------
-
 def run_saturate(run: SaturateRun) -> CommandResult:
-    """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns.
-
-    Each trial draws only its sufficient statistic (click count of the
-    drawn clicks; pulses and total count, or count histogram, from their
-    exact law, see ``statistic_sampler``); nothing else is done per trial.
-    The FI references of every phase come first, the numeric one in one
-    array call, so that a phase whose count sum fails (FiConvergenceError),
-    or whose posterior at the largest pulse count the grid cannot resolve
-    (GridResolutionError), stops the run before any trial is drawn.  The
-    trial streams of the whole run are seeded in array passes, cell after
-    cell.  One likelihood table serves the run; each cell draws its trials
-    and then looks their statistics up in one call, which evaluates the
-    posterior once per distinct statistic.
-    """
+    """Across-trial mean of 1/(m*Var) per (phi, m), with FI reference columns:
+    the cells of the seeded Monte Carlo (``_monte_carlo``), phase after phase,
+    each at one checkpoint, its pulse count."""
     pset = run.params
     header = ("phi", "pulses", "inv_m_var_mean", "variance_mean",
               "fi_displaced_exp", "fi_displaced_ideal", "fi_homodyne_ideal")
-    f_exp = fi_numeric(Scheme.DISPLACED_COUNTING, np.array(run.phi_values), pset.probe,
-                       pset.det, model=pset.model).value.tolist()
-    require_resolved(max(f_exp), max(run.pulses_list), run.grid_size)
+    cells = [(phi, m, (m,)) for phi in run.phi_values for m in run.pulses_list]
+    fisher, moments = _monte_carlo(run, Scheme.DISPLACED_COUNTING, cells)
     rows = []
-    table = None
-    cells = len(run.phi_values) * len(run.pulses_list)
-    streams = trial_streams(split_seeds(run.seed, 0, cells * run.trials))
-    for phi, fi_exp in zip(run.phi_values, f_exp):
-        references = (fi_exp,
-                      fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
-                      fi_analytic(Scheme.HOMODYNE, phi, pset.probe))
-        for m in run.pulses_list:
-            cell = ExperimentConfig(
-                scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
-                det=pset.det, pulses=m, model=pset.model,
-            )
-            table = table or LikelihoodTable(cell, run.grid_size)
-            draw = statistic_sampler(cell, (m,))
-            statistics = [statistic for rng in islice(streams, run.trials)
-                          for statistic in draw(rng)]
-            variances = [variance for _, variance in table.moments(statistics)]
-            rows.append((
-                phi, int(m),
-                float(np.mean([1.0 / (m * var) for var in variances])),
-                float(np.mean(variances)),
-                *references,
-            ))
-
-    meta = {
-        "command": "saturate",
-        "prng": PRNG_IDENTITY,
-        "seed_mixer": SEED_MIXER_IDENTITY,
-        "config": {
-            "phi_grid": {"values": list(run.phi_values)},
-            "pulses": [int(m) for m in run.pulses_list],
-            **pset.describe(),
-            "trials": run.trials,
-            "grid_size": run.grid_size,
-            "seed": run.seed,
-        },
-    }
-    meta["config"].pop("label", None)
+    for (phi, m, _), cell in zip(cells, moments):
+        variances = [variance for _, variance in cell]
+        rows.append((phi, int(m),
+                     float(np.mean([1.0 / (m * var) for var in variances])),
+                     float(np.mean(variances)),
+                     fisher[phi],
+                     fi_analytic(Scheme.DISPLACED_COUNTING, phi, pset.probe),
+                     fi_analytic(Scheme.HOMODYNE, phi, pset.probe)))
+    meta = _seeded_metadata(
+        "saturate", run,
+        {"phi_grid": {"values": list(run.phi_values)},
+         "pulses": [int(m) for m in run.pulses_list]},
+        {"trials": run.trials})
     return CommandResult(header=header, rows=tuple(rows), metadata=meta)
 
 

@@ -9,7 +9,7 @@ Subcommands
 simulate and saturate take --seed and --trials, which set the config's seed
 and trials keys before the config is parsed.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical-check failure.
+Exit codes: 0 success, 1 configuration, usage or output error, 2 numerical-check failure.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
 
+    cfg = None  # until the config is read, an OSError is the config's; then the output's
     try:
         cfg = runconfig.load_config(args.config)
         if args.command in _SEEDED:
@@ -99,7 +100,8 @@ def main(argv=None) -> int:
         print("configuration error: the run does not fit in memory", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, yaml.YAMLError) as exc:
-        print(f"error reading configuration: {exc}", file=sys.stderr)
+        print(f"error {'reading configuration' if cfg is None else 'writing output'}: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (FockTruncationError, FiConvergenceError, GridResolutionError,
             PosteriorUnderflowError) as exc:

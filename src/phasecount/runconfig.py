@@ -298,23 +298,29 @@ def parse_fi_curve(cfg: dict) -> FiCurveRun:
     return FiCurveRun(phi_values=phi_values, schemes=tuple(schemes), sets=tuple(sets))
 
 
-_SIM_KEYS = {"scheme", "phi_true", "pulses", "trials", "checkpoints",
-             "grid_size", "seed"} | (_PARAM_KEYS - {"label"})
+def _seeded(cfg: dict, keys: set, where: str) -> dict:
+    """The keys every seeded command takes, checked before the command's own
+    ``keys``: the parameter set, trials, grid_size and seed, as run fields."""
+    _check_keys(cfg, keys | {"trials", "grid_size", "seed"} | (_PARAM_KEYS - {"label"}), where)
+    return {
+        "params": parse_parameter_set(
+            {k: v for k, v in cfg.items() if k in _PARAM_KEYS}, where, "experiment"),
+        "trials": _positive_int(cfg, "trials", where, default=100),
+        "grid_size": _positive_int(cfg, "grid_size", where, DEFAULT_GRID_SIZE, MIN_GRID_SIZE),
+        "seed": _seed(_get(cfg, "seed", int, where, default=0)),
+    }
 
 
 def parse_simulate(cfg: dict) -> SimulateRun:
     where = "simulate config"
-    _check_keys(cfg, _SIM_KEYS, where)
-    params = parse_parameter_set(
-        {k: v for k, v in cfg.items() if k in _PARAM_KEYS}, where, "experiment")
+    seeded = _seeded(cfg, {"scheme", "phi_true", "pulses", "checkpoints"}, where)
     scheme = _choice(cfg, "scheme", _SCHEMES, where, default=Scheme.DISPLACED_COUNTING)
     # not _number: the range check names the range for NaN and inf too
     phi_true = _float(_get(cfg, "phi_true", (int, float), where))
     if not 0.0 <= phi_true <= math.pi:
         raise ConfigError(f"key 'phi_true' in {where} must lie in [0, pi], got {phi_true!r}")
     pulses = _positive_int(cfg, "pulses", where)
-    trials = _positive_int(cfg, "trials", where, default=100)
-    _check_streams(trials, where)
+    _check_streams(seeded["trials"], where)
     if "checkpoints" not in cfg:
         checkpoints = _default_checkpoints(pulses)
     else:
@@ -323,11 +329,8 @@ def parse_simulate(cfg: dict) -> SimulateRun:
             raise ConfigError("'checkpoints' must be strictly increasing")
         if checkpoints[-1] > pulses:
             raise ConfigError("'checkpoints' must lie within [1, pulses]")
-    grid_size = _positive_int(cfg, "grid_size", where, DEFAULT_GRID_SIZE, MIN_GRID_SIZE)
-    seed = _seed(_get(cfg, "seed", int, where, default=0))
-    return SimulateRun(scheme=scheme, phi_true=phi_true, params=params,
-                       pulses=pulses, trials=trials, checkpoints=checkpoints,
-                       grid_size=grid_size, seed=seed)
+    return SimulateRun(scheme=scheme, phi_true=phi_true, pulses=pulses,
+                       checkpoints=checkpoints, **seeded)
 
 
 def _default_checkpoints(pulses: int) -> tuple:
@@ -342,24 +345,15 @@ def _default_checkpoints(pulses: int) -> tuple:
     return tuple(sorted(p for p in points if 1 <= p <= pulses))
 
 
-_SAT_KEYS = {"phi_grid", "pulses", "trials", "grid_size", "seed"} | (_PARAM_KEYS - {"label"})
-
-
 def parse_saturate(cfg: dict) -> SaturateRun:
     where = "saturate config"
-    _check_keys(cfg, _SAT_KEYS, where)
-    params = parse_parameter_set(
-        {k: v for k, v in cfg.items() if k in _PARAM_KEYS}, where, "experiment")
+    seeded = _seeded(cfg, {"phi_grid", "pulses"}, where)
     eps = 1e-12
     phi_values = parse_phi_grid(_get(cfg, "phi_grid", dict, where), "phi_grid",
                                 lo=eps, hi=math.pi - eps)
     pulses_list = _positive_int_list(cfg, "pulses", where)
-    trials = _positive_int(cfg, "trials", where, default=100)
-    _check_streams(trials * len(phi_values) * len(pulses_list), where)
-    grid_size = _positive_int(cfg, "grid_size", where, DEFAULT_GRID_SIZE, MIN_GRID_SIZE)
-    seed = _seed(_get(cfg, "seed", int, where, default=0))
-    return SaturateRun(phi_values=phi_values, pulses_list=pulses_list,
-                       params=params, trials=trials, grid_size=grid_size, seed=seed)
+    _check_streams(seeded["trials"] * len(phi_values) * len(pulses_list), where)
+    return SaturateRun(phi_values=phi_values, pulses_list=pulses_list, **seeded)
 
 
 _POVM_KEYS = {"signal_intensity", "displacement_intensity", "model",

@@ -646,6 +646,24 @@ class TestSaturate:
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_cell_c_trial_t_draws_stream_c_trials_plus_t(tmp_path):
+    # a one-cell saturate run and a simulate run with the cell's phase, pulses
+    # and one checkpoint at them draw the same streams 0 .. trials - 1
+    shipped = runconfig.load_config(CONFIGS / "experiment_saturate.yaml")
+    params = {k: shipped[k] for k in ("signal_intensity", "displacement_intensity", "eta",
+                                      "nu", "xi", "detector", "model", "grid_size", "seed")}
+    sat = _write(tmp_path, "sat.yaml", yaml.safe_dump(
+        {**params, "phi_grid": {"values": [1.0]}, "pulses": [1000], "trials": 5}))
+    sim = _write(tmp_path, "sim.yaml", yaml.safe_dump(
+        {**params, "phi_true": 1.0, "pulses": 1000, "checkpoints": [1000], "trials": 5}))
+    assert cli.main(["saturate", "--config", sat, "--out", str(tmp_path / "sat.csv")]) == 0
+    assert cli.main(["simulate", "--config", sim, "--out", str(tmp_path / "sim.csv")]) == 0
+    (sat_header, (sat_row,)), (sim_header, (sim_row,)) = (
+        _rows(tmp_path / f"{stem}.csv") for stem in ("sat", "sim"))
+    assert sat_row[sat_header.index("variance_mean")] == \
+        sim_row[sim_header.index("variance_mean")]
+
+
 class TestPovmCheck:
     def test_passes_on_ideal_grid(self, tmp_path, capsys):
         cfg = _write(tmp_path, "povm.yaml", "signal_intensity: 0.1\n")
@@ -713,6 +731,19 @@ class TestCommonFlags:
         assert cli.main(["fi-curve", "--config", str(tmp_path / "absent.yaml"),
                          "--out", str(tmp_path / "x.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text,out", [
+        ("fi-curve", IDEAL_FI_CONFIG, "absent/x.csv"),
+        ("fi-curve", IDEAL_FI_CONFIG, "."),
+        ("povm-check", "signal_intensity: 0.1\nmax_n: 2\n", "absent/r.txt"),
+    ], ids=["csv-missing-dir", "csv-is-a-directory", "povm-check-missing-dir"])
+    def test_unwritable_out_names_the_output(self, tmp_path, capsys, command, text, out):
+        cfg = _write(tmp_path, "cfg.yaml", text)
+        out = tmp_path / out
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error writing output: ") and str(out) in err
+        assert "configuration" not in err
 
     def test_config_must_be_mapping(self, tmp_path, capsys):
         cfg = _write(tmp_path, "bad.yaml", "- just\n- a list\n")
@@ -830,18 +861,38 @@ class TestRegeneration:
         ("simulate", "experiment_simulate", {}, []),
         ("simulate", "experiment_simulate", {"detector": "pnrd"}, []),
         ("simulate", "experiment_simulate", {}, ["--seed", "7", "--trials", "3"]),
+        ("saturate", "experiment_saturate", {}, ["--seed", "7", "--trials", "2"]),
     ], ids=["fi_curves_ideal", "fi_curves_imperfect_weak", "fi_curves_imperfect_bright",
-            "experiment_saturate", "experiment_simulate", "simulate-pnrd", "simulate-flags"])
+            "experiment_saturate", "experiment_simulate", "simulate-pnrd", "simulate-flags",
+            "saturate-flags"])
     def test_sidecar_config_regenerates_the_csv(self, tmp_path, command, stem, keys, flags):
         cfg = _write(tmp_path, "run.yaml", self._shipped(stem, **keys))
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         assert cli.main([command, "--config", cfg, "--out", str(first), *flags]) == 0
         config = yaml.safe_load(first.with_suffix(".meta.yaml").read_text())["config"]
         if flags:
-            assert (config["seed"], config["trials"]) == (7, 3)
+            assert (config["seed"], config["trials"]) == (int(flags[1]), int(flags[3]))
         again = _write(tmp_path, "again.yaml", yaml.safe_dump(config, sort_keys=False))
         assert cli.main([command, "--config", again, "--out", str(second)]) == 0
         assert second.read_bytes() == first.read_bytes()
+
+    PARAMETER_KEYS = ["signal_intensity", "displacement_intensity", "eta", "nu", "xi",
+                      "detector", "model"]
+
+    @pytest.mark.parametrize("command,stem,head,tail", [
+        ("simulate", "experiment_simulate", ["scheme", "phi_true"],
+         ["pulses", "trials", "checkpoints", "grid_size", "seed"]),
+        ("saturate", "experiment_saturate", ["phi_grid", "pulses"],
+         ["trials", "grid_size", "seed"]),
+    ], ids=["simulate", "saturate"])
+    def test_seeded_sidecar_key_order(self, tmp_path, command, stem, head, tail):
+        # the parameter set's keys sit between the command's own, and its label is left out
+        cfg = _write(tmp_path, "run.yaml", self._shipped(stem, trials=1))
+        out = tmp_path / "run.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        meta = yaml.safe_load(out.with_suffix(".meta.yaml").read_text())
+        assert list(meta["config"]) == [*head, *self.PARAMETER_KEYS, *tail]
+        assert "label" not in meta["config"]
 
 
 class TestCsvCells:

@@ -116,7 +116,7 @@ def _phase_grid(grid_size: int) -> np.ndarray:
 
 def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
     """log p(record | phi) over the grid up to additive constants, as a
-    function of a list of sufficient statistics: one fresh row per statistic.
+    function of one sufficient statistic, in a fresh row.
 
     Everything that depends on the configuration alone is evaluated here,
     once: the count means over the grid and their logs, log p0 and log p1,
@@ -128,17 +128,18 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
         # summed log-likelihood is -(s2 - 2*mean*s1 + k*mean^2)
         mean = math.sqrt(2.0) * probe.alpha * np.sin(grid)
 
-        def homodyne(statistics):
-            return (-(s2 - 2.0 * mean * s1 + k * mean * mean) for k, s1, s2 in statistics)
+        def homodyne(statistic):
+            k, s1, s2 = statistic
+            return -(s2 - 2.0 * mean * s1 + k * mean * mean)
         return homodyne
     if config.scheme is Scheme.HETERODYNE:
         mx = probe.alpha * np.cos(grid)
         my = probe.alpha * np.sin(grid)
         m2 = mx * mx + my * my
 
-        def heterodyne(statistics):
-            return (-(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
-                    for k, s1, s2 in statistics)
+        def heterodyne(statistic):
+            k, s1, s2 = statistic
+            return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
         return heterodyne
     if config.scheme is not Scheme.DISPLACED_COUNTING:
         raise ValueError(f"unknown scheme {config.scheme!r}")
@@ -149,7 +150,8 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
         # one product and one sum, has the bits of its terms added to a zero row
         log_p0, log_p1 = (log_p + 0.0 for log_p in model.log_silent_click(grid))
 
-        def click(n_silent, n_click):
+        def click(statistic):
+            n_silent, n_click = statistic
             # 0 * log p1 is NaN where an ideal detector nulls, log p1 = -inf
             if not n_click:
                 return log_p0 * n_silent if n_silent else np.zeros_like(grid)
@@ -157,7 +159,7 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
             if n_silent:
                 row += log_p0 * n_silent
             return row
-        return lambda statistics: (click(*statistic) for statistic in statistics)
+        return click
 
     if config.model is LikelihoodModel.POISSON_FRINGE:
         (lam,) = model.means(grid)
@@ -168,7 +170,8 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
                 with np.errstate(divide="ignore"):
                     return np.log1p(x)
 
-        def centred(k, s):
+        def centred(statistic):
+            k, s = statistic
             # S log(lam) - k lam less its value at the peak lam = S/k, so that
             # no large constant cancels when the posterior takes off its peak
             if s == 0:
@@ -179,7 +182,7 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
             row -= x
             row *= s
             return row
-        return lambda statistics: (centred(*statistic) for statistic in statistics)
+        return centred
 
     # log p(n | phi) up to the common -lgamma(n+1) constant, per component;
     # a zero-weight component adds nothing and is left out
@@ -191,21 +194,17 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
         part = -lam if n == 0 else n * log_lam - lam
         return part + log_w if log_w else part  # adding 0 would cost a grid pass
 
-    def log_pmf(n):
-        return functools.reduce(np.logaddexp, [component_log_pmf(n, *c) for c in components])
+    @functools.cache  # per table: a count's row, kept for every histogram that holds it
+    def count_row(n):
+        return (functools.reduce(np.logaddexp, [component_log_pmf(n, *c) for c in components])
+                - math.lgamma(n + 1))
 
-    def counts(statistics):
-        # count-major: each count's row is evaluated once and added to every
-        # histogram holding it, in increasing n as a per-histogram loop would
-        width = max(map(len, statistics), default=0)
-        totals = np.zeros((len(statistics), grid.size))
-        for n, column in enumerate(zip(*(s + (0,) * (width - len(s)) for s in statistics))):
-            if any(column):
-                row = log_pmf(n) - math.lgamma(n + 1)
-                for total, multiplicity in zip(totals, column):
-                    if multiplicity:
-                        total += multiplicity * row
-        return totals
+    def counts(histogram):
+        total = np.zeros_like(grid)
+        for n, multiplicity in enumerate(histogram):
+            if multiplicity:
+                total += multiplicity * count_row(n)
+        return total
     return counts
 
 
@@ -226,13 +225,13 @@ class LikelihoodTable:
     construction, and the moments of each distinct statistic are computed
     once.
 
-    Each statistic's log-likelihood comes in a fresh row, which its
-    posterior overwrites in place with the density.  Only the peak and the
-    live test take full-grid passes; every other step runs on the live
-    window from the first to the last node within ``_EXP_FLOOR`` of the peak
-    (about 12.6 sd each side of a Gaussian one), the density being exactly 0
-    outside it.  Each trapezoid sum runs over a fresh zero row of all the
-    grid's terms, so every moment keeps the bits of the full-grid evaluation.
+    Each ``loglik`` call gives one statistic's log-likelihood in a fresh row,
+    which its posterior overwrites with the density.  Only the peak and the
+    live test take full-grid passes; every other step runs on the live window
+    from the first to the last node within ``_EXP_FLOOR`` of the peak (about
+    12.6 sd each side of a Gaussian one), the density being exactly 0 outside
+    it.  Each trapezoid sum runs over a fresh zero row of all the grid's terms,
+    so every moment keeps the bits of the full-grid evaluation.
     """
 
     def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
@@ -241,16 +240,16 @@ class LikelihoodTable:
         self.loglik = _loglik_function(config, self.grid)
         self._moments = {}
 
-    def _posterior(self, loglik: np.ndarray) -> tuple[np.ndarray, _Window]:
-        """The posterior density of a log-likelihood row, in that row, and
-        the window outside which it is 0."""
-        peak = float(loglik.max())  # NaN anywhere makes it NaN
+    def _posterior(self, statistic) -> tuple[np.ndarray, _Window]:
+        """The posterior density of a statistic, in its log-likelihood row,
+        and the window outside which it is 0."""
+        density = self.loglik(statistic)
+        peak = float(density.max())  # NaN anywhere makes it NaN
         if not math.isfinite(peak):
             raise PosteriorUnderflowError(
                 "posterior vanished at every grid node; the record is impossible "
                 "under the configured likelihood model"
             )
-        density = loglik
         density -= peak  # flat prior: constant factor cancels
         # the first and last live node: memchr over the mask's bytes, where
         # argmax would copy the reversed mask
@@ -267,19 +266,17 @@ class LikelihoodTable:
         values /= norm
         return density, window
 
-    def posteriors(self, statistics: list):
-        """Yield the posterior of each statistic in the list."""
-        for loglik in self.loglik(statistics):
-            density, _ = self._posterior(loglik)
-            yield PosteriorGrid(nodes=self.grid, density=density)
+    def posteriors(self, statistics):
+        """Yield the posterior of each statistic."""
+        for statistic in statistics:
+            yield PosteriorGrid(nodes=self.grid, density=self._posterior(statistic)[0])
 
     def moments(self, statistics) -> list[tuple[float, float]]:
         """Posterior mean and variance of each statistic, as :func:`estimate`
         gives them; a statistic seen before is not evaluated again."""
         statistics = list(statistics)
-        new = [s for s in dict.fromkeys(statistics) if s not in self._moments]
-        for statistic, loglik in zip(new, self.loglik(new)):
-            self._moments[statistic] = _estimate(self.grid, *self._posterior(loglik))
+        for statistic in [s for s in dict.fromkeys(statistics) if s not in self._moments]:
+            self._moments[statistic] = _estimate(self.grid, *self._posterior(statistic))
         return [self._moments[s] for s in statistics]
 
 
@@ -288,10 +285,8 @@ def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> Post
 
     An empty record returns the flat prior 1/pi.
     """
-    table = LikelihoodTable(record.config, grid_size)
-    statistics = list(record_statistics(record.config, record.values, (len(record),)))
-    (post,) = table.posteriors(statistics)
-    return post
+    (statistic,) = record_statistics(record.config, record.values, (len(record),))
+    return next(LikelihoodTable(record.config, grid_size).posteriors([statistic]))
 
 
 def _estimate(nodes: np.ndarray, density: np.ndarray,

@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 configuration, usage or output error, 2 numerical-check
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import yaml
@@ -78,15 +79,16 @@ def main(argv=None) -> int:
                 if getattr(args, key) is not None:
                     cfg[key] = getattr(args, key)
         run = _PARSERS[args.command](cfg)
+        if args.command == "povm-check":
+            return _povm_check(run, args.out)
 
+        _check_writable(args.out)
         if args.command == "fi-curve":
             result = bench.run_fi_curve(run)
         elif args.command == "simulate":
             result = bench.run_simulate(run)
-        elif args.command == "saturate":
-            result = bench.run_saturate(run)
         else:
-            return _povm_check(run, args.out)
+            result = bench.run_saturate(run)
 
         bench.write_csv(args.out, result)
         bench.write_metadata(args.out, result)
@@ -107,6 +109,14 @@ def main(argv=None) -> int:
             PosteriorUnderflowError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+
+
+def _check_writable(csv_path) -> None:
+    """Raise, before the run, the OSError that writing the CSV or its sidecar
+    raises when the path is a directory or its directory is missing."""
+    for path in (csv_path, bench.metadata_path(csv_path)):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            os.close(os.open(path, os.O_WRONLY))  # raises it; no O_CREAT, so no file
 
 
 def _povm_check(run, out_path) -> int:

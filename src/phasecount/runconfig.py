@@ -19,8 +19,7 @@ import yaml
 
 from .bayes import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
 from .fisher import Scheme
-from .photonics import (DetectorKind, DetectorModel, LikelihoodModel, ProbeConfig,
-                        require_finite_means)
+from .photonics import DetectorKind, DetectorModel, LikelihoodModel, ProbeConfig, count_model
 from .sampling import _check_seed
 
 # libyaml's parser and emitter where PyYAML was built with them; same documents
@@ -246,6 +245,7 @@ def parse_parameter_set(mapping: dict, where: str, default_label: str = "set") -
         raise ConfigError(f"key 'label' in {where} must match {_LABEL_RE.pattern}")
     signal = _number(mapping, "signal_intensity", where)
     displacement = _number(mapping, "displacement_intensity", where, default=signal)
+    model = _choice(mapping, "model", _MODELS, where, default=LikelihoodModel.POISSON_FRINGE)
     try:
         probe = ProbeConfig.from_intensities(signal, displacement)
         det = DetectorModel(
@@ -255,11 +255,9 @@ def parse_parameter_set(mapping: dict, where: str, default_label: str = "set") -
             kind=_choice(mapping, "detector", _DETECTORS, where,
                          default=DetectorKind.NUMBER_RESOLVING),
         )
-        require_finite_means(probe, det)
+        count_model(probe, det, model)  # finite means; matched amplitudes for the mixture
     except ValueError as exc:
         raise ConfigError(f"invalid parameter in {where}: {exc}") from exc
-    model = _choice(mapping, "model", _MODELS, where,
-                    default=LikelihoodModel.POISSON_FRINGE)
     return ParameterSet(label=label, probe=probe, det=det, model=model)
 
 
@@ -365,13 +363,15 @@ def parse_povm_check(cfg: dict) -> PovmCheckRun:
     _check_keys(cfg, _POVM_KEYS, where)
     signal = _number(cfg, "signal_intensity", where, default=0.1)
     displacement = _number(cfg, "displacement_intensity", where, default=signal)
-    try:
-        probe = ProbeConfig.from_intensities(signal, displacement)
-    except ValueError as exc:
-        raise ConfigError(f"invalid parameter in {where}: {exc}") from exc
     model = _choice(cfg, "model", _MODELS, where, default=LikelihoodModel.POISSON_FRINGE)
     eta_values = _number_list(cfg, "eta_values", where, default=(1.0, 0.602))
     nu_values = _number_list(cfg, "nu_values", where, default=(0.0, 1.13e-4))
+    try:
+        probe = ProbeConfig.from_intensities(signal, displacement)
+        for det in (DetectorModel(eta=eta, nu=nu) for eta in eta_values for nu in nu_values):
+            count_model(probe, det, model)  # each detector of the check, as bench builds it
+    except ValueError as exc:
+        raise ConfigError(f"invalid parameter in {where}: {exc}") from exc
     phi_values = _number_list(cfg, "phi_values", where,
                               default=(0.0, 0.5, 1.0, 2.0, math.pi))
     max_n = _positive_int(cfg, "max_n", where, default=10)

@@ -6,8 +6,8 @@ the truncated count distribution, quadratures via Gaussian sampling.
 Per-trial seeds are derived from one master seed with a splitmix64
 avalanche mixer, so each trial's stream is independent of the others.
 Trial t of a run draws from ``default_rng(split_seed(seed, t))``'s PCG64
-stream, bit for bit; :func:`split_seeds` and :func:`trial_streams` seed
-all the trials of a run in array passes.
+stream, bit for bit, on a Generator of its own; :func:`split_seeds` and
+:func:`trial_streams` seed all the trials of a run in array passes.
 :func:`statistic_sampler` draws the sufficient statistics of
 number-resolving counts without the record, from their exact law on the
 trial's stream: per checkpoint segment, the total count S under the
@@ -124,13 +124,11 @@ def split_seed(seed: int, trial_index: int) -> int:
     return int(split_seeds(seed, trial_index, 1)[0])
 
 
-# numpy's SeedSequence (O'Neill's seed_seq hashing on a 4-word uint32 pool)
-# and PCG64 seeding, both frozen by numpy's stream-compatibility policy
+# numpy's SeedSequence (O'Neill's seed_seq hashing on a 4-word uint32 pool),
+# frozen by numpy's stream-compatibility policy
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U128 = (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
@@ -159,11 +157,11 @@ def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
 
 def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(s).generate_state(4, np.uint64)`` of every seed s, as an
-    (n, 4) array, in uint32 array ops.  The seed's entropy is its two 32-bit
-    words; a seed below 2^32 hashes its high word as 0, which is what
-    numpy's one-word entropy leaves in that pool word.  Each source word
-    mixes into the other three independently, so their three hashes and
-    mixes are one op each."""
+    (n, 4) native-order, C-contiguous uint64 array, in uint32 array ops.  The
+    seed's entropy is its two 32-bit words; a seed below 2^32 hashes its high
+    word as 0, which is what numpy's one-word entropy leaves in that pool
+    word.  Each source word mixes into the other three independently, so
+    their three hashes and mixes are one op each."""
     entropy = np.zeros((4, len(seeds)), dtype=np.uint32)
     entropy[0], entropy[1] = seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)
     pool = _hashmix(entropy, _POOL_HASHES[:, :4])
@@ -171,23 +169,19 @@ def _seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
         hashed = _hashmix(pool[src], _POOL_HASHES[:, 4 + 3 * src:7 + 3 * src])
         mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
         pool[dst] = mixed ^ (mixed >> 16)
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASHES)
-    return words.T.astype("<u4", order="C").view("<u8")  # low word first, as numpy reads them
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASHES).T.astype("<u4", order="C")
+    return words.view("<u8").astype(np.uint64, copy=False)  # low word first, as numpy reads them
 
 
-def trial_streams(seeds) -> Iterator[np.random.Generator]:
-    """Yield, for each seed, a Generator on ``default_rng(seed)``'s
-    PCG64 stream, bit for bit.
+class _SeedState:
+    """A row of :func:`_seed_sequence_states` as the ``ISeedSequence`` that a
+    PCG64 seeds itself from: PCG64 reads the buffer of its 4 uint64 words."""
 
-    The SeedSequence states are computed in array passes over blocks of
-    seeds; each step then sets the PCG64 state (``srandom``: inc =
-    2·initseq + 1, state = (inc + initstate)·MULT + inc mod 2^128) on one
-    Generator, which is yielded every time: draw from it before taking the
-    next.  The seeds are checked here, before anything is drawn.
-    """
-    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-        seeds = np.array([_check_seed(operator.index(s)) for s in seeds], dtype=np.uint64)
-    return _set_states(seeds)
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=None) -> np.ndarray:
+        return self.row
 
 
 # seeds per array pass: a pass takes about 140 B a seed at its peak, so a
@@ -195,19 +189,19 @@ def trial_streams(seeds) -> Iterator[np.random.Generator]:
 _SEED_BLOCK = 1024
 
 
-def _set_states(seeds: np.ndarray) -> Iterator[np.random.Generator]:
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    seeded = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
-    for start in range(0, len(seeds), _SEED_BLOCK):
-        for row in _seed_sequence_states(seeds[start:start + _SEED_BLOCK]):
-            init_high, init_low, seq_high, seq_low = row.tolist()
-            inc = ((seq_high << 65) | (seq_low << 1) | 1) & _U128
-            seeded["inc"] = inc
-            seeded["state"] = ((inc + ((init_high << 64) | init_low)) * _PCG64_MULT + inc) & _U128
-            bit_generator.state = state
-            yield rng
+def trial_streams(seeds) -> Iterator[np.random.Generator]:
+    """Yield, for each seed, a Generator of its own on ``default_rng(seed)``'s
+    PCG64 stream, bit for bit: the SeedSequence states are hashed in array
+    passes over blocks of seeds, and each PCG64 seeds itself from its state
+    row.  The seeds are checked here, before anything is drawn."""
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+        seeds = np.array([_check_seed(operator.index(s)) for s in seeds], dtype=np.uint64)
+    from numpy.random import PCG64, Generator  # here: numpy.random takes ~45 ms to import
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_SeedState)  # PCG64 takes a seed sequence only as one
+    blocks = (_seed_sequence_states(seeds[start:start + _SEED_BLOCK])
+              for start in range(0, len(seeds), _SEED_BLOCK))
+    return (Generator(PCG64(_SeedState(row))) for block in blocks for row in block)
 
 
 def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,

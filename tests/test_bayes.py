@@ -229,8 +229,7 @@ def _full_grid_loglik(table, config, statistic):
             if n:
                 row += log_p * n
         return row
-    (row,) = table.loglik([statistic])
-    return row
+    return table.loglik(statistic)
 
 
 def _full_grid_posterior(loglik, spacing, floor=_EXP_FLOOR):
@@ -318,7 +317,7 @@ class TestPosteriorKernel:
         spacing = np.diff(table.grid)
         rows = [_full_grid_loglik(table, config, s) for s in statistics]
         for row, statistic in zip(rows, statistics):
-            ((got,),) = [table.loglik([statistic])]
+            got = table.loglik(statistic)
             assert got.tobytes() == row.tobytes()
         want = [_full_grid_posterior(row, spacing) for row in rows]
         for post, density in zip(table.posteriors(statistics), want, strict=True):

@@ -107,6 +107,27 @@ class TestFiCurve:
         assert "matched amplitudes" in capsys.readouterr().err
 
 
+    def test_mismatched_mixture_set_stops_at_config_load(self, tmp_path, capsys, monkeypatch):
+        # the good set's column would come first if the check waited for the run
+        monkeypatch.setattr(bench, "fi_numeric", lambda *a, **k: pytest.fail("computed"))
+        cfg = _write(tmp_path, "fi.yaml", textwrap.dedent("""\
+            phi_grid: {values: [0.5]}
+            schemes: [displaced]
+            parameter_sets:
+              - label: good
+                signal_intensity: 0.1
+              - label: bad
+                signal_intensity: 0.100
+                displacement_intensity: 0.101
+                model: visibility-mixture
+        """))
+        out = tmp_path / "x.csv"
+        assert cli.main(["fi-curve", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: invalid parameter in parameter_sets[1]: "
+            "the visibility-mixture model assumes matched amplitudes")
+        assert not out.exists()
+
     def test_bright_probe_count_sum_failure_exits_2(self, tmp_path, capsys):
         # mean count ~726: the count sum cannot reach its tail mass
         cfg = _write(tmp_path, "fi.yaml", textwrap.dedent("""\
@@ -686,6 +707,16 @@ class TestPovmCheck:
         assert cli.main(["povm-check", "--config", cfg]) == 1
         assert "matched amplitudes" in capsys.readouterr().err
 
+    def test_out_of_range_eta_stops_at_config_load(self, tmp_path, capsys, monkeypatch):
+        # the eta = 1 block would be checked first if the check waited for the run
+        monkeypatch.setattr(bench, "pnrd_likelihood", lambda *a, **k: pytest.fail("computed"))
+        cfg = _write(tmp_path, "povm.yaml", "eta_values: [1.0, 2.0]\n")
+        assert cli.main(["povm-check", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("configuration error: invalid parameter in povm-check config: "
+                                "eta must lie in [0, 1], got 2.0\n")
+        assert captured.out == ""
+
     def test_insufficient_cutoff_reports_numeric_failure(self, tmp_path, capsys):
         # mean photon number 1,600 at phi = pi: e^{-mu/2} underflows, so the
         # derived cutoff of 2,000 captures no mass
@@ -744,6 +775,23 @@ class TestCommonFlags:
         err = capsys.readouterr().err
         assert err.startswith("error writing output: ") and str(out) in err
         assert "configuration" not in err
+
+    @pytest.mark.parametrize("command,text,out,computes", [
+        ("fi-curve", IDEAL_FI_CONFIG, "absent/x.csv", "fi_numeric"),
+        ("simulate", SIMULATE_CONFIG, ".", "trial_streams"),
+        ("simulate", SIMULATE_CONFIG, "x.csv", "trial_streams"),
+    ], ids=["fi-curve-missing-dir", "simulate-is-a-directory", "simulate-sidecar-is-a-directory"])
+    def test_unwritable_out_stops_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                 command, text, out, computes):
+        monkeypatch.setattr(bench, computes, lambda *a, **k: pytest.fail("computed"))
+        cfg = _write(tmp_path, "cfg.yaml", text)
+        (tmp_path / "x.meta.yaml").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / out
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error writing output: [Errno ")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_config_must_be_mapping(self, tmp_path, capsys):
         cfg = _write(tmp_path, "bad.yaml", "- just\n- a list\n")

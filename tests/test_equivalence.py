@@ -581,7 +581,7 @@ def test_table_evaluates_each_statistic_once():
     table = LikelihoodTable(config, 129)
     seen = []
     loglik = table.loglik
-    table.loglik = lambda statistics: (seen.extend(statistics), loglik(statistics))[1]
+    table.loglik = lambda statistic: (seen.append(statistic), loglik(statistic))[1]
     first = table.moments([(5, 1), (4, 2), (5, 1)])
     assert seen == [(5, 1), (4, 2)]
     assert table.moments([(4, 2), (6, 0)]) == [first[1], table.moments([(6, 0)])[0]]

@@ -1,9 +1,11 @@
 """Memory budgets of the Monte Carlo commands, as peak traced allocation.
 
-The bounds leave room over today's peaks (about 1.0, 0.2 and 0.5 MiB, in
-this order in a fresh interpreter, whose first run also pays about 0.8 MiB
-of one-time set-up) but not for work kept across trials: caching the grid
-rows of every count across the trials of a bright simulate reads 7.9 MiB.
+The bounds leave room over today's peaks (about 1.0, 3.1, 0.2 and 0.5 MiB,
+in this order in a fresh interpreter, whose first run also pays about
+0.8 MiB of one-time set-up) but not for work kept per trial or per
+statistic: caching the grid rows of every count across the trials of a
+bright simulate reads 7.9 MiB, and a mixture row per count and histogram
+4.3 MiB at 20 trials.
 """
 
 import tracemalloc
@@ -31,6 +33,15 @@ def test_bright_pnrd_simulate_peak():
     cfg = yaml.safe_load((CONFIGS / "experiment_simulate.yaml").read_text())
     cfg.update(detector="pnrd", signal_intensity=200, displacement_intensity=202,
                phi_true=2.88, pulses=100000, trials=2)
+    assert _peak_bytes(bench.run_simulate, runconfig.parse_simulate(cfg)) < 4 * MIB
+
+
+def test_bright_mixture_simulate_peak():
+    # 20 trials of a bright visibility-mixture run: its grid rows are kept
+    # one per count, whatever the number of histograms that hold the count
+    cfg = yaml.safe_load((CONFIGS / "experiment_simulate.yaml").read_text())
+    cfg.update(detector="pnrd", model="visibility-mixture", signal_intensity=200,
+               displacement_intensity=200, pulses=3000, trials=20)
     assert _peak_bytes(bench.run_simulate, runconfig.parse_simulate(cfg)) < 4 * MIB
 
 

@@ -1,12 +1,17 @@
 """Seeded outcome generation: determinism, seed mixing, statistical checks."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import phasecount
 from phasecount import (
     DetectorKind,
     DetectorModel,
@@ -114,10 +119,27 @@ class TestTrialStreams:
             assert np.array_equal(got, ref.integers(0, 2**32, size=3, dtype=np.uint32))
             assert rng.bit_generator.state["has_uint32"] == 1
 
-    def test_one_generator_serves_every_seed(self):
-        streams = list(trial_streams([1, 2, 3]))
-        assert streams[0] is streams[1] is streams[2]
+    def test_each_stream_is_its_own_generator(self):
+        # every stream taken first, then drawn from last to first
+        seeds = EDGE_SEEDS + [12345, 678]
+        streams = list(trial_streams(seeds))
+        for seed, rng in reversed(list(zip(seeds, streams, strict=True))):
+            ref = np.random.default_rng(seed)
+            assert np.array_equal(rng.random(5), ref.random(5))
+            assert np.array_equal(rng.integers(0, 2**64, 3, dtype=np.uint64),
+                                  ref.integers(0, 2**64, 3, dtype=np.uint64))
+        assert len({id(rng) for rng in streams}) == len(seeds)
         assert list(trial_streams([])) == []
+
+    def test_package_import_leaves_numpy_random_unloaded(self):
+        # numpy.random is imported when the first streams are seeded, not with
+        # the package: loading it costs every command tens of milliseconds
+        code = "import sys, phasecount, phasecount.cli; print('numpy.random' in sys.modules)"
+        src = str(Path(phasecount.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60, env=env, check=True).stdout
+        assert out == "False\n"
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_out_of_range_seed_before_drawing(self, seed):

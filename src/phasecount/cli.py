@@ -33,6 +33,18 @@ EXIT_NUMERIC = 2
 # the seeded commands, the only ones that take --seed and --trials
 _SEEDED = ("simulate", "saturate")
 
+# each command's help text, config parser and runner; povm-check prints a report
+_COMMANDS = {
+    "fi-curve": ("Fisher-information curves over a phase grid",
+                 runconfig.parse_fi_curve, bench.run_fi_curve),
+    "simulate": ("seeded estimator trajectories vs pulse count",
+                 runconfig.parse_simulate, bench.run_simulate),
+    "saturate": ("mean 1/(m*Var) vs the Fisher information",
+                 runconfig.parse_saturate, bench.run_saturate),
+    "povm-check": ("likelihood vs Fock-space oracle cross-check",
+                   runconfig.parse_povm_check, None),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -40,28 +52,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Phase-estimation benchmarks for a displaced-photon-counting receiver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_out, help_text in (
-        ("fi-curve", True, "Fisher-information curves over a phase grid"),
-        ("simulate", True, "seeded estimator trajectories vs pulse count"),
-        ("saturate", True, "mean 1/(m*Var) vs the Fisher information"),
-        ("povm-check", False, "likelihood vs Fock-space oracle cross-check"),
-    ):
+    for name, (help_text, _, runner) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="YAML run configuration")
-        cmd.add_argument("--out", required=needs_out,
-                         help="output CSV path" if needs_out else "optional report path")
+        cmd.add_argument("--out", required=runner is not None,
+                         help="optional report path" if runner is None else "output CSV path")
         if name in _SEEDED:
             cmd.add_argument("--seed", type=int, help="set the config's seed key")
             cmd.add_argument("--trials", type=int, help="set the config's trials key")
     return parser
-
-
-_PARSERS = {
-    "fi-curve": runconfig.parse_fi_curve,
-    "simulate": runconfig.parse_simulate,
-    "saturate": runconfig.parse_saturate,
-    "povm-check": runconfig.parse_povm_check,
-}
 
 
 def main(argv=None) -> int:
@@ -78,18 +77,13 @@ def main(argv=None) -> int:
             for key in ("seed", "trials"):
                 if getattr(args, key) is not None:
                     cfg[key] = getattr(args, key)
-        run = _PARSERS[args.command](cfg)
-        if args.command == "povm-check":
+        _, parse, runner = _COMMANDS[args.command]
+        run = parse(cfg)
+        if runner is None:
             return _povm_check(run, args.out)
 
         _check_writable(args.out)
-        if args.command == "fi-curve":
-            result = bench.run_fi_curve(run)
-        elif args.command == "simulate":
-            result = bench.run_simulate(run)
-        else:
-            result = bench.run_saturate(run)
-
+        result = runner(run)
         bench.write_csv(args.out, result)
         bench.write_metadata(args.out, result)
         print(f"wrote {len(result.rows)} rows to {args.out}")

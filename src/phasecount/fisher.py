@@ -238,38 +238,28 @@ def _fi_onoff(phi, counts: CountModel):
     return total + np.divide(info, p_click, out=np.zeros_like(p0), where=p_click > PROB_FLOOR)
 
 
-@functools.lru_cache(maxsize=None)
-def _hermgauss_normalized(points: int):
-    """Gauss-Hermite rule for the weight exp(-t^2)/sqrt(pi).  A constant per
-    node count, built once per process; read-only because it is shared."""
-    nodes, weights = np.polynomial.hermite.hermgauss(points)
+@functools.cache
+def _hermite_rule():
+    """The QUAD_POINTS-node Gauss-Hermite rule for the weight exp(-t^2)/sqrt(pi), nodes,
+    weights and product weight w_i w_j on the plane: built once, read-only as shared."""
+    nodes, weights = np.polynomial.hermite.hermgauss(QUAD_POINTS)
     weights = weights / math.sqrt(math.pi)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-@functools.lru_cache(maxsize=None)
-def _hermgauss_product_weight(points: int) -> np.ndarray:
-    """The weight w_i w_j of the product Gauss-Hermite rule on the plane,
-    built once per node count and read-only like the rule itself."""
-    _, w = _hermgauss_normalized(points)
-    weight = w[:, None] * w[None, :]
-    weight.flags.writeable = False
-    return weight
+    product = weights[:, None] * weights[None, :]
+    nodes.flags.writeable = weights.flags.writeable = product.flags.writeable = False
+    return nodes, weights, product
 
 
 def _fi_homodyne(phi: float, probe) -> float:
     # x = mean + t with t the Hermite nodes: the density has variance 1/2,
     # so log p(x|phi) = -(x - mean(phi))^2 + const, with score 2*t*dmean.
-    t, w = _hermgauss_normalized(QUAD_POINTS)
+    t, w, _ = _hermite_rule()
     dmean = math.sqrt(2.0) * probe.alpha * math.cos(phi)
     score = 2.0 * t * dmean
     return float(np.dot(w, score**2))
 
 
 def _fi_heterodyne(phi: float, probe) -> float:
-    t, _ = _hermgauss_normalized(QUAD_POINTS)
-    weight = _hermgauss_product_weight(QUAD_POINTS)
+    t, _, weight = _hermite_rule()
     mx = probe.alpha * math.cos(phi)
     my = probe.alpha * math.sin(phi)
     dmx, dmy = -my, mx

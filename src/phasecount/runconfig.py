@@ -92,8 +92,7 @@ class SaturateRun:
 class PovmCheckRun:
     probe: ProbeConfig
     model: LikelihoodModel
-    eta_values: tuple
-    nu_values: tuple
+    detectors: tuple  # DetectorModel(eta=eta, nu=nu), eta-major: number-resolving, xi = 1
     phi_values: tuple
     max_n: int
 
@@ -246,15 +245,13 @@ def parse_parameter_set(mapping: dict, where: str, default_label: str = "set") -
     signal = _number(mapping, "signal_intensity", where)
     displacement = _number(mapping, "displacement_intensity", where, default=signal)
     model = _choice(mapping, "model", _MODELS, where, default=LikelihoodModel.POISSON_FRINGE)
+    eta = _number(mapping, "eta", where, default=1.0)
+    nu = _number(mapping, "nu", where, default=0.0)
+    xi = _number(mapping, "xi", where, default=1.0)
+    kind = _choice(mapping, "detector", _DETECTORS, where, default=DetectorKind.NUMBER_RESOLVING)
     try:
         probe = ProbeConfig.from_intensities(signal, displacement)
-        det = DetectorModel(
-            eta=_number(mapping, "eta", where, default=1.0),
-            nu=_number(mapping, "nu", where, default=0.0),
-            xi=_number(mapping, "xi", where, default=1.0),
-            kind=_choice(mapping, "detector", _DETECTORS, where,
-                         default=DetectorKind.NUMBER_RESOLVING),
-        )
+        det = DetectorModel(eta=eta, nu=nu, xi=xi, kind=kind)
         count_model(probe, det, model)  # finite means; matched amplitudes for the mixture
     except ValueError as exc:
         raise ConfigError(f"invalid parameter in {where}: {exc}") from exc
@@ -368,12 +365,13 @@ def parse_povm_check(cfg: dict) -> PovmCheckRun:
     nu_values = _number_list(cfg, "nu_values", where, default=(0.0, 1.13e-4))
     try:
         probe = ProbeConfig.from_intensities(signal, displacement)
-        for det in (DetectorModel(eta=eta, nu=nu) for eta in eta_values for nu in nu_values):
-            count_model(probe, det, model)  # each detector of the check, as bench builds it
+        detectors = tuple(DetectorModel(eta=eta, nu=nu) for eta in eta_values for nu in nu_values)
+        for det in detectors:
+            count_model(probe, det, model)
     except ValueError as exc:
         raise ConfigError(f"invalid parameter in {where}: {exc}") from exc
     phi_values = _number_list(cfg, "phi_values", where,
                               default=(0.0, 0.5, 1.0, 2.0, math.pi))
     max_n = _positive_int(cfg, "max_n", where, default=10)
-    return PovmCheckRun(probe=probe, model=model, eta_values=eta_values,
-                        nu_values=nu_values, phi_values=phi_values, max_n=max_n)
+    return PovmCheckRun(probe=probe, model=model, detectors=detectors,
+                        phi_values=phi_values, max_n=max_n)

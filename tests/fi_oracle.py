@@ -19,14 +19,16 @@ from phasecount.fisher import (
     PHI_ZERO_SURROGATE,
     PROB_FLOOR,
     QUAD_POINTS,
-    _hermgauss_normalized,
-    _hermgauss_product_weight,
     count_law,
 )
 from phasecount.photonics import count_model, homodyne_mean
 
 # Step in radians of the central differences.
 STEP = 1e-5
+
+# The Gauss-Hermite rule of fi_numeric, for the weight exp(-t^2)/sqrt(pi).
+NODES, WEIGHTS = np.polynomial.hermite.hermgauss(QUAD_POINTS)
+WEIGHTS = WEIGHTS / math.sqrt(math.pi)
 
 
 def central_difference(f, phi):
@@ -79,18 +81,16 @@ def _onoff(phi, counts):
 
 
 def _homodyne(phi, probe):
-    t, w = _hermgauss_normalized(QUAD_POINTS)
-    x = float(homodyne_mean(phi, probe)) + t
+    x = float(homodyne_mean(phi, probe)) + NODES
     score = central_difference(lambda p: -((x - float(homodyne_mean(p, probe))) ** 2), phi)
-    return float(np.dot(w, score**2))
+    return float(np.dot(WEIGHTS, score**2))
 
 
 def _heterodyne(phi, probe):
-    t, _ = _hermgauss_normalized(QUAD_POINTS)
-    re = probe.alpha * math.cos(phi) + t[:, None]
-    im = probe.alpha * math.sin(phi) + t[None, :]
+    re = probe.alpha * math.cos(phi) + NODES[:, None]
+    im = probe.alpha * math.sin(phi) + NODES[None, :]
     score = central_difference(lambda p: -((re - probe.alpha * math.cos(p)) ** 2)
                                - (im - probe.alpha * math.sin(p)) ** 2, phi)
     np.square(score, out=score)
-    score *= _hermgauss_product_weight(QUAD_POINTS)
+    score *= WEIGHTS[:, None] * WEIGHTS[None, :]
     return float(score.sum())

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from phasecount import bench, cli, runconfig, sampling
-from phasecount.photonics import LikelihoodModel, ProbeConfig
+from phasecount.photonics import DetectorModel, LikelihoodModel, ProbeConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -507,6 +507,25 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, text, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,text,line", [
+    ("simulate", _run_config("simulate", False, eta=".nan"),
+     "configuration error: key 'eta' in simulate config must be a finite number, got nan"),
+    ("simulate", _run_config("simulate", False, detector="foo"),
+     "configuration error: key 'detector' in simulate config must be one of "
+     "['onoff', 'pnrd'], got 'foo'"),
+    ("fi-curve", IDEAL_FI_CONFIG + "    eta: .nan\n",
+     "configuration error: key 'eta' in parameter_sets[0] must be a finite number, got nan"),
+], ids=["simulate-eta", "simulate-detector", "fi-curve-eta"])
+def test_detector_key_error_names_its_place_once(tmp_path, capsys, command, text, line):
+    # the detector keys are read before the objects are built, so their own
+    # message is not wrapped in "invalid parameter in <where>"
+    cfg = _write(tmp_path, "run.yaml", text)
+    out = tmp_path / "run.csv"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "saturate"])
 def test_trials_flag_gets_the_key_check(tmp_path, capsys, command):
     # a flag sets its key, so it fails with the key's own message
@@ -751,7 +770,7 @@ class TestPovmCheck:
     def test_nan_deviation_fails(self):
         run = runconfig.PovmCheckRun(
             probe=ProbeConfig.from_intensities(0.1, 0.1), model=LikelihoodModel.POISSON_FRINGE,
-            eta_values=(1.0,), nu_values=(0.0,), phi_values=(0.5, math.nan), max_n=2)
+            detectors=(DetectorModel(),), phi_values=(0.5, math.nan), max_n=2)
         lines, worst, passed = bench.run_povm_check(run)
         assert math.isnan(worst) and not passed
         assert lines[-1] == "overall max deviation = nan (FAIL, tolerance 1e-08)"
@@ -820,6 +839,23 @@ class TestCommonFlags:
     def test_help_exits_0(self, argv, capsys):
         assert cli.main(argv) == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_help_names_every_command_and_its_flags(self, capsys):
+        # containment only: argparse's wording differs between Python versions
+        assert cli.main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for command, help_text in (
+                ("fi-curve", "Fisher-information curves over a phase grid"),
+                ("simulate", "seeded estimator trajectories vs pulse count"),
+                ("saturate", "mean 1/(m*Var) vs the Fisher information"),
+                ("povm-check", "likelihood vs Fock-space oracle cross-check")):
+            assert command in out and help_text in out
+        for command, seeded in (("simulate", True), ("saturate", True),
+                                ("fi-curve", False), ("povm-check", False)):
+            assert cli.main([command, "--help"]) == 0
+            out = capsys.readouterr().out
+            assert "--config" in out and "--out" in out
+            assert ("--seed" in out, "--trials" in out) == (seeded, seeded)
 
     @pytest.mark.parametrize("command,text,key,where", [
         ("simulate", SIMULATE_CONFIG + "fock_cutoff: 30\n", "fock_cutoff", "simulate config"),

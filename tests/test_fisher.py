@@ -218,11 +218,10 @@ class TestNumericFi:
             fi_numeric(scheme, 1.0, ideal_probe).value, rel=1e-6)
 
     def test_hermite_rule_is_shared_and_read_only(self):
-        nodes, weights = fisher._hermgauss_normalized(128)
-        assert fisher._hermgauss_normalized(128)[0] is nodes
+        nodes, weights, weight = fisher._hermite_rule()
+        assert fisher._hermite_rule()[0] is nodes and fisher._hermite_rule()[2] is weight
+        assert len(nodes) == fisher.QUAD_POINTS
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
-        weight = fisher._hermgauss_product_weight(128)
-        assert fisher._hermgauss_product_weight(128) is weight
         assert not weight.flags.writeable
         assert np.array_equal(weight, np.outer(weights, weights))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fisher import Scheme
-from .photonics import DetectorKind, LikelihoodModel, count_model
+from .photonics import DetectorKind, LikelihoodModel, count_model, homodyne_mean
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .photonics import fringe_mean, mixture_component_means
 from .sampling import ExperimentConfig, OutcomeRecord, record_statistics
@@ -126,7 +126,7 @@ def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
     if config.scheme is Scheme.HOMODYNE:
         # density exp(-(x - mean)^2)/sqrt(pi): the phi-dependent part of the
         # summed log-likelihood is -(s2 - 2*mean*s1 + k*mean^2)
-        mean = math.sqrt(2.0) * probe.alpha * np.sin(grid)
+        mean = homodyne_mean(grid, probe)
 
         def homodyne(statistic):
             k, s1, s2 = statistic

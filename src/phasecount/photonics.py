@@ -345,6 +345,13 @@ def coherent_number_amplitudes(gamma: complex, cutoff: int) -> np.ndarray:
     return amps
 
 
+def fock_cutoff(phi: float, probe: ProbeConfig) -> int:
+    """The Fock truncation :func:`born_probability_oracle` derives at ``phi``,
+    max(30, ceil(mu + 10*sqrt(mu))) for the displaced signal's mean photon
+    number ``mu``."""
+    return _cutoff_for(abs(probe.alpha * cmath.exp(1j * phi) - probe.beta) ** 2)
+
+
 def born_probability_oracle(n: int, phi: float, probe: ProbeConfig, det: DetectorModel,
                             cutoff: int | None = None) -> float:
     """Outcome probability Tr[Pi_n rho] computed in the truncated Fock basis.
@@ -353,8 +360,7 @@ def born_probability_oracle(n: int, phi: float, probe: ProbeConfig, det: Detecto
     |alpha e^{i phi} - beta> and contracts it with :func:`povm_element`.
     Deliberately independent of the closed-form likelihoods so it can serve
     as their cross-check; models no mode mismatch, hence requires xi = 1.
-    The Fock truncation ``cutoff`` defaults to ``max(30, ceil(mu + 10*sqrt(mu)))``
-    for the displaced signal's mean photon number ``mu``.
+    The Fock truncation ``cutoff`` defaults to :func:`fock_cutoff`.
     """
     if n < 0:
         raise ValueError(f"photon-count outcome must be >= 0, got {n!r}")
@@ -366,7 +372,7 @@ def born_probability_oracle(n: int, phi: float, probe: ProbeConfig, det: Detecto
     gamma = probe.alpha * cmath.exp(1j * phi) - probe.beta
     mean_photons = abs(gamma) ** 2
     if cutoff is None:
-        cutoff = _cutoff_for(mean_photons)
+        cutoff = fock_cutoff(phi, probe)
     number_pmf = np.abs(coherent_number_amplitudes(gamma, cutoff)) ** 2
     tail = 1.0 - float(number_pmf.sum())
     if tail > STATE_TAIL_GUARD:

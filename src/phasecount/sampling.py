@@ -257,8 +257,8 @@ def sample(config: ExperimentConfig) -> OutcomeRecord:
 def record_statistics(config: ExperimentConfig, values: np.ndarray, checkpoints):
     """Yield the hashable sufficient statistic of the first k outcomes for each
     increasing checkpoint k: (silent, click) counts, (k, total count) for the
-    one-component count model, the count histogram up to the record's largest
-    count for the mixture, or the quadrature statistic (k, sum, sum of squares)."""
+    one-component count model, the count histogram of counts 0 up to their
+    largest for the mixture, or the quadrature statistic (k, sum, sum of squares)."""
     counting = config.scheme is Scheme.DISPLACED_COUNTING
     if counting and config.det.kind is DetectorKind.ON_OFF:
         clicks, prev = 0, 0
@@ -279,7 +279,7 @@ def record_statistics(config: ExperimentConfig, values: np.ndarray, checkpoints)
         for k in checkpoints:
             histogram += np.bincount(values[prev:k], minlength=len(histogram))
             prev = k
-            yield tuple(histogram.tolist())
+            yield tuple(np.trim_zeros(histogram, "b").tolist())
     else:
         # each prefix is summed afresh: chunked float sums round differently
         for k in checkpoints:
@@ -299,7 +299,8 @@ def statistic_sampler(config: ExperimentConfig, checkpoints):
     Poisson(Δk·λ(φ_true)) for the segment's total count under
     ``poisson-fringe`` and Multinomial(Δk, p) over
     :func:`count_distribution`'s table for the mixture's histogram, whose
-    last entry takes the tail mass as the record's clamp does.  These
+    last entry takes the tail mass as the record's clamp does; each
+    histogram ends at the largest count at its checkpoint.  These
     statistics have the record's law, not its bits.  Every other scheme,
     on/off clicks included, draws the record and reduces it, bit for bit."""
     counting = config.scheme is Scheme.DISPLACED_COUNTING
@@ -311,12 +312,9 @@ def statistic_sampler(config: ExperimentConfig, checkpoints):
         means = float(lam) * np.diff(checkpoints, prepend=0)
         return lambda rng: list(zip(checkpoints, np.cumsum(rng.poisson(means)).tolist()))
     table = count_distribution(config.phi_true, config.probe, config.det, config.model)
-    # the pulses past the last checkpoint are drawn too: the histograms stop
-    # at the record's largest count
-    segments = np.diff((0, *checkpoints, config.pulses))
+    segments = np.diff((0, *checkpoints))
 
     def draw_histograms(rng) -> list:
         histograms = np.cumsum(rng.multinomial(segments, table), axis=0)
-        top = int(np.flatnonzero(histograms[-1]).max(initial=0))
-        return list(map(tuple, histograms[:-1, :top + 1].tolist()))
+        return [tuple(np.trim_zeros(row, "b").tolist()) for row in histograms]
     return draw_histograms

@@ -442,6 +442,15 @@ def _sweep_configs():
 SWEEP = _sweep_configs()
 
 
+def test_trailing_zero_counts_leave_the_moments():
+    # a histogram ends at its largest count: zeros past it add nothing
+    config, statistics = SWEEP["pnrd-mixture"]
+    histograms = statistics[:40]
+    assert all(histogram[-1] for histogram in histograms)
+    padded = [histogram + (0, 0, 0) for histogram in histograms]
+    assert LikelihoodTable(config).moments(padded) == LikelihoodTable(config).moments(histograms)
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP))
 def test_floor_keeps_the_bits_of_the_whole_row_moments(name):
     """The moments of the live window cut at ``_EXP_FLOOR`` have the bits of

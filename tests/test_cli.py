@@ -717,6 +717,29 @@ class TestPovmCheck:
         assert cli.main(["povm-check", "--config", cfg, "--out", str(report)]) == 0
         assert "PASS" in report.read_text()
 
+    def test_outcomes_past_the_last_nonzero_probability_are_skipped(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # every probability on the shipped config is 0 above n = 150: the
+        # report of max_n 10^9 is that of max_n 2000, and no outcome past
+        # 2000 is evaluated
+        oracle = bench.born_probability_oracle
+
+        def bounded_oracle(n, *args):
+            assert n <= 2000, f"outcome {n} evaluated"
+            return oracle(n, *args)
+        monkeypatch.setattr(bench, "born_probability_oracle", bounded_oracle)
+        shipped = (CONFIGS / "povm_check.yaml").read_text()
+        assert "max_n: 10\n" in shipped
+        reports = []
+        for max_n in (2000, 1_000_000_000):
+            cfg = _write(tmp_path, "povm.yaml", shipped.replace("max_n: 10\n", f"max_n: {max_n}\n"))
+            start = time.perf_counter()
+            assert cli.main(["povm-check", "--config", cfg]) == 0
+            assert time.perf_counter() - start < 20.0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert reports[0].endswith("(PASS, tolerance 1e-08)\n")
+
     def test_mismatched_mixture_model_rejected(self, tmp_path, capsys):
         cfg = _write(tmp_path, "povm.yaml", textwrap.dedent("""\
             signal_intensity: 0.100

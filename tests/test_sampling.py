@@ -287,7 +287,7 @@ FRINGE_DRAWS = {
                                     pulses=40),  # mean count ~474
 }
 # the visibility-mixture cases, with checkpoints that stop short of the
-# record's end, whose largest count still sets the histogram length
+# record's end: each histogram ends at the largest count at its checkpoint
 MIXTURE_DRAWS = {
     "mixture-matched": _counts_config(0.7, ProbeConfig.from_intensities(0.5),
                                       DetectorModel(eta=0.602, nu=1.13e-4, xi=0.9),
@@ -358,11 +358,39 @@ class TestExactLawDraw:
             assert np.all(both.sum(axis=1) == k)
             pooled = both[:DRAW_TRIALS].sum(axis=0), both[DRAW_TRIALS:].sum(axis=0)
             assert _chi_square_pvalue(*pooled) > DRAW_ALPHA, k
-        # the histogram lengths: each stops at the trial's largest count,
-        # pulses past the last checkpoint included
+        # the histogram lengths at the first checkpoint: each stops at the
+        # largest count among its pulses
         lengths = _padded([np.bincount([len(trial[0]) for trial in statistics])
                            for statistics in (drawn, recorded)])
         assert _chi_square_pvalue(*lengths) > DRAW_ALPHA
+
+    @pytest.mark.parametrize("name", sorted(MIXTURE_DRAWS))
+    def test_histograms_end_at_their_largest_count(self, name):
+        config = MIXTURE_DRAWS[name]
+        checkpoints = (1, 10, config.pulses // 2)
+        draw = statistic_sampler(config, checkpoints)
+        drawn = [draw(rng) for rng in trial_streams(split_seeds(73, 0, 200))]
+        for seed in split_seeds(79, 0, 200).tolist():
+            values = sample(replace(config, seed=seed)).values
+            recorded = list(record_statistics(config, values, checkpoints))
+            assert recorded == [tuple(np.bincount(values[:k]).tolist()) for k in checkpoints]
+            drawn.append(recorded)
+        for trial in drawn:
+            assert [sum(histogram) for histogram in trial] == list(checkpoints)
+            assert all(histogram[-1] > 0 for histogram in trial)
+
+    def test_mixture_draws_only_the_checkpoint_segments(self):
+        config = MIXTURE_DRAWS["mixture-matched"]
+        checkpoints = (1, 10, config.pulses // 2)
+        segments = []
+
+        class Recording:
+            def multinomial(self, n, pvals):
+                segments.append(np.asarray(n).tolist())
+                return rng.multinomial(n, pvals)
+        rng = np.random.default_rng(83)
+        statistic_sampler(config, checkpoints)(Recording())
+        assert segments == [[1, 9, config.pulses // 2 - 10]]
 
     @pytest.mark.parametrize("name", sorted(EXACT_LAW_DRAWS))
     def test_no_pulses_give_no_statistics(self, name):

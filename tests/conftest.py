@@ -1,5 +1,7 @@
 """Shared fixtures: the experimental parameter set used across the suite."""
 
+import gc
+
 import pytest
 
 from phasecount import DetectorKind, DetectorModel, ProbeConfig
@@ -35,3 +37,17 @@ def ideal_probe() -> ProbeConfig:
 @pytest.fixture
 def ideal_detector() -> DetectorModel:
     return DetectorModel()
+
+
+@pytest.fixture
+def gc_paused():
+    """Keep the cyclic garbage collector off for the test, so a wall-clock
+    bound on a fail-fast path times that path and not a full collection of
+    the objects earlier tests left behind (tens of ms on a large heap)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -161,6 +161,7 @@ class TestFiCurve:
 
 
 class TestSimulate:
+    @pytest.mark.usefixtures("gc_paused")
     def test_bright_probe_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
         # mean count ~726, where the count sum cannot reach its tail mass: the
         # run stops at the FI reference, before any of the 1,000 trials
@@ -615,6 +616,7 @@ class TestSaturate:
         _, rows = _rows(out)
         assert len(rows) == 3 * 2
 
+    @pytest.mark.usefixtures("gc_paused")
     def test_bright_phase_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
         # mean count ~726 at the second phase, where the count sum cannot
         # reach its tail mass: the run stops at the FI references, before

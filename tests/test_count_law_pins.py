@@ -236,6 +236,7 @@ def test_bright_count_table_is_pinned():
 
 
 @pytest.mark.parametrize("case", sorted(BRIGHT_FAILURES))
+@pytest.mark.usefixtures("gc_paused")
 def test_bright_failure_message_is_pinned(case):
     model, intensities, det, phi, message = BRIGHT_FAILURES[case]
     probe = ProbeConfig.from_intensities(*intensities)

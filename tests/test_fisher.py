@@ -122,6 +122,7 @@ class TestNumericFi:
         (LikelihoodModel.VISIBILITY_MIXTURE, (310.0, 310.0), 1.0),
         (LikelihoodModel.VISIBILITY_MIXTURE, (310.0, 310.0), 0.9),
     ])
+    @pytest.mark.usefixtures("gc_paused")
     def test_bright_probe_fails_fast(self, model, intensities, xi):
         # exp(-mean) is subnormal or 0: the count masses can no longer reach
         # the tail-mass target, and the sum must say so at once
@@ -134,6 +135,7 @@ class TestNumericFi:
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.usefixtures("gc_paused")
     def test_non_finite_phase_is_rejected_at_once(self, scheme, phi):
         # a NaN count mass never underflows to end the count sum, and the
         # quadratures would return nan or fail in math.cos
@@ -146,6 +148,7 @@ class TestNumericFi:
         assert time.perf_counter() - start < 0.01
 
     @pytest.mark.parametrize("kind", list(DetectorKind))
+    @pytest.mark.usefixtures("gc_paused")
     def test_overflowing_intensities_fail_fast(self, kind, monkeypatch):
         # ProbeConfig rejects intensities that overflow, so a count model
         # with a NaN mean is built by hand: a NaN mass fails every floor test,

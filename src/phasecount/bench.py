@@ -102,7 +102,7 @@ def run_fi_curve(run: FiCurveRun) -> CommandResult:
     meta = {
         "command": "fi-curve",
         "config": {
-            "phi_grid": {"values": list(run.phi_values)},
+            "phi_grid": run.phi_grid,
             "schemes": [s.value for s in run.schemes],
             "parameter_sets": [p.describe() for p in run.sets],
         },
@@ -214,7 +214,7 @@ def run_saturate(run: SaturateRun) -> CommandResult:
                      fi_analytic(Scheme.HOMODYNE, phi, pset.probe)))
     meta = _seeded_metadata(
         "saturate", run,
-        {"phi_grid": {"values": list(run.phi_values)},
+        {"phi_grid": run.phi_grid,
          "pulses": [int(m) for m in run.pulses_list]},
         {"trials": run.trials})
     return CommandResult(header=header, rows=tuple(rows), metadata=meta)

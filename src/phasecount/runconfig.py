@@ -62,6 +62,7 @@ class ParameterSet:
 @dataclass(frozen=True)
 class FiCurveRun:
     phi_values: tuple
+    phi_grid: dict  # the grid as the config gave it, normalised (parse_phi_grid)
     schemes: tuple
     sets: tuple
 
@@ -81,6 +82,7 @@ class SimulateRun:
 @dataclass(frozen=True)
 class SaturateRun:
     phi_values: tuple
+    phi_grid: dict
     pulses_list: tuple
     params: ParameterSet
     trials: int
@@ -206,13 +208,20 @@ def _seed(seed: int) -> int:
         raise ConfigError(str(exc)) from None
 
 
-def parse_phi_grid(entry, where: str, lo: float = 0.0, hi: float = math.pi) -> tuple:
-    """A grid is either {values: [...]} or {start:, stop:, count:}."""
+def parse_phi_grid(entry, where: str, lo: float = 0.0, hi: float = math.pi) -> tuple[tuple, dict]:
+    """A grid is either {values: [...]} or {start:, stop:, count:}.
+
+    Returns the phases and the grid in its normalised form, which a sidecar
+    records: {values: [floats]}, or {start: float, stop: float, count: int}
+    in that order.  A point start + i*step that rounds past ``stop`` is
+    clamped to ``stop``; every other point keeps those bits.
+    """
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be a mapping")
     if "values" in entry:
         _check_keys(entry, {"values"}, where)
         values = _number_list(entry, "values", where)
+        grid = {"values": list(values)}
     else:
         _check_keys(entry, {"start", "stop", "count"}, where)
         start = _number(entry, "start", where)
@@ -224,11 +233,12 @@ def parse_phi_grid(entry, where: str, lo: float = 0.0, hi: float = math.pi) -> t
             values = (start,)
         else:
             step = (stop - start) / (count - 1)
-            values = tuple(start + i * step for i in range(count))
+            values = tuple(min(start + i * step, stop) for i in range(count))
+        grid = {"start": start, "stop": stop, "count": count}
     for v in values:
         if not lo <= v <= hi:
             raise ConfigError(f"phase value {v!r} in {where} outside [{lo:g}, {hi:g}]")
-    return tuple(values)
+    return values, grid
 
 
 _PARAM_KEYS = {
@@ -265,7 +275,7 @@ def parse_parameter_set(mapping: dict, where: str, default_label: str = "set") -
 def parse_fi_curve(cfg: dict) -> FiCurveRun:
     where = "fi-curve config"
     _check_keys(cfg, {"phi_grid", "schemes", "parameter_sets"}, where)
-    phi_values = parse_phi_grid(_get(cfg, "phi_grid", dict, where), "phi_grid")
+    phi_values, phi_grid = parse_phi_grid(_get(cfg, "phi_grid", dict, where), "phi_grid")
     scheme_names = _get(cfg, "schemes", list, where,
                         default=[s.value for s in Scheme])
     if not scheme_names:
@@ -290,7 +300,8 @@ def parse_fi_curve(cfg: dict) -> FiCurveRun:
     labels = [s.label for s in sets]
     if len(set(labels)) != len(labels):
         raise ConfigError("parameter-set labels must be unique")
-    return FiCurveRun(phi_values=phi_values, schemes=tuple(schemes), sets=tuple(sets))
+    return FiCurveRun(phi_values=phi_values, phi_grid=phi_grid, schemes=tuple(schemes),
+                      sets=tuple(sets))
 
 
 def _seeded(cfg: dict, keys: set, where: str) -> dict:
@@ -344,11 +355,12 @@ def parse_saturate(cfg: dict) -> SaturateRun:
     where = "saturate config"
     seeded = _seeded(cfg, {"phi_grid", "pulses"}, where)
     eps = 1e-12
-    phi_values = parse_phi_grid(_get(cfg, "phi_grid", dict, where), "phi_grid",
-                                lo=eps, hi=math.pi - eps)
+    phi_values, phi_grid = parse_phi_grid(_get(cfg, "phi_grid", dict, where), "phi_grid",
+                                          lo=eps, hi=math.pi - eps)
     pulses_list = _positive_int_list(cfg, "pulses", where)
     _check_streams(seeded["trials"] * len(phi_values) * len(pulses_list), where)
-    return SaturateRun(phi_values=phi_values, pulses_list=pulses_list, **seeded)
+    return SaturateRun(phi_values=phi_values, phi_grid=phi_grid, pulses_list=pulses_list,
+                       **seeded)
 
 
 _POVM_KEYS = {"signal_intensity", "displacement_intensity", "model",

@@ -7,6 +7,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -951,6 +952,36 @@ class TestYamlBindings:
         assert "error reading configuration" in capsys.readouterr().err
 
 
+class TestPhiGrid:
+    """A {start, stop, count} grid holds start + i*step, a point that rounds
+    past ``stop`` clamped to ``stop``."""
+
+    def test_grids_ending_at_pi_parse_and_stay_in_range(self):
+        clamped = 0
+        for start in (0.0, 0.02, 0.1):
+            for count in range(2, 2001):
+                values, _ = runconfig.parse_phi_grid(
+                    {"start": start, "stop": math.pi, "count": count}, "phi_grid")
+                raw = start + np.arange(count) * ((math.pi - start) / (count - 1))
+                got = np.array(values)
+                assert len(values) == count and got.max() <= math.pi
+                # bitwise: each point is start + i*step unless that passed stop
+                want = np.where(raw > math.pi, math.pi, raw)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                clamped += bool(raw[-1] > math.pi)
+        assert clamped > 0  # the sweep holds grids that were rejected before the clamp
+
+    def test_grid_that_rounds_past_pi_runs(self, tmp_path):
+        text = (CONFIGS / "fi_curves_ideal.yaml").read_text()
+        assert "  count: 158\n" in text
+        cfg = _write(tmp_path, "fi.yaml", text.replace("  count: 158\n", "  count: 101\n"))
+        out = tmp_path / "fi.csv"
+        assert cli.main(["fi-curve", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = _rows(out)
+        assert len(rows) == 101
+        assert rows[-1][0] == repr(math.pi)
+
+
 class TestRegeneration:
     """A sidecar's ``config`` block, written back as a config file and run
     with no flags, gives the same CSV bytes."""
@@ -983,6 +1014,73 @@ class TestRegeneration:
             assert (config["seed"], config["trials"]) == (int(flags[1]), int(flags[3]))
         again = _write(tmp_path, "again.yaml", yaml.safe_dump(config, sort_keys=False))
         assert cli.main([command, "--config", again, "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
+    @staticmethod
+    def _sidecar(tmp_path, command, text):
+        cfg = _write(tmp_path, "grid.yaml", text)
+        out = tmp_path / "grid.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        return out.with_suffix(".meta.yaml").read_text()
+
+    @pytest.mark.parametrize("stem", ["fi_curves_ideal", "fi_curves_imperfect_weak",
+                                      "fi_curves_imperfect_bright"])
+    def test_fi_curve_sidecar_records_the_grid_as_given(self, tmp_path, stem):
+        given = runconfig.load_config(CONFIGS / f"{stem}.yaml")["phi_grid"]
+        sidecar = self._sidecar(tmp_path, "fi-curve", self._shipped(stem))
+        grid = yaml.safe_load(sidecar)["config"]["phi_grid"]
+        assert list(grid) == ["start", "stop", "count"]
+        assert grid == given
+        assert [type(v) for v in grid.values()] == [float, float, int]
+
+    @pytest.mark.parametrize("command,text", [
+        ("fi-curve", "phi_grid: {values: [0, 0.5, 3]}\nschemes: [displaced]\n"
+                     "parameter_sets:\n  - signal_intensity: 0.1\n"),
+        ("saturate", "phi_grid: {values: [1, 0.5, 3]}\npulses: [100]\ntrials: 1\n"
+                     "grid_size: 257\nsignal_intensity: 0.1\n"),
+    ], ids=["fi-curve", "saturate"])
+    def test_values_grid_is_written_as_its_values(self, tmp_path, command, text):
+        grid = yaml.safe_load(self._sidecar(tmp_path, command, text))["config"]["phi_grid"]
+        values = [float(v) for v in yaml.safe_load(text)["phi_grid"]["values"]]
+        assert grid == {"values": values}
+        assert {type(v) for v in grid["values"]} == {float}
+
+    def test_integer_start_and_stop_are_written_as_floats(self, tmp_path):
+        sidecar = self._sidecar(tmp_path, "fi-curve", textwrap.dedent("""\
+            phi_grid: {start: 0, stop: 3, count: 4}
+            schemes: [displaced]
+            parameter_sets:
+              - signal_intensity: 0.1
+        """))
+        assert "\n  phi_grid:\n    start: 0.0\n    stop: 3.0\n    count: 4\n" in sidecar
+
+    def test_sidecar_size_does_not_grow_with_the_grid(self, tmp_path):
+        text = IDEAL_FI_CONFIG.replace("values: [0.0, 0.5, 1.5707963267948966]",
+                                       "{start: 0.0, stop: 3.0, count: %d}")
+        assert "count: %d" in text
+        lines = [len(self._sidecar(tmp_path, "fi-curve", text % count).splitlines())
+                 for count in (20, 2000)]
+        assert lines[0] == lines[1]
+
+    def test_saturate_range_grid_regenerates_the_csv(self, tmp_path):
+        text = textwrap.dedent("""\
+            phi_grid: {start: 0.5, stop: 2.5, count: 3}
+            pulses: [100, 300]
+            trials: 3
+            grid_size: 257
+            seed: 11
+            signal_intensity: 0.1
+            eta: 0.602
+            detector: onoff
+        """)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert cli.main(["saturate", "--config", _write(tmp_path, "sat.yaml", text),
+                         "--out", str(first)]) == 0
+        config = yaml.safe_load(first.with_suffix(".meta.yaml").read_text())["config"]
+        assert config["phi_grid"] == {"start": 0.5, "stop": 2.5, "count": 3}
+        again = _write(tmp_path, "again.yaml", yaml.safe_dump(config, sort_keys=False))
+        assert cli.main(["saturate", "--config", again, "--out", str(second)]) == 0
+        assert len(_rows(first)[1]) == 3 * 2
         assert second.read_bytes() == first.read_bytes()
 
     PARAMETER_KEYS = ["signal_intensity", "displacement_intensity", "eta", "nu", "xi",

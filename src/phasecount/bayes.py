@@ -1,8 +1,9 @@
 """Grid-based Bayesian phase estimation from a measurement record.
 
-The posterior over phi lives on a uniform grid spanning [0, pi] (the
-identifiable half-interval: every likelihood here depends on phi only
-through cos(phi)) with a flat prior and trapezoid integration.  Likelihoods
+The posterior over phi lives on a uniform grid spanning [0, pi] with a flat
+prior and trapezoid integration: the half-interval on which counting (a
+function of cos(phi)) and heterodyne identify phi; homodyne, with mean
+sqrt(2)*alpha*sin(phi), cannot tell phi from pi - phi there.  Likelihoods
 are accumulated in the log domain with max-subtraction, since products over
 ~1e6 pulses underflow any direct evaluation; additive constants cancel in
 the normalization and are dropped.  Each posterior is exactly 0 outside its

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 import yaml
@@ -88,16 +88,17 @@ def run_fi_curve(run: FiCurveRun) -> CommandResult:
     header = ["phi", "phi_eval", "label", *names, "qfi", *(f"{n}_over_qfi" for n in names)]
 
     phis = np.array(run.phi_values)
-    columns = []  # per set: label, QFI, phi_eval and the FI rows, one fi_numeric call per scheme
+    columns = []  # per set: its rows zipped from its columns, one fi_numeric call per scheme
     for pset in run.sets:
         results = {scheme: fi_numeric(scheme, phis, pset.probe, pset.det, model=pset.model)
                    for scheme in run.schemes}
         displaced = results.get(Scheme.DISPLACED_COUNTING)
         evaluated = phis if displaced is None else displaced.phi_evaluated
-        columns.append((pset.label, qfi_coherent(pset.probe), evaluated.tolist(),
-                        list(zip(*(res.value.tolist() for res in results.values())))))
-    rows = [(phi, phi_eval[i], label, *values[i], qfi, *(v / qfi for v in values[i]))
-            for i, phi in enumerate(run.phi_values) for label, qfi, phi_eval, values in columns]
+        values, qfi = [res.value for res in results.values()], qfi_coherent(pset.probe)
+        columns.append(zip(run.phi_values, evaluated.tolist(), repeat(pset.label),
+                           *(v.tolist() for v in values), repeat(qfi),
+                           *((v / qfi).tolist() for v in values)))  # the bits of Python's /
+    rows = tuple(chain.from_iterable(zip(*columns)))  # the sets' rows interleaved per phase
 
     meta = {
         "command": "fi-curve",
@@ -107,7 +108,7 @@ def run_fi_curve(run: FiCurveRun) -> CommandResult:
             "parameter_sets": [p.describe() for p in run.sets],
         },
     }
-    return CommandResult(header=tuple(header), rows=tuple(rows), metadata=meta)
+    return CommandResult(header=tuple(header), rows=rows, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

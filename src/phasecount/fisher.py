@@ -200,7 +200,9 @@ def count_law(phi, counts: CountModel, terms: int | None = None):
         p[:, 0] = p0
         np.divide(lam[:, None], np.arange(1.0, width), out=p[:, 1:])
         np.multiply.accumulate(p, axis=1, out=p)
-        slope = np.diff(p, axis=1, prepend=0.0)  # -(p_{n-1} - p_n), exactly
+        slope = np.empty_like(p)  # -(p_{n-1} - p_n), exactly, with p_{-1} = 0
+        slope[:, 0] = p[:, 0]
+        np.subtract(p[:, 1:], p[:, :-1], out=slope[:, 1:])
         slope *= -wdlam[:, None]
         slope[p == 0.0] = 0.0  # an underflowed component adds (0, 0)
         p *= w
@@ -258,14 +260,23 @@ def _fi_homodyne(phi: float, probe) -> float:
     return float(np.dot(w, score**2))
 
 
+@functools.cache
+def _product_rule():
+    """The product rule on the plane flattened row-major, as ``score.sum()`` reduces
+    a (QUAD_POINTS, QUAD_POINTS) array: node pairs (2*t_i, 2*t_j), weight w_i w_j."""
+    t, _, product = _hermite_rule()
+    u, v = np.repeat(2.0 * t, QUAD_POINTS), np.tile(2.0 * t, QUAD_POINTS)
+    u.flags.writeable = v.flags.writeable = False
+    return u, v, product.ravel()
+
+
 def _fi_heterodyne(phi: float, probe) -> float:
-    t, _, weight = _hermite_rule()
+    u, v, weight = _product_rule()
     mx = probe.alpha * math.cos(phi)
     my = probe.alpha * math.sin(phi)
-    dmx, dmy = -my, mx
-    # score(u, v) = 2*u*dmx + 2*v*dmy on the product Hermite grid
-    score = np.add.outer(t * dmx, t * dmy)
-    score *= 2.0
+    # score(u, v) = 2*u*dmx + 2*v*dmy with dmx = -my, dmy = mx; 2*t scales exactly
+    score = u * -my
+    score += v * mx
     np.square(score, out=score)  # the weighted sum of score**2, in place
     score *= weight
-    return float(score.sum())
+    return float(np.add.reduce(score))

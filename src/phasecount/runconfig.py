@@ -28,6 +28,9 @@ SafeLoader, SafeDumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_li
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
+# Points a {start, stop, count} grid may have: a million-phase fi-curve set takes about a minute.
+MAX_GRID_POINTS = 10**6
+
 _SCHEMES = {s.value: s for s in Scheme}
 _DETECTORS = {k.value: k for k in DetectorKind}
 _MODELS = {m.value: m for m in LikelihoodModel}
@@ -229,15 +232,19 @@ def parse_phi_grid(entry, where: str, lo: float = 0.0, hi: float = math.pi) -> t
         count = _positive_int(entry, "count", where)
         if stop < start:
             raise ConfigError(f"'stop' must be >= 'start' in {where}")
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(f"key 'count' in {where} must be <= {MAX_GRID_POINTS}, got {count!r}")
         if count == 1:
             values = (start,)
         else:
-            step = (stop - start) / (count - 1)
-            values = tuple(min(start + i * step, stop) for i in range(count))
+            points = start + np.arange(count) * ((stop - start) / (count - 1))
+            values = tuple(np.where(points > stop, stop, points).tolist())  # min(point, stop)
         grid = {"start": start, "stop": stop, "count": count}
-    for v in values:
-        if not lo <= v <= hi:
-            raise ConfigError(f"phase value {v!r} in {where} outside [{lo:g}, {hi:g}]")
+    points = np.array(values)
+    outside = ~((lo <= points) & (points <= hi))
+    if outside.any():
+        raise ConfigError(
+            f"phase value {values[outside.argmax()]!r} in {where} outside [{lo:g}, {hi:g}]")
     return values, grid
 
 

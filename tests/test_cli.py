@@ -981,6 +981,54 @@ class TestPhiGrid:
         assert len(rows) == 101
         assert rows[-1][0] == repr(math.pi)
 
+    @pytest.mark.parametrize("start,stop", [
+        (0.0, math.pi), (0.02, math.pi), (0.1, math.pi), (0.0, 1.0), (0.3, 0.3 + 1e-12),
+        (1.0, 1.0), (-0.0, 0.5), (0.1, 3.0), (1e-300, 2.5)])
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 101, 158, 1000, 1001])
+    def test_array_grid_equals_the_per_point_formula(self, start, stop, count):
+        values, _ = runconfig.parse_phi_grid(
+            {"start": start, "stop": stop, "count": count}, "phi_grid")
+        if count == 1:
+            want = (start,)
+        else:
+            step = (stop - start) / (count - 1)
+            want = tuple(min(start + i * step, stop) for i in range(count))
+        assert type(values) is tuple and all(type(v) is float for v in values)
+        assert values == want and list(map(float.hex, values)) == list(map(float.hex, want))
+
+    @pytest.mark.parametrize("grid", [
+        {"start": 0.0, "stop": 3.2, "count": 5}, {"start": 0.0, "stop": 3.5, "count": 2},
+        {"values": [0.1, -0.5, 1.0]}, {"values": [0.1, 4.0, -1.0]}])
+    def test_range_is_checked_at_the_first_point_outside(self, grid):
+        want = next(v for v in (grid["values"] if "values" in grid else
+                                (grid["start"] + i * (grid["stop"] - grid["start"])
+                                 / (grid["count"] - 1) for i in range(grid["count"])))
+                    if not 0.0 <= v <= math.pi)
+        with pytest.raises(runconfig.ConfigError, match=re.escape(f"phase value {want!r} in")):
+            runconfig.parse_phi_grid(grid, "phi_grid")
+
+    def test_grid_count_at_its_bound_parses(self):
+        values, _ = runconfig.parse_phi_grid(
+            {"start": 0.0, "stop": 1.0, "count": runconfig.MAX_GRID_POINTS}, "phi_grid")
+        assert len(values) == runconfig.MAX_GRID_POINTS and 1.0 - 1e-15 <= values[-1] <= 1.0
+
+    @pytest.mark.usefixtures("gc_paused")
+    @pytest.mark.parametrize("command,stem", [("fi-curve", "fi_curves_ideal"),
+                                              ("saturate", "experiment_saturate")])
+    def test_grid_count_past_its_bound_fails_fast(self, command, stem, tmp_path, capsys):
+        text = (CONFIGS / f"{stem}.yaml").read_text()
+        text = re.sub(r"(?m)^phi_grid:(\n  .*)+$", "phi_grid:\n  start: 0.0\n  stop: 1.0\n"
+                      "  count: 1000000000", text)
+        assert "count: 1000000000" in text
+        cfg = _write(tmp_path, "big.yaml", text)
+        out = tmp_path / "big.csv"
+        start = time.perf_counter()
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"key 'count' in phi_grid must be <= {runconfig.MAX_GRID_POINTS}" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "big.yaml"]
+
 
 class TestRegeneration:
     """A sidecar's ``config`` block, written back as a config file and run

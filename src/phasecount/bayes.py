@@ -8,25 +8,22 @@ are accumulated in the log domain with max-subtraction, since products over
 ~1e6 pulses underflow any direct evaluation; additive constants cancel in
 the normalization and are dropped.  Each posterior is exactly 0 outside its
 live window, from the first to the last node within e^-80 of its peak
-(about 12.6 sd each side of a Gaussian peak).  A single-Poisson
-(poisson-fringe) count record enters only through (k, S), its pulses and
-total count: S log(lam) - k lam, taken relative to its value at lam = S/k
-so that the large constant never reaches the subtraction.
+(about 12.6 sd each side of a Gaussian peak).  The log-likelihood of a
+sufficient statistic over the grid is the measurement's
+(``fisher.Measurement.loglik``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fisher import Scheme
-from .photonics import DetectorKind, LikelihoodModel, count_model, homodyne_mean
+from .fisher import Measurement, checked_checkpoints
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .photonics import fringe_mean, mixture_component_means
-from .sampling import ExperimentConfig, OutcomeRecord, record_statistics
+from .sampling import OutcomeRecord
 
 DEFAULT_GRID_SIZE = 4097
 MIN_GRID_SIZE = 65
@@ -112,104 +109,6 @@ def _phase_grid(grid_size: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# log-likelihood as a function of the sufficient statistic
-# ---------------------------------------------------------------------------
-
-def _loglik_function(config: ExperimentConfig, grid: np.ndarray):
-    """log p(record | phi) over the grid up to additive constants, as a
-    function of one sufficient statistic, in a fresh row.
-
-    Everything that depends on the configuration alone is evaluated here,
-    once: the count means over the grid and their logs, log p0 and log p1,
-    the quadrature means.
-    """
-    probe, det = config.probe, config.det
-    if config.scheme is Scheme.HOMODYNE:
-        # density exp(-(x - mean)^2)/sqrt(pi): the phi-dependent part of the
-        # summed log-likelihood is -(s2 - 2*mean*s1 + k*mean^2)
-        mean = homodyne_mean(grid, probe)
-
-        def homodyne(statistic):
-            k, s1, s2 = statistic
-            return -(s2 - 2.0 * mean * s1 + k * mean * mean)
-        return homodyne
-    if config.scheme is Scheme.HETERODYNE:
-        mx = probe.alpha * np.cos(grid)
-        my = probe.alpha * np.sin(grid)
-        m2 = mx * mx + my * my
-
-        def heterodyne(statistic):
-            k, s1, s2 = statistic
-            return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
-        return heterodyne
-    if config.scheme is not Scheme.DISPLACED_COUNTING:
-        raise ValueError(f"unknown scheme {config.scheme!r}")
-
-    model = count_model(probe, det, config.model)
-    if det.kind is DetectorKind.ON_OFF:
-        # + 0.0 turns -0.0 (log p0 = -lam at lam = 0) into 0.0, so that a row,
-        # one product and one sum, has the bits of its terms added to a zero row
-        log_p0, log_p1 = (log_p + 0.0 for log_p in model.log_silent_click(grid))
-
-        def click(statistic):
-            n_silent, n_click = statistic
-            # 0 * log p1 is NaN where an ideal detector nulls, log p1 = -inf
-            if not n_click:
-                return log_p0 * n_silent if n_silent else np.zeros_like(grid)
-            row = log_p1 * n_click
-            if n_silent:
-                row += log_p0 * n_silent
-            return row
-        return click
-
-    if config.model is LikelihoodModel.POISSON_FRINGE:
-        (lam,) = model.means(grid)
-        if lam.all():
-            log1p = np.log1p
-        else:  # lam = 0, an ideal detector's null: log1p(-1) = -inf
-            def log1p(x):  # np.errstate costs about a grid pass: only here
-                with np.errstate(divide="ignore"):
-                    return np.log1p(x)
-
-        def centred(statistic):
-            k, s = statistic
-            # S log(lam) - k lam less its value at the peak lam = S/k, so that
-            # no large constant cancels when the posterior takes off its peak
-            if s == 0:
-                return lam * -k
-            x = lam * (k / s)
-            x -= 1.0
-            row = log1p(x)
-            row -= x
-            row *= s
-            return row
-        return centred
-
-    # log p(n | phi) up to the common -lgamma(n+1) constant, per component;
-    # a zero-weight component adds nothing and is left out
-    with np.errstate(divide="ignore"):
-        components = [(math.log(w), lam, np.log(lam))
-                      for w, lam in zip(model.weights, model.means(grid)) if w > 0.0]
-
-    def component_log_pmf(n, log_w, lam, log_lam):
-        part = -lam if n == 0 else n * log_lam - lam
-        return part + log_w if log_w else part  # adding 0 would cost a grid pass
-
-    @functools.cache  # per table: a count's row, kept for every histogram that holds it
-    def count_row(n):
-        return (functools.reduce(np.logaddexp, [component_log_pmf(n, *c) for c in components])
-                - math.lgamma(n + 1))
-
-    def counts(histogram):
-        total = np.zeros_like(grid)
-        for n, multiplicity in enumerate(histogram):
-            if multiplicity:
-                total += multiplicity * count_row(n)
-        return total
-    return counts
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -235,10 +134,10 @@ class LikelihoodTable:
     so every moment keeps the bits of the full-grid evaluation.
     """
 
-    def __init__(self, config: ExperimentConfig, grid_size: int = DEFAULT_GRID_SIZE):
+    def __init__(self, measurement: Measurement, grid_size: int = DEFAULT_GRID_SIZE):
         self.grid = _phase_grid(grid_size)
         self.spacing = np.diff(self.grid)
-        self.loglik = _loglik_function(config, self.grid)
+        self.loglik = measurement.loglik(self.grid)
         self._moments = {}
 
     def _posterior(self, statistic) -> tuple[np.ndarray, _Window]:
@@ -286,8 +185,9 @@ def posterior(record: OutcomeRecord, grid_size: int = DEFAULT_GRID_SIZE) -> Post
 
     An empty record returns the flat prior 1/pi.
     """
-    (statistic,) = record_statistics(record.config, record.values, (len(record),))
-    return next(LikelihoodTable(record.config, grid_size).posteriors([statistic]))
+    kind = record.config.measurement
+    (statistic,) = kind.statistics(record.values, (len(record),))
+    return next(LikelihoodTable(kind, grid_size).posteriors([statistic]))
 
 
 def _estimate(nodes: np.ndarray, density: np.ndarray,
@@ -318,14 +218,11 @@ def sequential_estimates(
     table is built once; the realized estimate at k equals the one-shot
     posterior of the first k outcomes exactly.
     """
-    ks = [int(k) for k in checkpoints]
+    ks = checked_checkpoints(checkpoints, record.config.pulses, least=1)
     if not ks:
         raise ValueError("checkpoints must be a nonempty increasing sequence")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
-    if ks[0] < 1 or ks[-1] > record.config.pulses:
-        raise ValueError("checkpoints must lie within [1, pulses]")
 
-    table = LikelihoodTable(record.config, grid_size)
-    statistics = record_statistics(record.config, record.values, ks)
+    kind = record.config.measurement
+    table = LikelihoodTable(kind, grid_size)
+    statistics = kind.statistics(record.values, ks)
     return [(k, *moments) for k, moments in zip(ks, table.moments(statistics))]

@@ -19,17 +19,10 @@ import yaml
 
 from . import __version__
 from .bayes import LikelihoodTable, require_resolved
-from .fisher import Scheme, fi_analytic, fi_numeric, qfi_coherent
+from .fisher import Scheme, fi_analytic, fi_numeric, measurement, qfi_coherent
 from .photonics import born_probability_oracle, count_model, fock_cutoff, pnrd_likelihood
 from .runconfig import FiCurveRun, PovmCheckRun, SafeDumper, SaturateRun, SimulateRun
-from .sampling import (
-    PRNG_IDENTITY,
-    SEED_MIXER_IDENTITY,
-    ExperimentConfig,
-    split_seeds,
-    statistic_sampler,
-    trial_streams,
-)
+from .sampling import PRNG_IDENTITY, SEED_MIXER_IDENTITY, split_seeds, trial_streams
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .bayes import sequential_estimates
 from .sampling import sample
@@ -124,10 +117,10 @@ def _monte_carlo(run, scheme: Scheme, cells: list) -> tuple[dict, list]:
     cannot resolve at the most informative phase and the last checkpoint
     (GridResolutionError), stops the run before any trial is drawn.  Cell
     c's trial t draws stream c*trials + t, the streams of the whole run
-    seeded in array passes.  A trial draws only its sufficient statistics
-    (``statistic_sampler``); one likelihood table serves the run, and each
-    cell looks its trials' statistics up in one call, which evaluates the
-    posterior once per distinct statistic.
+    seeded in array passes.  The run resolves one measurement kind, whose
+    ``statistic_draw`` gives a trial's sufficient statistics and whose one
+    likelihood table serves the run; each cell looks its trials' statistics
+    up in one call, which evaluates the posterior once per distinct statistic.
     """
     pset = run.params
     phis = list(dict.fromkeys(phi for phi, _, _ in cells))
@@ -135,14 +128,12 @@ def _monte_carlo(run, scheme: Scheme, cells: list) -> tuple[dict, list]:
                                        model=pset.model).value.tolist()))
     require_resolved(max(fisher.values()), max(c[-1] for _, _, c in cells), run.grid_size)
 
-    def config(phi, pulses):
-        return ExperimentConfig(scheme=scheme, phi_true=phi, probe=pset.probe,
-                                det=pset.det, pulses=pulses, model=pset.model)
-    table = LikelihoodTable(config(*cells[0][:2]), run.grid_size)
+    kind = measurement(scheme, pset.probe, pset.det, pset.model)
+    table = LikelihoodTable(kind, run.grid_size)
     streams = trial_streams(split_seeds(run.seed, 0, len(cells) * run.trials))
     moments = []
     for phi, pulses, checkpoints in cells:
-        draw = statistic_sampler(config(phi, pulses), checkpoints)
+        draw = kind.statistic_draw(phi, pulses, checkpoints)
         moments.append(table.moments([s for rng in islice(streams, run.trials)
                                       for s in draw(rng)]))
     return fisher, moments

@@ -1,5 +1,8 @@
-"""Quantum and classical Fisher information for the supported measurements.
+"""The supported measurements, and their quantum and classical Fisher information.
 
+``measurement`` resolves a scheme, detector and count model to one of five
+measurement kinds, each with its record draw, sufficient statistic, grid
+log-likelihood and numeric FI; sampling and bayes reach them only through it.
 ``fi_numeric`` derives the classical Fisher information mechanically from
 the outcome likelihoods (sums over ``count_law``, Gauss-Hermite quadrature
 over quadratures), with one analytic derivative d(mean)/d(phi) per scheme,
@@ -24,12 +27,12 @@ from .photonics import (
     ProbeConfig,
     count_model,
     exp_neg,
+    homodyne_mean,
 )
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .photonics import (
     fringe_mean,
     fringe_mean_derivative,
-    homodyne_mean,
     mixture_component_means,
     mixture_interfering_mean_derivative,
 )
@@ -152,21 +155,11 @@ def fi_numeric(
     phis = np.asarray(phi, dtype=float)
     if not np.isfinite(phis).all():
         raise ValueError(f"phi must be finite, got {phi!r}")
-    substituted = (phis == 0.0) & (scheme is Scheme.DISPLACED_COUNTING)
-    phi_eval = np.where(substituted, PHI_ZERO_SURROGATE, phis)
-    if scheme is Scheme.DISPLACED_COUNTING:
-        det = det or DetectorModel()
-        fi = _fi_onoff if det.kind is DetectorKind.ON_OFF else _fi_counts
-        counts, flat = count_model(probe, det, model), np.atleast_1d(phi_eval)
-        values = np.concatenate([fi(flat[i:i + PHASE_BLOCK], counts)
-                                 for i in range(0, flat.size, PHASE_BLOCK)])
-    elif scheme in (Scheme.HOMODYNE, Scheme.HETERODYNE):
-        fi = _fi_homodyne if scheme is Scheme.HOMODYNE else _fi_heterodyne
-        values = np.array([fi(x, probe) for x in np.ravel(phis).tolist()])
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    values, phi_eval = measurement(scheme, probe, det or DetectorModel(), model).fi(
+        np.atleast_1d(phis))
+    substituted = phi_eval != phis
     if phis.ndim == 0:
-        return FiResult(float(values[0]), phi, float(phi_eval), bool(substituted))
+        return FiResult(float(values[0]), phi, float(phi_eval[0]), bool(substituted[0]))
     return FiResult(values, phi, phi_eval, substituted)
 
 
@@ -222,22 +215,235 @@ def count_law(phi, counts: CountModel, terms: int | None = None):
     return masses, slopes, below.argmax(axis=1) + 1
 
 
-def _fi_counts(phi, counts: CountModel):
-    masses, slopes, terms = count_law(phi, counts)
-    floor = masses <= PROB_FLOOR
-    info = np.divide(np.square(slopes, out=slopes), masses, out=slopes, where=~floor)
-    info[floor] = 0.0
-    np.add.accumulate(info, axis=1, out=info)
-    return info[np.arange(len(terms)), terms - 1]
+# ---------------------------------------------------------------------------
+# the measurements
+# ---------------------------------------------------------------------------
+
+def measurement(scheme: Scheme, probe: ProbeConfig, det: DetectorModel,
+                model: LikelihoodModel) -> Measurement:
+    """The measurement of ``scheme``, the one place that tells the kinds apart;
+    homodyne and heterodyne ignore the detector and the count model."""
+    if scheme is Scheme.HOMODYNE:
+        return Homodyne(probe)
+    if scheme is Scheme.HETERODYNE:
+        return Heterodyne(probe)
+    if scheme is not Scheme.DISPLACED_COUNTING:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if det.kind is DetectorKind.ON_OFF:
+        return OnOff(probe, det, model)
+    if model is LikelihoodModel.POISSON_FRINGE:
+        return FringeCounts(probe, det, model)
+    return MixtureCounts(probe, det, model)
 
 
-def _fi_onoff(phi, counts: CountModel):
-    # silence is the n = 0 count, (0, 0) once every component's p0 underflows
-    masses, slopes, _ = count_law(phi, counts, terms=1)
-    p0, info = masses[:, 0], np.square(slopes[:, 0])
-    p_click = counts.silent_click(phi)[1]
-    total = np.divide(info, p0, out=np.zeros_like(p0), where=p0 > PROB_FLOOR)
-    return total + np.divide(info, p_click, out=np.zeros_like(p0), where=p_click > PROB_FLOOR)
+def checked_checkpoints(checkpoints, pulses: int, least: int = 0) -> list[int]:
+    """The checkpoints as ints, checked to increase strictly within [least, pulses]:
+    a statistic past the record's end would count pulses that were never drawn."""
+    ks = [int(k) for k in checkpoints]
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    if ks and (ks[0] < least or ks[-1] > pulses):
+        raise ValueError(f"checkpoints must lie within [{least}, pulses] = [{least}, {pulses}], "
+                         f"got {ks[0]} .. {ks[-1]}")
+    return ks
+
+
+class Measurement:
+    """One measurement of the probe.
+
+    ``outcomes(phi, pulses)`` and :meth:`statistic_draw` compute the outcome
+    law at the true phase once and return a draw from a PCG64 Generator (one
+    of ``sampling.trial_streams``).  ``loglik(grid)`` is log p(record | phi)
+    over the grid up to additive constants, as a function of one hashable
+    sufficient statistic, in a fresh row; everything that depends on the
+    measurement alone is evaluated there, once: the count means over the grid
+    and their logs, log p0 and log p1, the quadrature means.  ``fi(phis)`` is
+    the FI at a 1-D array of phases, and the phases it was evaluated at.
+    """
+
+    def statistics(self, values: np.ndarray, checkpoints):
+        """Yield the statistic of the first k outcomes for each checkpoint k."""
+        return self._statistics(values, checked_checkpoints(checkpoints, len(values)))
+
+    def statistic_draw(self, phi: float, pulses: int, checkpoints):
+        """A trial's statistics at the checkpoints, as a list: by default the
+        record's, drawn and reduced bit for bit."""
+        ks = checked_checkpoints(checkpoints, pulses)
+        outcomes = self.outcomes(phi, pulses)
+        return lambda rng: list(self._statistics(outcomes(rng), ks))
+
+
+class _Counting(Measurement):
+    """Displaced counting: counts drawn by inverse-CDF lookup on the count table,
+    and the FI in blocks of phases, phi = 0 evaluated at ``PHI_ZERO_SURROGATE``."""
+
+    def __init__(self, probe: ProbeConfig, det: DetectorModel, model: LikelihoodModel):
+        self.counts = count_model(probe, det, model)
+
+    def table(self, phi: float) -> np.ndarray:
+        """``sampling.count_distribution``: the masses of :func:`count_law` at ``phi``."""
+        masses, _, (terms,) = count_law(phi, self.counts)
+        return masses[0, :terms]
+
+    def outcomes(self, phi: float, pulses: int):
+        cdf = np.cumsum(self.table(phi))
+
+        def outcomes(rng):
+            draws = np.searchsorted(cdf, rng.random(pulses), side="right")
+            np.minimum(draws, len(cdf) - 1, out=draws)
+            return draws.astype(np.int64, copy=False)
+        return outcomes
+
+    def fi(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phi_eval = np.where(phis == 0.0, PHI_ZERO_SURROGATE, phis)
+        values = np.concatenate([self._fi(phi_eval[i:i + PHASE_BLOCK])
+                                 for i in range(0, phi_eval.size, PHASE_BLOCK)])
+        return values, phi_eval
+
+    def _fi(self, phi):
+        masses, slopes, terms = count_law(phi, self.counts)
+        floor = masses <= PROB_FLOOR
+        info = np.divide(np.square(slopes, out=slopes), masses, out=slopes, where=~floor)
+        info[floor] = 0.0
+        np.add.accumulate(info, axis=1, out=info)
+        return info[np.arange(len(terms)), terms - 1]
+
+
+class OnOff(_Counting):
+    """Displaced counting with an on/off detector."""
+
+    def outcomes(self, phi: float, pulses: int):
+        p_click = self.counts.silent_click(phi)[1]
+        return lambda rng: rng.random(pulses) < p_click
+
+    def _statistics(self, values, checkpoints):
+        clicks, prev = 0, 0
+        for k in checkpoints:
+            clicks += int(np.count_nonzero(values[prev:k]))
+            prev = k
+            yield k - clicks, clicks
+
+    def loglik(self, grid):
+        # + 0.0 turns -0.0 (log p0 = -lam at lam = 0) into 0.0, so that a row,
+        # one product and one sum, has the bits of its terms added to a zero row
+        log_p0, log_p1 = (log_p + 0.0 for log_p in self.counts.log_silent_click(grid))
+
+        def click(statistic):
+            n_silent, n_click = statistic
+            # 0 * log p1 is NaN where an ideal detector nulls, log p1 = -inf
+            if not n_click:
+                return log_p0 * n_silent if n_silent else np.zeros_like(grid)
+            row = log_p1 * n_click
+            if n_silent:
+                row += log_p0 * n_silent
+            return row
+        return click
+
+    def _fi(self, phi):
+        # silence is the n = 0 count, (0, 0) once every component's p0 underflows
+        masses, slopes, _ = count_law(phi, self.counts, terms=1)
+        p0, info = masses[:, 0], np.square(slopes[:, 0])
+        p_click = self.counts.silent_click(phi)[1]
+        total = np.divide(info, p0, out=np.zeros_like(p0), where=p0 > PROB_FLOOR)
+        return total + np.divide(info, p_click, out=np.zeros_like(p0), where=p_click > PROB_FLOOR)
+
+
+class FringeCounts(_Counting):
+    """Number-resolving counts under the one-component (poisson-fringe) count
+    model.  A record enters the likelihood only through (k, S), its pulses
+    and total count: S log(lam) - k lam, taken relative to its value at
+    lam = S/k so that the large constant never reaches the subtraction.  Each
+    checkpoint segment of Δk pulses draws its total count from its exact law,
+    Poisson(Δk·λ(φ_true)), in one call per trial: the record's law, not its bits.
+    """
+
+    def _statistics(self, values, checkpoints):
+        total, prev = 0, 0
+        for k in checkpoints:
+            total += int(values[prev:k].sum())
+            prev = k
+            yield k, total
+
+    def statistic_draw(self, phi: float, pulses: int, checkpoints):
+        ks = checked_checkpoints(checkpoints, pulses)
+        (lam,) = self.counts.means(phi)
+        means = float(lam) * np.diff(ks, prepend=0)
+        return lambda rng: list(zip(ks, np.cumsum(rng.poisson(means)).tolist()))
+
+    def loglik(self, grid):
+        (lam,) = self.counts.means(grid)
+        if lam.all():
+            log1p = np.log1p
+        else:  # lam = 0, an ideal detector's null: log1p(-1) = -inf
+            def log1p(x):  # np.errstate costs about a grid pass: only here
+                with np.errstate(divide="ignore"):
+                    return np.log1p(x)
+
+        def centred(statistic):
+            k, s = statistic
+            # S log(lam) - k lam less its value at the peak lam = S/k, so that
+            # no large constant cancels when the posterior takes off its peak
+            if s == 0:
+                return lam * -k
+            x = lam * (k / s)
+            x -= 1.0
+            row = log1p(x)
+            row -= x
+            row *= s
+            return row
+        return centred
+
+
+class MixtureCounts(_Counting):
+    """Number-resolving counts under the visibility-mixture count model, with
+    the count histogram of counts 0 up to their largest as the statistic.
+    Each checkpoint segment of Δk pulses draws its histogram from its exact
+    law, Multinomial(Δk, p) over the count table, whose last entry takes the
+    tail mass as the record's clamp does, in one call per trial; each
+    histogram ends at the largest count at its checkpoint."""
+
+    def _statistics(self, values, checkpoints):
+        histogram = np.zeros(int(values.max(initial=0)) + 1, dtype=np.int64)
+        prev = 0
+        for k in checkpoints:
+            histogram += np.bincount(values[prev:k], minlength=len(histogram))
+            prev = k
+            yield tuple(np.trim_zeros(histogram, "b").tolist())
+
+    def statistic_draw(self, phi: float, pulses: int, checkpoints):
+        segments = np.diff((0, *checked_checkpoints(checkpoints, pulses)))
+        table = self.table(phi)
+
+        def draw_histograms(rng) -> list:
+            histograms = np.cumsum(rng.multinomial(segments, table), axis=0)
+            return [tuple(np.trim_zeros(row, "b").tolist()) for row in histograms]
+        return draw_histograms
+
+    def loglik(self, grid):
+        # log p(n | phi) up to the common -lgamma(n+1) constant, per component;
+        # a zero-weight component adds nothing and is left out
+        with np.errstate(divide="ignore"):
+            components = [(math.log(w), lam, np.log(lam))
+                          for w, lam in zip(self.counts.weights, self.counts.means(grid))
+                          if w > 0.0]
+
+        def component_log_pmf(n, log_w, lam, log_lam):
+            part = -lam if n == 0 else n * log_lam - lam
+            return part + log_w if log_w else part  # adding 0 would cost a grid pass
+
+        @functools.cache  # per table: a count's row, kept for every histogram that holds it
+        def count_row(n):
+            return (functools.reduce(np.logaddexp,
+                                     [component_log_pmf(n, *c) for c in components])
+                    - math.lgamma(n + 1))
+
+        def counts(histogram):
+            total = np.zeros_like(grid)
+            for n, multiplicity in enumerate(histogram):
+                if multiplicity:
+                    total += multiplicity * count_row(n)
+            return total
+        return counts
 
 
 @functools.cache
@@ -251,15 +457,6 @@ def _hermite_rule():
     return nodes, weights, product
 
 
-def _fi_homodyne(phi: float, probe) -> float:
-    # x = mean + t with t the Hermite nodes: the density has variance 1/2,
-    # so log p(x|phi) = -(x - mean(phi))^2 + const, with score 2*t*dmean.
-    t, w, _ = _hermite_rule()
-    dmean = math.sqrt(2.0) * probe.alpha * math.cos(phi)
-    score = 2.0 * t * dmean
-    return float(np.dot(w, score**2))
-
-
 @functools.cache
 def _product_rule():
     """The product rule on the plane flattened row-major, as ``score.sum()`` reduces
@@ -270,13 +467,79 @@ def _product_rule():
     return u, v, product.ravel()
 
 
-def _fi_heterodyne(phi: float, probe) -> float:
-    u, v, weight = _product_rule()
-    mx = probe.alpha * math.cos(phi)
-    my = probe.alpha * math.sin(phi)
-    # score(u, v) = 2*u*dmx + 2*v*dmy with dmx = -my, dmy = mx; 2*t scales exactly
-    score = u * -my
-    score += v * mx
-    np.square(score, out=score)  # the weighted sum of score**2, in place
-    score *= weight
-    return float(np.add.reduce(score))
+class _Quadrature(Measurement):
+    """A quadrature measurement, its FI taken phase by phase."""
+
+    def __init__(self, probe: ProbeConfig):
+        self.probe = probe
+
+    def _statistics(self, values, checkpoints):
+        # each prefix is summed afresh: chunked float sums round differently
+        for k in checkpoints:
+            yield k, *self._sums(values[:k])
+
+    def fi(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([self._fi(x) for x in phis.tolist()]), phis.copy()
+
+
+class Homodyne(_Quadrature):
+    @staticmethod
+    def _sums(head):
+        return float(np.sum(head)), float(np.sum(head * head))
+
+    def outcomes(self, phi: float, pulses: int):
+        mean = float(homodyne_mean(phi, self.probe))
+        return lambda rng: mean + math.sqrt(0.5) * rng.standard_normal(pulses)
+
+    def loglik(self, grid):
+        # density exp(-(x - mean)^2)/sqrt(pi): the phi-dependent part of the
+        # summed log-likelihood is -(s2 - 2*mean*s1 + k*mean^2)
+        mean = homodyne_mean(grid, self.probe)
+
+        def homodyne(statistic):
+            k, s1, s2 = statistic
+            return -(s2 - 2.0 * mean * s1 + k * mean * mean)
+        return homodyne
+
+    def _fi(self, phi: float) -> float:
+        # x = mean + t with t the Hermite nodes: the density has variance 1/2,
+        # so log p(x|phi) = -(x - mean(phi))^2 + const, with score 2*t*dmean.
+        t, w, _ = _hermite_rule()
+        dmean = math.sqrt(2.0) * self.probe.alpha * math.cos(phi)
+        score = 2.0 * t * dmean
+        return float(np.dot(w, score**2))
+
+
+class Heterodyne(_Quadrature):
+    @staticmethod
+    def _sums(head):
+        return complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
+
+    def outcomes(self, phi: float, pulses: int):
+        mx, my = self.probe.alpha * math.cos(phi), self.probe.alpha * math.sin(phi)
+
+        def outcomes(rng):
+            noise = math.sqrt(0.5) * rng.standard_normal((pulses, 2))
+            return (mx + noise[:, 0]) + 1j * (my + noise[:, 1])
+        return outcomes
+
+    def loglik(self, grid):
+        mx = self.probe.alpha * np.cos(grid)
+        my = self.probe.alpha * np.sin(grid)
+        m2 = mx * mx + my * my
+
+        def heterodyne(statistic):
+            k, s1, s2 = statistic
+            return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
+        return heterodyne
+
+    def _fi(self, phi: float) -> float:
+        u, v, weight = _product_rule()
+        mx = self.probe.alpha * math.cos(phi)
+        my = self.probe.alpha * math.sin(phi)
+        # score(u, v) = 2*u*dmx + 2*v*dmy with dmx = -my, dmy = mx; 2*t scales exactly
+        score = u * -my
+        score += v * mx
+        np.square(score, out=score)  # the weighted sum of score**2, in place
+        score *= weight
+        return float(np.add.reduce(score))

@@ -7,13 +7,11 @@ Per-trial seeds are derived from one master seed with a splitmix64
 avalanche mixer, so each trial's stream is independent of the others.
 Trial t of a run draws from ``default_rng(split_seed(seed, t))``'s PCG64
 stream, bit for bit, on a Generator of its own; :func:`split_seeds` and
-:func:`trial_streams` seed all the trials of a run in array passes.
-:func:`statistic_sampler` draws the sufficient statistics of
-number-resolving counts without the record, from their exact law on the
-trial's stream: per checkpoint segment, the total count S under the
-one-component (poisson-fringe) count model, as the pair (k, S), or the
-count histogram of the mixture.  Every other record is drawn and reduced
-by :func:`record_statistics`.
+:func:`trial_streams` seed all the trials of a run in array passes.  What
+is drawn, and how a record reduces to its sufficient statistics, is the
+run's measurement (``ExperimentConfig.measurement``, one of
+``fisher.measurement``'s kinds): number-resolving counts draw their
+statistics from their exact law, every other record is drawn and reduced.
 """
 
 from __future__ import annotations
@@ -25,18 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fisher import Scheme, count_law
-from .photonics import (
-    DetectorKind,
-    DetectorModel,
-    LikelihoodModel,
-    ProbeConfig,
-    count_model,
-    homodyne_mean,
-    onoff_likelihood,
-)
+from .fisher import Measurement, Scheme, measurement
+from .photonics import DetectorModel, LikelihoodModel, ProbeConfig
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
-from .photonics import fringe_mean, mixture_component_means
+from .photonics import fringe_mean, mixture_component_means, onoff_likelihood
 
 PRNG_IDENTITY = "numpy.random.PCG64"
 SEED_MIXER_IDENTITY = "splitmix64"
@@ -65,6 +55,11 @@ class ExperimentConfig:
             # prior) remains constructible
             raise ValueError(f"pulses must be >= 0, got {self.pulses!r}")
         _check_seed(self.seed)
+
+    @property
+    def measurement(self) -> Measurement:
+        """The measurement this run makes: its draws, statistics and likelihood."""
+        return measurement(self.scheme, self.probe, self.det, self.model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,41 +204,7 @@ def count_distribution(phi: float, probe: ProbeConfig, det: DetectorModel,
     """Count probabilities p(0..N | phi): the masses of ``fisher.count_law``,
     cut where the count FI sum stops, so sampling and analysis see the same
     distribution."""
-    masses, _, (terms,) = count_law(phi, count_model(probe, det, model))
-    return masses[0, :terms]
-
-
-def _outcome_draw(config: ExperimentConfig):
-    """The outcomes of ``config`` as a function of a PCG64 Generator; the
-    outcome law at the true phase (click probability, count table or
-    quadrature means) is computed once, here."""
-    m, phi, probe, det = config.pulses, config.phi_true, config.probe, config.det
-    if config.scheme is Scheme.DISPLACED_COUNTING and det.kind is DetectorKind.ON_OFF:
-        p_click = onoff_likelihood(True, phi, probe, det, config.model)
-
-        def outcomes(rng):
-            return rng.random(m) < p_click
-    elif config.scheme is Scheme.DISPLACED_COUNTING:
-        cdf = np.cumsum(count_distribution(phi, probe, det, config.model))
-
-        def outcomes(rng):
-            draws = np.searchsorted(cdf, rng.random(m), side="right")
-            np.minimum(draws, len(cdf) - 1, out=draws)
-            return draws.astype(np.int64, copy=False)
-    elif config.scheme is Scheme.HOMODYNE:
-        mean = float(homodyne_mean(phi, probe))
-
-        def outcomes(rng):
-            return mean + math.sqrt(0.5) * rng.standard_normal(m)
-    elif config.scheme is Scheme.HETERODYNE:
-        mx, my = probe.alpha * math.cos(phi), probe.alpha * math.sin(phi)
-
-        def outcomes(rng):
-            noise = math.sqrt(0.5) * rng.standard_normal((m, 2))
-            return (mx + noise[:, 0]) + 1j * (my + noise[:, 1])
-    else:
-        raise ValueError(f"unknown scheme {config.scheme!r}")
-    return outcomes
+    return measurement(Scheme.DISPLACED_COUNTING, probe, det, model).table(phi)
 
 
 def sample(config: ExperimentConfig) -> OutcomeRecord:
@@ -251,70 +212,5 @@ def sample(config: ExperimentConfig) -> OutcomeRecord:
 
     Identical configs (seed included) produce bit-identical records.
     """
-    return OutcomeRecord(config, _outcome_draw(config)(next(trial_streams([config.seed]))))
-
-
-def record_statistics(config: ExperimentConfig, values: np.ndarray, checkpoints):
-    """Yield the hashable sufficient statistic of the first k outcomes for each
-    increasing checkpoint k: (silent, click) counts, (k, total count) for the
-    one-component count model, the count histogram of counts 0 up to their
-    largest for the mixture, or the quadrature statistic (k, sum, sum of squares)."""
-    counting = config.scheme is Scheme.DISPLACED_COUNTING
-    if counting and config.det.kind is DetectorKind.ON_OFF:
-        clicks, prev = 0, 0
-        for k in checkpoints:
-            clicks += int(np.count_nonzero(values[prev:k]))
-            prev = k
-            yield k - clicks, clicks
-    elif counting and config.model is LikelihoodModel.POISSON_FRINGE:
-        # one Poisson component: the counts reach the likelihood through their total
-        total, prev = 0, 0
-        for k in checkpoints:
-            total += int(values[prev:k].sum())
-            prev = k
-            yield k, total
-    elif counting:
-        histogram = np.zeros(int(values.max(initial=0)) + 1, dtype=np.int64)
-        prev = 0
-        for k in checkpoints:
-            histogram += np.bincount(values[prev:k], minlength=len(histogram))
-            prev = k
-            yield tuple(np.trim_zeros(histogram, "b").tolist())
-    else:
-        # each prefix is summed afresh: chunked float sums round differently
-        for k in checkpoints:
-            head = values[:k]
-            if config.scheme is Scheme.HOMODYNE:
-                yield k, float(np.sum(head)), float(np.sum(head * head))
-            else:
-                yield k, complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
-
-
-def statistic_sampler(config: ExperimentConfig, checkpoints):
-    """A trial's statistics at the checkpoints, of the kind and with the law
-    that :func:`record_statistics` gives for :func:`sample`'s draw, as a list
-    drawn from the trial's PCG64 Generator (one of :func:`trial_streams`).
-    Number-resolving counts keep no record: each checkpoint segment of Δk
-    pulses draws its statistic from its exact law in one call per trial,
-    Poisson(Δk·λ(φ_true)) for the segment's total count under
-    ``poisson-fringe`` and Multinomial(Δk, p) over
-    :func:`count_distribution`'s table for the mixture's histogram, whose
-    last entry takes the tail mass as the record's clamp does; each
-    histogram ends at the largest count at its checkpoint.  These
-    statistics have the record's law, not its bits.  Every other scheme,
-    on/off clicks included, draws the record and reduces it, bit for bit."""
-    counting = config.scheme is Scheme.DISPLACED_COUNTING
-    if not (counting and config.det.kind is DetectorKind.NUMBER_RESOLVING):
-        outcomes = _outcome_draw(config)
-        return lambda rng: list(record_statistics(config, outcomes(rng), checkpoints))
-    if config.model is LikelihoodModel.POISSON_FRINGE:
-        (lam,) = count_model(config.probe, config.det, config.model).means(config.phi_true)
-        means = float(lam) * np.diff(checkpoints, prepend=0)
-        return lambda rng: list(zip(checkpoints, np.cumsum(rng.poisson(means)).tolist()))
-    table = count_distribution(config.phi_true, config.probe, config.det, config.model)
-    segments = np.diff((0, *checkpoints))
-
-    def draw_histograms(rng) -> list:
-        histograms = np.cumsum(rng.multinomial(segments, table), axis=0)
-        return [tuple(np.trim_zeros(row, "b").tolist()) for row in histograms]
-    return draw_histograms
+    draw = config.measurement.outcomes(config.phi_true, config.pulses)
+    return OutcomeRecord(config, draw(next(trial_streams([config.seed]))))

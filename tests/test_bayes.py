@@ -24,7 +24,7 @@ from phasecount import (
 )
 from phasecount.bayes import _EXP_FLOOR, GridResolutionError, LikelihoodTable, require_resolved
 from phasecount.photonics import count_model, fringe_mean
-from phasecount.sampling import record_statistics, statistic_sampler, trial_streams
+from phasecount.sampling import trial_streams
 
 
 def _ideal_counts_config(pulses, phi=0.5, seed=0):
@@ -46,7 +46,7 @@ class TestPosterior:
     def test_empty_record_returns_prior(self):
         record = OutcomeRecord(config=_ideal_counts_config(0),
                                values=np.array([], dtype=np.int64))
-        assert list(record_statistics(record.config, record.values, (0,))) == [(0, 0)]
+        assert list(record.config.measurement.statistics(record.values, (0,))) == [(0, 0)]
         post = posterior(record)
         assert np.all(post.density == post.density[0])
         np.testing.assert_allclose(post.density, 1.0 / math.pi, rtol=1e-12)
@@ -159,7 +159,7 @@ class TestOneComponentCounts:
 
     def test_nulled_node_gets_no_mass_once_a_count_is_seen(self):
         config = _ideal_counts_config(5)
-        table = LikelihoodTable(config, 129)
+        table = LikelihoodTable(config.measurement, 129)
         assert fringe_mean(table.grid[0], config.probe, config.det) == 0.0
         (post,) = table.posteriors([(5, 2)])
         assert post.density[0] == 0.0
@@ -167,7 +167,7 @@ class TestOneComponentCounts:
 
     def test_zero_total_gives_exp_minus_k_lam(self):
         config = _ideal_counts_config(40)
-        table = LikelihoodTable(config, 129)
+        table = LikelihoodTable(config.measurement, 129)
         (post,) = table.posteriors([(40, 0)])
         want = np.exp(-40 * fringe_mean(table.grid, config.probe, config.det))
         np.testing.assert_allclose(post.density, want / np.trapezoid(want, table.grid),
@@ -177,7 +177,7 @@ class TestOneComponentCounts:
         config = ExperimentConfig(
             scheme=Scheme.DISPLACED_COUNTING, phi_true=0.5,
             probe=ProbeConfig(0.0, 0.0), det=DetectorModel(), pulses=3, seed=0)
-        table = LikelihoodTable(config, 65)
+        table = LikelihoodTable(config.measurement, 65)
         with pytest.raises(PosteriorUnderflowError):
             table.moments([(3, 1)])
         assert table.moments([(3, 0)]) == table.moments([(0, 0)])  # no counts: flat
@@ -185,14 +185,14 @@ class TestOneComponentCounts:
     def test_memo_keys_are_pulse_and_count_totals(self):
         config = _ideal_counts_config(2000, phi=1.0)
         checkpoints = (10, 100, 2000)
-        table = LikelihoodTable(config, 129)
-        draw = statistic_sampler(config, checkpoints)
+        table = LikelihoodTable(config.measurement, 129)
+        draw = config.measurement.statistic_draw(config.phi_true, config.pulses, checkpoints)
         record = sample(replace(config, seed=1))
         for statistics in (draw(rng) for rng in trial_streams([1, 2])):
             assert [k for k, _ in statistics] == list(checkpoints)
             assert all(b >= a for (_, a), (_, b) in zip(statistics, statistics[1:]))
             table.moments(statistics)
-        table.moments(record_statistics(config, record.values, checkpoints))
+        table.moments(config.measurement.statistics(record.values, checkpoints))
         assert table._moments
         assert all(len(key) == 2 and all(type(v) is int for v in key) for key in table._moments)
 
@@ -277,10 +277,10 @@ class TestPosteriorKernel:
     def test_ideal_onoff_moments_equal_one_shot_estimate(self, clicks):
         config = self._ideal_onoff_config(40)
         record = OutcomeRecord(config=config, values=np.arange(40) < clicks)
-        table = LikelihoodTable(config, 257)
+        table = LikelihoodTable(config.measurement, 257)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            statistics = list(record_statistics(config, record.values, (40,)))
+            statistics = list(config.measurement.statistics(record.values, (40,)))
             assert statistics == [(40 - clicks, clicks)]
             assert table.moments(statistics) == [estimate(posterior(record, 257))]
 
@@ -293,23 +293,23 @@ class TestPosteriorKernel:
     @pytest.mark.parametrize("name", sorted(REUSE_CASES))
     def test_posteriors_do_not_alias_the_reused_rows(self, name):
         config, (_, first_stat, second_stat, _) = self.REUSE_CASES[name]
-        posts = LikelihoodTable(config, 129).posteriors([first_stat, second_stat])
+        posts = LikelihoodTable(config.measurement, 129).posteriors([first_stat, second_stat])
         first = next(posts)
         kept = first.density.copy()
         second = next(posts)
         assert np.array_equal(first.density, kept)
         assert not np.shares_memory(first.density, second.density)
         assert not np.array_equal(first.density, second.density)
-        (alone,) = LikelihoodTable(config, 129).posteriors([first_stat])
+        (alone,) = LikelihoodTable(config.measurement, 129).posteriors([first_stat])
         assert np.array_equal(first.density, alone.density)
 
     @pytest.mark.parametrize("name", sorted(REUSE_CASES))
     def test_moments_repeat_exactly_in_any_order(self, name):
         config, statistics = self.REUSE_CASES[name]
-        table = LikelihoodTable(config, 129)
+        table = LikelihoodTable(config.measurement, 129)
         once = table.moments(statistics)
         assert table.moments(statistics) == once
-        assert LikelihoodTable(config, 129).moments(statistics[::-1])[::-1] == once
+        assert LikelihoodTable(config.measurement, 129).moments(statistics[::-1])[::-1] == once
         assert all(type(v) is float for moments in once for v in moments)
 
     @staticmethod
@@ -329,20 +329,22 @@ class TestPosteriorKernel:
     def test_window_touching_the_first_node(self):
         # no counts in 2,000 pulses: the peak is the nulled node phi = 0
         config = _ideal_counts_config(2000)
-        (density,) = self._assert_full_grid_bits(LikelihoodTable(config), config, [(2000, 0)])
+        table = LikelihoodTable(config.measurement)
+        (density,) = self._assert_full_grid_bits(table, config, [(2000, 0)])
         assert density[0] > 0.0 and density[-1] == 0.0
 
     def test_window_touching_the_last_node(self):
         # S/k = 0.4 = 4 alpha^2, the largest mean, reached at phi = pi
         config = _ideal_counts_config(2000)
-        (density,) = self._assert_full_grid_bits(LikelihoodTable(config), config, [(2000, 800)])
+        table = LikelihoodTable(config.measurement)
+        (density,) = self._assert_full_grid_bits(table, config, [(2000, 800)])
         assert density[-1] > 0.0 and density[0] == 0.0
 
     def test_single_live_node(self):
         # S/k is the mean at node 20 of 65 and k is so large that both
         # neighbours lie more than -_EXP_FLOOR below the peak
         config = _ideal_counts_config(10**8)
-        table = LikelihoodTable(config, 65)
+        table = LikelihoodTable(config.measurement, 65)
         k = 10**8
         s = round(k * float(fringe_mean(table.grid[20], config.probe, config.det)))
         (density,) = self._assert_full_grid_bits(table, config, [(k, s)])
@@ -354,7 +356,8 @@ class TestPosteriorKernel:
             "flat": (_ideal_counts_config(0), (0, 0)),
             "onoff-few-pulses": (_experiment_config(10, 0), (7, 3)),
         }[name]
-        (density,) = self._assert_full_grid_bits(LikelihoodTable(config), config, [statistic])
+        table = LikelihoodTable(config.measurement)
+        (density,) = self._assert_full_grid_bits(table, config, [statistic])
         assert np.all(density > 0.0)
 
     @pytest.mark.parametrize("name", ["onoff", "pnrd-fringe"])
@@ -364,7 +367,7 @@ class TestPosteriorKernel:
             "onoff": (self._ideal_onoff_config(40), [(33, 7), (0, 40), (40, 0)]),
             "pnrd-fringe": (_ideal_counts_config(40), [(40, 2), (40, 30), (40, 0)]),
         }[name]
-        table = LikelihoodTable(config, 257)
+        table = LikelihoodTable(config.measurement, 257)
         assert np.isneginf(_full_grid_loglik(table, config, statistics[0])[0])
         densities = self._assert_full_grid_bits(table, config, statistics)
         assert densities[0][0] == 0.0 and densities[1][0] == 0.0
@@ -384,15 +387,15 @@ class TestPosteriorKernel:
                                  pulses=3),
                 (3, math.nan, 1.0), (3, 0.5, 1.2)),
         }[name]
-        table = LikelihoodTable(config, 129)
+        table = LikelihoodTable(config.measurement, 129)
         with pytest.raises(PosteriorUnderflowError):
             table.moments([bad])
-        fresh = LikelihoodTable(config, 129).moments([good])
+        fresh = LikelihoodTable(config.measurement, 129).moments([good])
         assert _bits(table.moments([good])) == _bits(fresh)
         with pytest.raises(PosteriorUnderflowError):
             next(table.posteriors([bad]))
         (post,) = table.posteriors([good])
-        (fresh_post,) = LikelihoodTable(config, 129).posteriors([good])
+        (fresh_post,) = LikelihoodTable(config.measurement, 129).posteriors([good])
         assert post.density.tobytes() == fresh_post.density.tobytes()
 
 
@@ -419,7 +422,7 @@ def _sweep_configs():
                 for s in np.unique(np.linspace(0, 1.2 * k * lam_max, count).astype(int)).tolist()]
 
     def drawn(config, checkpoints, seeds=range(6)):
-        draw = statistic_sampler(replace(config, pulses=checkpoints[-1]), checkpoints)
+        draw = config.measurement.statistic_draw(config.phi_true, checkpoints[-1], checkpoints)
         return [s for rng in trial_streams(list(seeds)) for s in draw(rng)]
 
     checkpoints = (10, 100, 1000, 10_000, 100_000)
@@ -448,7 +451,8 @@ def test_trailing_zero_counts_leave_the_moments():
     histograms = statistics[:40]
     assert all(histogram[-1] for histogram in histograms)
     padded = [histogram + (0, 0, 0) for histogram in histograms]
-    assert LikelihoodTable(config).moments(padded) == LikelihoodTable(config).moments(histograms)
+    assert (LikelihoodTable(config.measurement).moments(padded)
+            == LikelihoodTable(config.measurement).moments(histograms))
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP))
@@ -456,7 +460,7 @@ def test_floor_keeps_the_bits_of_the_whole_row_moments(name):
     """The moments of the live window cut at ``_EXP_FLOOR`` have the bits of
     the posterior that takes every node's exp."""
     config, statistics = SWEEP[name]
-    table = LikelihoodTable(config)
+    table = LikelihoodTable(config.measurement)
     spacing = np.diff(table.grid)
     want = []
     for statistic in statistics:

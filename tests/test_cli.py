@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from phasecount import bench, cli, runconfig, sampling
+from phasecount import bench, cli, fisher, runconfig, sampling
 from phasecount.photonics import DetectorModel, LikelihoodModel, ProbeConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -303,18 +303,21 @@ def test_out_of_range_seed_exits_1_and_names_it(tmp_path, capsys, command, seed)
 
 
 def test_out_of_range_seed_stops_at_config_load(tmp_path, capsys, monkeypatch):
-    # a bright number-resolving run builds a ~650-entry count table before it
-    # seeds any trial; a seed out of range must stop it before that
-    def no_table(*args):
-        raise AssertionError("count table built for a config with a bad seed")
-    monkeypatch.setattr(sampling, "count_distribution", no_table)
+    # a bright number-resolving run sums its count law, some 650 terms, for
+    # the FI of its phase before it seeds any trial; a seed out of range must
+    # stop it before that, and a valid one reaches it
+    def no_count_law(*args, **kwargs):
+        raise AssertionError("count law summed")
+    monkeypatch.setattr(fisher, "count_law", no_count_law)
     text = SIMULATE_CONFIG
-    for old, new in (("seed: 4242", "seed: -1"), ("detector: onoff", "detector: pnrd"),
+    for old, new in (("detector: onoff", "detector: pnrd"),
                      ("signal_intensity: 0.100", "signal_intensity: 200"),
                      ("displacement_intensity: 0.101", "displacement_intensity: 202")):
         text = text.replace(old, new)
-    cfg = _write(tmp_path, "run.yaml", text)
     out = tmp_path / "run.csv"
+    with pytest.raises(AssertionError, match="count law summed"):
+        cli.main(["simulate", "--config", _write(tmp_path, "ok.yaml", text), "--out", str(out)])
+    cfg = _write(tmp_path, "run.yaml", text.replace("seed: 4242", "seed: -1"))
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     assert "seed must be a 64-bit unsigned integer, got -1" in capsys.readouterr().err
     assert not out.exists()

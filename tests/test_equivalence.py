@@ -61,7 +61,7 @@ from phasecount.photonics import (
     mixture_weights,
     require_matched_amplitudes,
 )
-from phasecount.sampling import record_statistics, statistic_sampler, trial_streams
+from phasecount.sampling import trial_streams
 from test_traced_fi_curves import _load
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -560,16 +560,16 @@ def test_table_moments_equal_trapezoid_reference(name):
     record = sample(replace(config, seed=5))
     grid = _phase_grid(257)
     checkpoints = sorted({1, 10, 316, config.pulses})
-    table = LikelihoodTable(config, 257)
+    table = LikelihoodTable(config.measurement, 257)
     if name in FRINGE_COUNTS:
         _assert_within_longdouble(
-            table.moments(record_statistics(config, record.values, checkpoints)),
+            table.moments(config.measurement.statistics(record.values, checkpoints)),
             [_ld_moments(record.values[:k], config, grid) for k in checkpoints])
         return
     densities = [_ref_normalize(_ref_loglik_grid(record, grid, upto=k), grid)
                  for k in checkpoints]
     expected = [_ref_estimate(grid, density) for density in densities]
-    assert table.moments(record_statistics(config, record.values, checkpoints)) == expected
+    assert table.moments(config.measurement.statistics(record.values, checkpoints)) == expected
     for density, moments in zip(densities, expected):
         post = PosteriorGrid(nodes=grid, density=density)
         assert estimate(post) == moments
@@ -578,7 +578,7 @@ def test_table_moments_equal_trapezoid_reference(name):
 
 def test_table_evaluates_each_statistic_once():
     config = CASES["onoff-fringe"]
-    table = LikelihoodTable(config, 129)
+    table = LikelihoodTable(config.measurement, 129)
     seen = []
     loglik = table.loglik
     table.loglik = lambda statistic: (seen.append(statistic), loglik(statistic))[1]
@@ -637,7 +637,7 @@ def test_saturate_run_table_matches_per_trial_reference(name):
             cell = ExperimentConfig(
                 scheme=Scheme.DISPLACED_COUNTING, phi_true=phi, probe=pset.probe,
                 det=pset.det, pulses=m, model=pset.model)
-            draw = statistic_sampler(cell, (m,))
+            draw = cell.measurement.statistic_draw(cell.phi_true, cell.pulses, (m,))
             for t in range(run.trials):
                 seed = split_seed(run.seed, base + t)
                 if detector == "onoff":
@@ -645,7 +645,7 @@ def test_saturate_run_table_matches_per_trial_reference(name):
                 else:  # a record with the statistic the trial's stream draws
                     (statistic,) = draw(next(trial_streams([seed])))
                     record = OutcomeRecord(cell, _counts_with_statistic(cell, statistic))
-                (statistic,) = record_statistics(cell, record.values, (m,))
+                (statistic,) = cell.measurement.statistics(record.values, (m,))
                 seen.setdefault(statistic, set()).add(phi)
                 (_, _, var), = (_ld_sequential_estimates if name in FRINGE_COUNTS
                                 else _ref_sequential_estimates)(record, run.grid_size, (m,))
@@ -720,21 +720,22 @@ RECORD_DRAWS = sorted(n for n, c in CASES.items()
 @pytest.mark.parametrize("name", RECORD_DRAWS)
 def test_statistic_draw_equals_record_statistics(name):
     config = CASES[name]
+    kind = config.measurement
     for checkpoints in _checkpoint_sets(config.pulses):
-        draw = statistic_sampler(config, checkpoints)
+        draw = kind.statistic_draw(config.phi_true, config.pulses, checkpoints)
         seeds = (5, 6, 2**64 - 1)
         for seed, rng in zip(seeds, trial_streams(seeds)):
             record = sample(replace(config, seed=seed))
-            want = list(record_statistics(config, record.values, checkpoints))
+            want = list(kind.statistics(record.values, checkpoints))
             assert draw(rng) == want
     empty = replace(config, pulses=0)
-    assert (statistic_sampler(empty, ())(next(trial_streams([0])))
-            == list(record_statistics(empty, sample(empty).values, ())) == [])
+    assert (kind.statistic_draw(empty.phi_true, 0, ())(next(trial_streams([0])))
+            == list(kind.statistics(sample(empty).values, ())) == [])
 
 
 @pytest.mark.parametrize("name", ["onoff-fringe", "onoff-mixture"])
 def test_click_counts_equal_prefix_counts(name):
-    # record_statistics counts the clicks of each checkpoint segment and
+    # the on/off statistics count the clicks of each checkpoint segment and
     # carries the running count; the reference counts each prefix afresh
     config = CASES[name]
     records = [sample(replace(config, seed=seed)).values for seed in (5, 6)]
@@ -742,17 +743,18 @@ def test_click_counts_equal_prefix_counts(name):
     for values in records:
         for checkpoints in _checkpoint_sets(config.pulses):
             clicks = [int(np.count_nonzero(values[:k])) for k in checkpoints]
-            assert (list(record_statistics(config, values, checkpoints))
+            assert (list(config.measurement.statistics(values, checkpoints))
                     == [(k - c, c) for k, c in zip(checkpoints, clicks)])
     empty = replace(config, pulses=0)
-    assert list(record_statistics(empty, sample(empty).values, ())) == []
-    assert list(record_statistics(empty, sample(empty).values, (0,))) == [(0, 0)]
+    assert list(empty.measurement.statistics(sample(empty).values, ())) == []
+    assert list(empty.measurement.statistics(sample(empty).values, (0,))) == [(0, 0)]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_statistic_draw_checks_its_seed(name):
     # the draw reads a stream of trial_streams, which checks every seed before any draw
-    draw = statistic_sampler(CASES[name], (1,))
+    config = CASES[name]
+    draw = config.measurement.statistic_draw(config.phi_true, config.pulses, (1,))
     for seed in (2**64, -1):
         with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
             [draw(rng) for rng in trial_streams([0, seed])]

@@ -1,6 +1,6 @@
 """The fi-curve kernels against verbatim copies of their earlier forms.
 
-``fisher._fi_heterodyne`` sums over the flattened product rule,
+``fisher.Heterodyne``'s FI sums over the flattened product rule,
 ``fisher.count_law`` takes its slopes without ``np.diff``'s copy, and
 ``bench.run_fi_curve`` zips each set's rows from its columns.  Each must
 give the bits of the form it replaced, copied below as it stood.
@@ -112,7 +112,7 @@ HETERODYNE_PHASES = [*np.linspace(-50.0, 50.0, 401).tolist(),
 @pytest.mark.parametrize("intensity", [0.0, 1e-6, 0.1, 10.0, 200.0, 1e300])
 def test_heterodyne_keeps_the_bits_of_the_outer_sum(intensity):
     probe = ProbeConfig.from_intensities(intensity)
-    got = [fisher._fi_heterodyne(phi, probe) for phi in HETERODYNE_PHASES]
+    got = [fisher.Heterodyne(probe)._fi(phi) for phi in HETERODYNE_PHASES]
     want = [_earlier_fi_heterodyne(phi, probe) for phi in HETERODYNE_PHASES]
     assert got == want
     assert np.array_equal(_bits(got), _bits(want))

@@ -1,0 +1,108 @@
+"""The measurement resolver, ``fisher.measurement``, and the checkpoint checks
+of its statistics and statistic draws."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from phasecount import (
+    DetectorKind,
+    DetectorModel,
+    ExperimentConfig,
+    LikelihoodModel,
+    ProbeConfig,
+    Scheme,
+    fi_numeric,
+    sample,
+)
+from phasecount.bayes import LikelihoodTable
+from phasecount.fisher import (
+    FringeCounts,
+    Heterodyne,
+    Homodyne,
+    MixtureCounts,
+    OnOff,
+    measurement,
+)
+
+PROBE = ProbeConfig.from_intensities(0.1)
+ONOFF = DetectorModel(eta=0.602, nu=1.13e-4, xi=0.993, kind=DetectorKind.ON_OFF)
+
+
+def _config(scheme=Scheme.DISPLACED_COUNTING, det=DetectorModel(),
+            model=LikelihoodModel.POISSON_FRINGE):
+    return ExperimentConfig(scheme=scheme, phi_true=1.0, probe=PROBE, det=det,
+                            pulses=100, model=model, seed=11)
+
+
+@pytest.mark.parametrize("scheme,det,model,kind", [
+    (Scheme.DISPLACED_COUNTING, ONOFF, LikelihoodModel.POISSON_FRINGE, OnOff),
+    (Scheme.DISPLACED_COUNTING, ONOFF, LikelihoodModel.VISIBILITY_MIXTURE, OnOff),
+    (Scheme.DISPLACED_COUNTING, DetectorModel(), LikelihoodModel.POISSON_FRINGE, FringeCounts),
+    (Scheme.DISPLACED_COUNTING, DetectorModel(), LikelihoodModel.VISIBILITY_MIXTURE,
+     MixtureCounts),
+    (Scheme.HOMODYNE, DetectorModel(), LikelihoodModel.POISSON_FRINGE, Homodyne),
+    (Scheme.HETERODYNE, DetectorModel(), LikelihoodModel.POISSON_FRINGE, Heterodyne),
+])
+def test_each_scheme_detector_and_model_resolve_to_their_kind(scheme, det, model, kind):
+    assert type(measurement(scheme, PROBE, det, model)) is kind
+
+
+def test_unknown_scheme_raises_the_same_error_everywhere():
+    config = _config(scheme="interferometer")
+    message = "unknown scheme 'interferometer'"
+    with pytest.raises(ValueError) as drawn:
+        sample(config)
+    with pytest.raises(ValueError) as fisher_information:
+        fi_numeric("interferometer", 1.0, PROBE, DetectorModel())
+    with pytest.raises(ValueError) as table:
+        LikelihoodTable(config.measurement, 65)
+    assert str(drawn.value) == str(fisher_information.value) == str(table.value) == message
+
+
+@pytest.mark.parametrize("scheme", [Scheme.HOMODYNE, Scheme.HETERODYNE])
+def test_quadratures_ignore_the_detector_and_the_model(scheme):
+    # beta != alpha: a count model of the mixture would raise ModelMismatchError
+    default = replace(_config(scheme), probe=ProbeConfig.from_intensities(0.1, 0.3))
+    other = replace(default, det=ONOFF, model=LikelihoodModel.VISIBILITY_MIXTURE)
+    assert np.array_equal(sample(default).values, sample(other).values)
+    grid = np.linspace(0.0, np.pi, 65)
+    statistic = (40, 0.5 if scheme is Scheme.HOMODYNE else 0.5 + 0.25j, 21.0)
+    rows = [c.measurement.loglik(grid)(statistic) for c in (default, other)]
+    assert rows[0].tobytes() == rows[1].tobytes()
+    phis = np.linspace(0.0, np.pi, 9)
+    got = fi_numeric(scheme, phis, other.probe, ONOFF, model=LikelihoodModel.VISIBILITY_MIXTURE)
+    want = fi_numeric(scheme, phis, default.probe)
+    assert got.value.tobytes() == want.value.tobytes()
+    assert np.array_equal(got.phi_evaluated, phis) and not got.zero_substituted.any()
+
+
+class TestCheckpoints:
+    """Checkpoints past the record's end or out of order raise, once per call,
+    where they used to count pulses never drawn as silent (or as no counts)."""
+
+    def test_onoff_checkpoints_past_the_record_raise(self):
+        config = _config(det=ONOFF)
+        values, kind = sample(config).values, config.measurement
+        with pytest.raises(ValueError, match=r"\[0, pulses\] = \[0, 100\], got 50 .. 1000"):
+            kind.statistics(values, (50, 100, 1000))
+        with pytest.raises(ValueError, match="within"):
+            kind.statistic_draw(config.phi_true, config.pulses, (50, 100, 1000))
+
+    def test_onoff_checkpoints_out_of_order_raise(self):
+        config = _config(det=ONOFF)
+        values, kind = sample(config).values, config.measurement
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kind.statistics(values, (100, 50))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            kind.statistic_draw(config.phi_true, config.pulses, (100, 50))
+
+    @pytest.mark.parametrize("model", list(LikelihoodModel))
+    def test_exact_law_draw_past_the_record_raises(self, model):
+        config = _config(model=model)
+        with pytest.raises(ValueError, match=r"\[0, 100\], got 10 .. 1000"):
+            config.measurement.statistic_draw(config.phi_true, config.pulses, (10, 100, 1000))
+        # checkpoints inside the record still draw
+        draw = config.measurement.statistic_draw(config.phi_true, config.pulses, (0, 10, 100))
+        assert len(draw(np.random.default_rng(1))) == 3

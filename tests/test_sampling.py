@@ -24,7 +24,7 @@ from phasecount import (
     sample,
     split_seed,
 )
-from phasecount.sampling import record_statistics, split_seeds, statistic_sampler, trial_streams
+from phasecount.sampling import split_seeds, trial_streams
 
 SPLITMIX_GOLDEN = 0xE220A8397B1DCDAF  # split_seed(0, 0), frozen
 
@@ -299,11 +299,11 @@ EXACT_LAW_DRAWS = {**FRINGE_DRAWS, **MIXTURE_DRAWS}
 
 
 def _drawn_and_recorded(config, checkpoints, seed):
-    """DRAW_TRIALS statistics from statistic_sampler on the trial streams of
-    ``seed``, and as many from sample + record_statistics on those of seed + 1."""
-    draw = statistic_sampler(config, checkpoints)
+    """DRAW_TRIALS statistics from the measurement's statistic draw on the trial
+    streams of ``seed``, and as many from sample + its statistics on those of seed + 1."""
+    draw = config.measurement.statistic_draw(config.phi_true, config.pulses, checkpoints)
     drawn = [draw(rng) for rng in trial_streams(split_seeds(seed, 0, DRAW_TRIALS))]
-    recorded = [list(record_statistics(config, sample(replace(config, seed=s)).values,
+    recorded = [list(config.measurement.statistics(sample(replace(config, seed=s)).values,
                                        checkpoints))
                 for s in split_seeds(seed + 1, 0, DRAW_TRIALS).tolist()]
     return drawn, recorded
@@ -333,8 +333,8 @@ def _padded(histograms):
 
 
 class TestExactLawDraw:
-    """statistic_sampler draws number-resolving statistics from their exact law;
-    the record path (sample + record_statistics) is the reference."""
+    """The statistic draw takes number-resolving statistics from their exact law;
+    the record path (sample + the measurement's statistics) is the reference."""
 
     @pytest.mark.parametrize("name", sorted(FRINGE_DRAWS))
     def test_total_count_law_equals_record_path(self, name):
@@ -368,11 +368,11 @@ class TestExactLawDraw:
     def test_histograms_end_at_their_largest_count(self, name):
         config = MIXTURE_DRAWS[name]
         checkpoints = (1, 10, config.pulses // 2)
-        draw = statistic_sampler(config, checkpoints)
+        draw = config.measurement.statistic_draw(config.phi_true, config.pulses, checkpoints)
         drawn = [draw(rng) for rng in trial_streams(split_seeds(73, 0, 200))]
         for seed in split_seeds(79, 0, 200).tolist():
             values = sample(replace(config, seed=seed)).values
-            recorded = list(record_statistics(config, values, checkpoints))
+            recorded = list(config.measurement.statistics(values, checkpoints))
             assert recorded == [tuple(np.bincount(values[:k]).tolist()) for k in checkpoints]
             drawn.append(recorded)
         for trial in drawn:
@@ -389,13 +389,14 @@ class TestExactLawDraw:
                 segments.append(np.asarray(n).tolist())
                 return rng.multinomial(n, pvals)
         rng = np.random.default_rng(83)
-        statistic_sampler(config, checkpoints)(Recording())
+        config.measurement.statistic_draw(config.phi_true, config.pulses, checkpoints)(Recording())
         assert segments == [[1, 9, config.pulses // 2 - 10]]
 
     @pytest.mark.parametrize("name", sorted(EXACT_LAW_DRAWS))
     def test_no_pulses_give_no_statistics(self, name):
         empty = replace(EXACT_LAW_DRAWS[name], pulses=0)
-        assert statistic_sampler(empty, ())(np.random.default_rng(0)) == []
+        draw = empty.measurement.statistic_draw(empty.phi_true, empty.pulses, ())
+        assert draw(np.random.default_rng(0)) == []
 
     def test_zero_mean_gives_zero_counts(self):
         # perfect nulling: the count mean is 0 at phi = 0 for an ideal detector
@@ -404,14 +405,15 @@ class TestExactLawDraw:
                             (LikelihoodModel.VISIBILITY_MIXTURE, [(1,), (10,), (1000,)])):
             config = _counts_config(0.0, ProbeConfig.from_intensities(0.1), pulses=1000,
                                     model=model)
-            draw = statistic_sampler(config, checkpoints)
+            draw = config.measurement.statistic_draw(config.phi_true, config.pulses, checkpoints)
             assert all(draw(rng) == want for rng in trial_streams(split_seeds(3, 0, 20)))
 
     @pytest.mark.parametrize("name", sorted(EXACT_LAW_DRAWS))
     def test_draws_are_prefix_stable_in_trials(self, name):
         # raising the trial count extends a run: its first trials draw as before
         config = EXACT_LAW_DRAWS[name]
-        draw = statistic_sampler(config, (1, 10, config.pulses))
+        checkpoints = (1, 10, config.pulses)
+        draw = config.measurement.statistic_draw(config.phi_true, config.pulses, checkpoints)
         few, many = ([draw(rng) for rng in trial_streams(split_seeds(71, 0, trials))]
                      for trials in (5, 50))
         assert many[:5] == few

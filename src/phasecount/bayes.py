@@ -2,8 +2,8 @@
 
 The posterior over phi lives on a uniform grid spanning [0, pi] with a flat
 prior and trapezoid integration: the half-interval on which counting (a
-function of cos(phi)) and heterodyne identify phi; homodyne, with mean
-sqrt(2)*alpha*sin(phi), cannot tell phi from pi - phi there.  Likelihoods
+function of cos(phi)) and heterodyne identify phi, and homodyne, whose mean
+sqrt(2)*alpha*sin(phi) is the same at pi - phi, scores no record.  Likelihoods
 are accumulated in the log domain with max-subtraction, since products over
 ~1e6 pulses underflow any direct evaluation; additive constants cancel in
 the normalization and are dropped.  Each posterior is exactly 0 outside its
@@ -119,7 +119,7 @@ class LikelihoodTable:
     A record reaches the posterior only through its sufficient statistic:
     (silent, click) counts, (k, S) pulses and total count under the
     one-component count model, the count histogram under the mixture, or
-    the quadrature statistic (k, sum, sum of squares).  The likelihood does
+    the heterodyne statistic (k, sum, sum of squared moduli).  The likelihood does
     not depend on the true phase, pulse count or seed, so one table serves
     a whole run: its grid tables and spacing are built once, on
     construction, and the moments of each distinct statistic are computed

@@ -2,7 +2,8 @@
 
 ``measurement`` resolves a scheme, detector and count model to one of five
 measurement kinds, each with its record draw, sufficient statistic, grid
-log-likelihood and numeric FI; sampling and bayes reach them only through it.
+log-likelihood and numeric FI, save homodyne, which has only its FI;
+sampling and bayes reach them only through it.
 ``fi_numeric`` derives the classical Fisher information mechanically from
 the outcome likelihoods (sums over ``count_law``, Gauss-Hermite quadrature
 over quadratures), with one analytic derivative d(mean)/d(phi) per scheme,
@@ -27,12 +28,12 @@ from .photonics import (
     ProbeConfig,
     count_model,
     exp_neg,
-    homodyne_mean,
 )
 # Looked up here by perfbench/tracing.py, which wraps them by module and name.
 from .photonics import (
     fringe_mean,
     fringe_mean_derivative,
+    homodyne_mean,
     mixture_component_means,
     mixture_interfering_mean_derivative,
 )
@@ -49,6 +50,11 @@ PHI_ZERO_SURROGATE = 1e-6
 
 # Phases per count-law pass: its (phases x terms) arrays stay within a few MB.
 PHASE_BLOCK = 256
+
+HOMODYNE_UNIDENTIFIED = (
+    "homodyne cannot estimate phi: its mean sqrt(2)*alpha*sin(phi) is the same at phi and "
+    "pi - phi, as sin(phi) = sin(pi - phi) on the estimation domain [0, pi]; homodyne is a "
+    "Fisher-information reference only")
 
 # Gauss-Hermite nodes for continuous outcomes: 2 would be exact for their quadratic
 # log-densities, but the shipped homodyne and heterodyne values carry the bits of 128.
@@ -259,6 +265,7 @@ class Measurement:
     measurement alone is evaluated there, once: the count means over the grid
     and their logs, log p0 and log p1, the quadrature means.  ``fi(phis)`` is
     the FI at a 1-D array of phases, and the phases it was evaluated at.
+    Homodyne has only ``fi``: the others raise ``HOMODYNE_UNIDENTIFIED``.
     """
 
     def statistics(self, values: np.ndarray, checkpoints):
@@ -296,8 +303,9 @@ class _Counting(Measurement):
 
     def fi(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi_eval = np.where(phis == 0.0, PHI_ZERO_SURROGATE, phis)
-        values = np.concatenate([self._fi(phi_eval[i:i + PHASE_BLOCK])
-                                 for i in range(0, phi_eval.size, PHASE_BLOCK)])
+        values = np.empty_like(phi_eval)
+        for i in range(0, phi_eval.size, PHASE_BLOCK):
+            values[i:i + PHASE_BLOCK] = self._fi(phi_eval[i:i + PHASE_BLOCK])
         return values, phi_eval
 
     def _fi(self, phi):
@@ -473,33 +481,17 @@ class _Quadrature(Measurement):
     def __init__(self, probe: ProbeConfig):
         self.probe = probe
 
-    def _statistics(self, values, checkpoints):
-        # each prefix is summed afresh: chunked float sums round differently
-        for k in checkpoints:
-            yield k, *self._sums(values[:k])
-
     def fi(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.array([self._fi(x) for x in phis.tolist()]), phis.copy()
 
 
 class Homodyne(_Quadrature):
-    @staticmethod
-    def _sums(head):
-        return float(np.sum(head)), float(np.sum(head * head))
+    """Static homodyne, a Fisher-information reference only (``HOMODYNE_UNIDENTIFIED``)."""
 
-    def outcomes(self, phi: float, pulses: int):
-        mean = float(homodyne_mean(phi, self.probe))
-        return lambda rng: mean + math.sqrt(0.5) * rng.standard_normal(pulses)
+    def _refuse(self, *args):
+        raise ValueError(HOMODYNE_UNIDENTIFIED)
 
-    def loglik(self, grid):
-        # density exp(-(x - mean)^2)/sqrt(pi): the phi-dependent part of the
-        # summed log-likelihood is -(s2 - 2*mean*s1 + k*mean^2)
-        mean = homodyne_mean(grid, self.probe)
-
-        def homodyne(statistic):
-            k, s1, s2 = statistic
-            return -(s2 - 2.0 * mean * s1 + k * mean * mean)
-        return homodyne
+    outcomes = statistics = statistic_draw = loglik = _refuse
 
     def _fi(self, phi: float) -> float:
         # x = mean + t with t the Hermite nodes: the density has variance 1/2,
@@ -511,9 +503,11 @@ class Homodyne(_Quadrature):
 
 
 class Heterodyne(_Quadrature):
-    @staticmethod
-    def _sums(head):
-        return complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
+    def _statistics(self, values, checkpoints):
+        # each prefix is summed afresh: chunked float sums round differently
+        for k in checkpoints:
+            head = values[:k]
+            yield k, complex(np.sum(head)), float(np.sum(head.real**2 + head.imag**2))
 
     def outcomes(self, phi: float, pulses: int):
         mx, my = self.probe.alpha * math.cos(phi), self.probe.alpha * math.sin(phi)

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .bayes import DEFAULT_GRID_SIZE, MIN_GRID_SIZE
-from .fisher import Scheme
+from .fisher import HOMODYNE_UNIDENTIFIED, Scheme
 from .photonics import DetectorKind, DetectorModel, LikelihoodModel, ProbeConfig, count_model
 from .sampling import _check_seed
 
@@ -328,6 +328,8 @@ def parse_simulate(cfg: dict) -> SimulateRun:
     where = "simulate config"
     seeded = _seeded(cfg, {"scheme", "phi_true", "pulses", "checkpoints"}, where)
     scheme = _choice(cfg, "scheme", _SCHEMES, where, default=Scheme.DISPLACED_COUNTING)
+    if scheme is Scheme.HOMODYNE:
+        raise ConfigError(f"key 'scheme' in {where}: {HOMODYNE_UNIDENTIFIED}")
     # not _number: the range check names the range for NaN and inf too
     phi_true = _float(_get(cfg, "phi_true", (int, float), where))
     if not 0.0 <= phi_true <= math.pi:

@@ -67,8 +67,8 @@ class OutcomeRecord:
     """Outcomes of one run; dtype depends on the scheme and detector.
 
     int64 counts for number-resolving counting, bool click flags for the
-    on/off detector, float64 for homodyne quadratures, complex128 for
-    heterodyne outcomes.
+    on/off detector, complex128 for heterodyne outcomes.  Homodyne has no
+    records: it is a Fisher-information reference only.
     """
 
     config: ExperimentConfig

@@ -276,6 +276,23 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
         assert "phi_true" in capsys.readouterr().err
 
+    def test_homodyne_is_refused_at_config_load(self, tmp_path, capsys, monkeypatch):
+        # sin(phi) = sin(pi - phi): a homodyne run would report pi/2 for every
+        # record, so it stops at load, before the FI pass or any draw
+        def fails(*args, **kwargs):
+            raise AssertionError("the run went past config load")
+        for module, name in ((fisher, "count_law"), (fisher, "fi_numeric"),
+                             (bench, "fi_numeric"), (bench, "trial_streams")):
+            monkeypatch.setattr(module, name, fails)
+        cfg = _write(tmp_path, "sim.yaml", SIMULATE_CONFIG + "scheme: homodyne\n")
+        out = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: key 'scheme' in simulate config: " \
+               f"{fisher.HOMODYNE_UNIDENTIFIED}" in err
+        assert "invalid parameter" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "sim.yaml"]
+
     def test_non_integer_checkpoints_rejected(self, tmp_path, capsys):
         text = SIMULATE_CONFIG.replace("checkpoints: [100, 500]", "checkpoints: [10.7, 99.9, 500]")
         cfg = _write(tmp_path, "sim.yaml", text)
@@ -1184,7 +1201,6 @@ class TestCsvCells:
         ("saturate", "experiment_saturate", {"trials": 2}),
         ("simulate", "experiment_simulate", {"trials": 2}),
         ("simulate", "experiment_simulate", {"detector": "pnrd", "trials": 2}),
-        ("simulate", "experiment_simulate", {"scheme": "homodyne", "pulses": 200, "trials": 2}),
         ("simulate", "experiment_simulate", {"scheme": "heterodyne", "pulses": 200, "trials": 2}),
     ])
     def test_rows_hold_python_scalars(self, command, stem, overrides):

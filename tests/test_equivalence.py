@@ -125,11 +125,6 @@ def _ref_loglik_clicks(n_silent, n_click, config, grid):
     return total
 
 
-def _ref_loglik_homodyne(k, s1, s2, config, grid):
-    mean = math.sqrt(2.0) * config.probe.alpha * np.sin(grid)
-    return -(s2 - 2.0 * mean * s1 + k * mean * mean)
-
-
 def _ref_loglik_heterodyne(k, s1, s2, config, grid):
     mx = config.probe.alpha * np.cos(grid)
     my = config.probe.alpha * np.sin(grid)
@@ -151,9 +146,6 @@ def _ref_loglik_grid(record, grid, upto=None):
             n_click = int(np.count_nonzero(values))
             return _ref_loglik_clicks(len(values) - n_click, n_click, config, grid)
         return _ref_loglik_counts(_ref_count_pairs(values), config, grid)
-    if config.scheme is Scheme.HOMODYNE:
-        return _ref_loglik_homodyne(len(values), float(np.sum(values)),
-                                    float(np.sum(values * values)), config, grid)
     if config.scheme is Scheme.HETERODYNE:
         return _ref_loglik_heterodyne(len(values), complex(np.sum(values)),
                                       float(np.sum(values.real**2 + values.imag**2)),
@@ -331,11 +323,9 @@ def test_pnrd_monte_carlo_csv_bytes(name, tmp_path):
 
 
 # Simulate runs of the other schemes: the shipped on/off config as it stands,
-# and small homodyne and heterodyne runs of it, with the SHA-256 of each CSV.
+# and a small heterodyne run of it, with the SHA-256 of each CSV.
 SIMULATE_RUNS = {
     "onoff-shipped": ({}, "175a8e5d825824bc3abb797331eedfe6192080f5712cb86bcd88a1775d14bc34"),
-    "homodyne": ({"scheme": "homodyne", "pulses": 2000, "trials": 5},
-                 "3228249b566a5f1d6dde7058d0796790f2d21c5db9367df2c03f0fa9719c6f8f"),
     "heterodyne": ({"scheme": "heterodyne", "pulses": 2000, "trials": 5},
                    "b9428b5439942caa6fdf56053e0a7ef8d275dbfa632ac194a2f3492b92502bd8"),
 }
@@ -383,7 +373,6 @@ CASES = {
                                   dict(probe=ProbeConfig.from_intensities(0.1),
                                        det=DetectorModel()),
                                   model=LikelihoodModel.VISIBILITY_MIXTURE),
-    "homodyne": _config(Scheme.HOMODYNE, 0.8, EXPERIMENT),
     "heterodyne": _config(Scheme.HETERODYNE, 2.2, EXPERIMENT),
 }
 
@@ -434,14 +423,36 @@ def test_posterior_equals_per_record_reference(name):
     assert np.array_equal(posterior(empty, 129).density, _ref_normalize(np.zeros_like(grid), grid))
 
 
+class _TwoModes:
+    """A measurement for ``LikelihoodTable`` with two posterior modes: the
+    Gaussian quadrature log-likelihood of mean sqrt(2)*alpha*sin(phi),
+    variance 1/2, which takes the same value at phi and pi - phi."""
+
+    def __init__(self, probe):
+        self.probe = probe
+
+    def loglik(self, grid):
+        mean = homodyne_mean(grid, self.probe)
+
+        def two_modes(statistic):
+            k, s1, s2 = statistic
+            return -(s2 - 2.0 * mean * s1 + k * mean * mean)
+        return two_modes
+
+
 def test_posterior_density_is_the_whole_row_exp_across_underflow():
-    # homodyne at phi = 0.3: modes at phi and pi - phi, both in one window,
-    # cut at both ends and with nodes whose exp is 0 or subnormal between them
-    config = replace(CASES["homodyne"], phi_true=0.3, pulses=200_000)
-    record = sample(config)
+    # 200,000 quadratures at phi = 0.3 and seed 0: modes at phi and pi - phi,
+    # both in one window, cut at both ends and with nodes whose exp is 0 or
+    # subnormal between them
+    probe = EXPERIMENT["probe"]
+    rng = next(trial_streams([0]))
+    values = float(homodyne_mean(0.3, probe)) + math.sqrt(0.5) * rng.standard_normal(200_000)
+    statistic = (len(values), float(np.sum(values)), float(np.sum(values * values)))
     grid = _phase_grid(4097)
-    density = posterior(record, 4097).density
-    ref = _assert_reference_on_window(density, _ref_loglik_grid(record, grid), grid)
+    two_modes = _TwoModes(probe)
+    (post,) = LikelihoodTable(two_modes, 4097).posteriors([statistic])
+    density = post.density
+    ref = _assert_reference_on_window(density, two_modes.loglik(grid)(statistic), grid)
     assert np.any((density == 0.0) & (ref > 0.0))
     zero = np.flatnonzero(density == 0.0)
     assert zero[0] == 0 and zero[-1] == grid.size - 1
@@ -677,9 +688,6 @@ def _ref_sample(config):
             cdf = np.cumsum(pmf)
             draws = np.searchsorted(cdf, rng.random(m), side="right")
             values = np.minimum(draws, len(pmf) - 1).astype(np.int64)
-    elif config.scheme is Scheme.HOMODYNE:
-        mean = float(homodyne_mean(config.phi_true, config.probe))
-        values = mean + math.sqrt(0.5) * rng.standard_normal(m)
     else:
         mx = config.probe.alpha * math.cos(config.phi_true)
         my = config.probe.alpha * math.sin(config.phi_true)

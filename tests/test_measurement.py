@@ -1,6 +1,7 @@
-"""The measurement resolver, ``fisher.measurement``, and the checkpoint checks
-of its statistics and statistic draws."""
+"""The measurement resolver, ``fisher.measurement``, the checkpoint checks
+of its statistics and statistic draws, and the homodyne refusal."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +12,17 @@ from phasecount import (
     DetectorModel,
     ExperimentConfig,
     LikelihoodModel,
+    OutcomeRecord,
     ProbeConfig,
     Scheme,
     fi_numeric,
+    posterior,
     sample,
+    sequential_estimates,
 )
 from phasecount.bayes import LikelihoodTable
 from phasecount.fisher import (
+    HOMODYNE_UNIDENTIFIED,
     FringeCounts,
     Heterodyne,
     Homodyne,
@@ -61,21 +66,54 @@ def test_unknown_scheme_raises_the_same_error_everywhere():
     assert str(drawn.value) == str(fisher_information.value) == str(table.value) == message
 
 
-@pytest.mark.parametrize("scheme", [Scheme.HOMODYNE, Scheme.HETERODYNE])
-def test_quadratures_ignore_the_detector_and_the_model(scheme):
+def _quadrature_configs(scheme):
     # beta != alpha: a count model of the mixture would raise ModelMismatchError
     default = replace(_config(scheme), probe=ProbeConfig.from_intensities(0.1, 0.3))
-    other = replace(default, det=ONOFF, model=LikelihoodModel.VISIBILITY_MIXTURE)
-    assert np.array_equal(sample(default).values, sample(other).values)
-    grid = np.linspace(0.0, np.pi, 65)
-    statistic = (40, 0.5 if scheme is Scheme.HOMODYNE else 0.5 + 0.25j, 21.0)
-    rows = [c.measurement.loglik(grid)(statistic) for c in (default, other)]
-    assert rows[0].tobytes() == rows[1].tobytes()
+    return default, replace(default, det=ONOFF, model=LikelihoodModel.VISIBILITY_MIXTURE)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.HOMODYNE, Scheme.HETERODYNE])
+def test_quadratures_ignore_the_detector_and_the_model(scheme):
+    default, other = _quadrature_configs(scheme)
     phis = np.linspace(0.0, np.pi, 9)
     got = fi_numeric(scheme, phis, other.probe, ONOFF, model=LikelihoodModel.VISIBILITY_MIXTURE)
     want = fi_numeric(scheme, phis, default.probe)
     assert got.value.tobytes() == want.value.tobytes()
     assert np.array_equal(got.phi_evaluated, phis) and not got.zero_substituted.any()
+
+
+def test_heterodyne_records_ignore_the_detector_and_the_model():
+    default, other = _quadrature_configs(Scheme.HETERODYNE)
+    assert np.array_equal(sample(default).values, sample(other).values)
+    grid = np.linspace(0.0, np.pi, 65)
+    rows = [c.measurement.loglik(grid)((40, 0.5 + 0.25j, 21.0)) for c in (default, other)]
+    assert rows[0].tobytes() == rows[1].tobytes()
+
+
+@pytest.mark.parametrize("scheme,kind,model", itertools.product(
+    Scheme, DetectorKind, LikelihoodModel))
+def test_fi_over_no_phases_is_empty(scheme, kind, model):
+    result = fi_numeric(scheme, np.array([]), PROBE, DetectorModel(kind=kind), model=model)
+    assert result.value.dtype == result.phi_evaluated.dtype == np.float64
+    assert result.value.shape == result.phi_evaluated.shape == result.zero_substituted.shape == (0,)
+
+
+def test_homodyne_estimation_raises_one_message_before_any_draw():
+    # sin(phi) = sin(pi - phi): no homodyne record identifies phi on [0, pi]
+    config = _config(Scheme.HOMODYNE)
+    kind = config.measurement
+    record = OutcomeRecord(config, np.zeros(config.pulses))
+    calls = [lambda: sample(config), lambda: posterior(record, 65),
+             lambda: sequential_estimates(record, 65, (10, 100)),
+             lambda: LikelihoodTable(kind, 65),
+             lambda: kind.statistics(record.values, (100,)),
+             lambda: kind.statistic_draw(config.phi_true, config.pulses, (100,))]
+    for call in calls:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == HOMODYNE_UNIDENTIFIED
+    assert "sin(phi) = sin(pi - phi)" in HOMODYNE_UNIDENTIFIED
+    assert fi_numeric(Scheme.HOMODYNE, 1.0, PROBE).value > 0.0  # still an FI reference
 
 
 class TestCheckpoints:

@@ -222,16 +222,6 @@ class TestSampleStatistics:
         result = stats.chisquare(obs, exp)
         assert result.pvalue > 1e-3
 
-    def test_homodyne_mean_converges(self):
-        probe = ProbeConfig.from_intensities(0.1)
-        cfg = ExperimentConfig(scheme=Scheme.HOMODYNE, phi_true=1.0, probe=probe,
-                               det=DetectorModel(), pulses=100_000, seed=23)
-        record = sample(cfg)
-        assert record.values.dtype == np.float64
-        target = math.sqrt(2.0) * probe.alpha * math.sin(1.0)
-        stderr = math.sqrt(0.5 / cfg.pulses)
-        assert abs(float(np.mean(record.values)) - target) < 5.0 * stderr
-
     def test_heterodyne_mean_converges(self):
         probe = ProbeConfig.from_intensities(0.1)
         cfg = ExperimentConfig(scheme=Scheme.HETERODYNE, phi_true=0.7, probe=probe,

@@ -54,6 +54,9 @@ def test_full_length_pnrd_simulate_peak():
     assert _peak_bytes(bench.run_simulate, runconfig.parse_simulate(cfg)) < 2 * MIB
 
 
-def test_shipped_saturate_peak():
+def test_shipped_saturate_peak(monkeypatch):
+    # in process: forked workers would leave the parent's tracemalloc only
+    # its own slice, so the budget bounds what one worker allocates
+    monkeypatch.setattr(bench, "_worker_count", lambda statistics, pulses: 1)
     run = runconfig.parse_saturate(runconfig.load_config(CONFIGS / "experiment_saturate.yaml"))
     assert _peak_bytes(bench.run_saturate, run) < 1 * MIB

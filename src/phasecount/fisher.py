@@ -468,7 +468,13 @@ def _hermite_rule():
 @functools.cache
 def _product_rule():
     """The product rule on the plane flattened row-major, as ``score.sum()`` reduces
-    a (QUAD_POINTS, QUAD_POINTS) array: node pairs (2*t_i, 2*t_j), weight w_i w_j."""
+    a (QUAD_POINTS, QUAD_POINTS) array: node pairs (2*t_i, 2*t_j), weight w_i w_j.
+
+    ``hermgauss`` returns nodes that are negatives of each other and equal weights
+    in mirrored places, bit for bit, so term k and term QUAD_POINTS**2 - 1 - k of the
+    heterodyne FI sum are equal: their scores differ only in sign, which rounding
+    keeps. ``Heterodyne._fi`` therefore evaluates the first half of the terms and
+    mirrors them, and reduces the same row."""
     t, _, product = _hermite_rule()
     u, v = np.repeat(2.0 * t, QUAD_POINTS), np.tile(2.0 * t, QUAD_POINTS)
     u.flags.writeable = v.flags.writeable = False
@@ -527,13 +533,22 @@ class Heterodyne(_Quadrature):
             return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
         return heterodyne
 
-    def _fi(self, phi: float) -> float:
+    def fi(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        row = np.empty(QUAD_POINTS**2)
+        return np.array([self._fi(x, row) for x in phis.tolist()]), phis.copy()
+
+    def _fi(self, phi: float, row=None) -> float:
         u, v, weight = _product_rule()
+        half = QUAD_POINTS**2 // 2
+        row = np.empty(QUAD_POINTS**2) if row is None else row
+        score, mirror = row[:half], row[half:]
         mx = self.probe.alpha * math.cos(phi)
         my = self.probe.alpha * math.sin(phi)
         # score(u, v) = 2*u*dmx + 2*v*dmy with dmx = -my, dmy = mx; 2*t scales exactly
-        score = u * -my
-        score += v * mx
+        np.multiply(u[:half], -my, out=score)
+        np.multiply(v[:half], mx, out=mirror)
+        score += mirror
         np.square(score, out=score)  # the weighted sum of score**2, in place
-        score *= weight
-        return float(np.add.reduce(score))
+        score *= weight[:half]
+        mirror[:] = score[::-1]  # the second half of the terms (``_product_rule``)
+        return float(np.add.reduce(row))

@@ -1196,6 +1196,28 @@ class TestCsvCells:
                           *(",".join(map(self._reference_cell, row)) for row in rows)]) + "\n"
         assert out.read_bytes() == want.encode("ascii")
 
+        # repeated cells: equal values of two types or two signs keep their own texts
+        nan, other_nan, inf = float("nan"), float("nan"), float("inf")
+        rows = ((0.0, 1, 1.0, "bright", nan), (-0.0, 1.0, 1, "bright", other_nan),
+                (0.0, 2**53, 2.0**53, inf, -inf), (-0.0, 2.0**53, 2**53, -inf, inf),
+                (0, 0.0, -0.0, 1, 1.0), (-0.0, 0, 0.0, 1.0, 1))
+        result = bench.CommandResult(header=("a", "b", "c", "d", "e"), rows=rows, metadata={})
+        bench.write_csv(out, result)
+        want = "\n".join([",".join(result.header),
+                          *(",".join(map(self._reference_cell, row)) for row in rows)]) + "\n"
+        assert out.read_bytes() == want.encode("ascii")
+
+    def test_signed_zero_phases_keep_their_sign(self, tmp_path):
+        cfg = {"phi_grid": {"values": [-0.0, 0.0, 1.0, 0.0, -0.0]},
+               "schemes": ["homodyne", "heterodyne"],
+               "parameter_sets": [{"label": "ideal", "signal_intensity": 0.1}]}
+        result = bench.run_fi_curve(runconfig.parse_fi_curve(cfg))
+        out = tmp_path / "zeros.csv"
+        bench.write_csv(out, result)
+        lines = out.read_text(encoding="ascii").splitlines()
+        assert lines[1:] == [",".join(map(str, row)) for row in result.rows]
+        assert [line.split(",")[0] for line in lines[1:]] == ["-0.0", "0.0", "1.0", "0.0", "-0.0"]
+
     @pytest.mark.parametrize("command,stem,overrides", [
         ("fi-curve", "fi_curves_imperfect_bright", {}),
         ("saturate", "experiment_saturate", {"trials": 2}),

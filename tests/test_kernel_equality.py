@@ -123,6 +123,20 @@ def test_heterodyne_product_rule_is_shared_and_read_only():
     assert fisher._product_rule()[0] is u
     assert u.shape == v.shape == weight.shape == (fisher.QUAD_POINTS ** 2,)
     assert not (u.flags.writeable or v.flags.writeable or weight.flags.writeable)
+    # the mirror Heterodyne._fi rests on: term k and its reverse are equal bit for bit
+    assert np.array_equal(_bits(u[::-1]), _bits(-u))
+    assert np.array_equal(_bits(v[::-1]), _bits(-v))
+    assert np.array_equal(_bits(weight[::-1]), _bits(weight))
+
+
+@pytest.mark.parametrize("intensity", [0.0, 0.1, 200.0])
+def test_heterodyne_fi_over_phases_keeps_the_bits_of_the_outer_sum(intensity):
+    # fi() passes one scratch row to every phase; no phase may see another's terms
+    probe = ProbeConfig.from_intensities(intensity)
+    got, phi_eval = fisher.Heterodyne(probe).fi(np.array(HETERODYNE_PHASES))
+    want = [_earlier_fi_heterodyne(phi, probe) for phi in HETERODYNE_PHASES]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(phi_eval), _bits(HETERODYNE_PHASES))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ as they set config keys).  It also names the PRNG and the seed mixer.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import pickle
 import sys
@@ -45,15 +44,8 @@ class CommandResult:
 
 def write_csv(path, result: CommandResult) -> None:
     """Rows hold Python floats, ints and label strings: ``str`` writes a float
-    as its shortest round-trip ``repr``, an int in decimal and a label as it is.
-
-    A cell's text depends only on its type and value, so each distinct cell is
-    formatted once, through a bounded cache keyed by both (repeats sit a few rows
-    apart). The one equal pair with two texts, 0.0 and -0.0, is kept apart by
-    formatting any row that holds a zero with plain ``str``."""
-    cell = functools.lru_cache(maxsize=1024, typed=True)(str)
-    lines = [",".join(result.header),
-             *(",".join(map(str if 0 in row else cell, row)) for row in result.rows)]
+    as its shortest round-trip ``repr``, an int in decimal and a label as it is."""
+    lines = [",".join(result.header), *(",".join(map(str, row)) for row in result.rows)]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -87,6 +87,7 @@ def test_runs_that_do_not_count(line, problems):
 
 
 def test_a_run_without_a_result_line_does_not_parse():
+    assert bench_pairs.run_failures({"error": "exit 2: no result"}) == ["exit 2: no result"]
     with pytest.raises(ValueError):
         bench_pairs.parse_result("\n")
     with pytest.raises(ValueError):

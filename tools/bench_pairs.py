@@ -61,7 +61,9 @@ def parse_result(stdout: str) -> dict:
 
 def run_failures(result: dict) -> list[str]:
     """Why a run's result does not count, empty when it is correct."""
-    problems = [result["error"]] if "error" in result else []
+    if "error" in result:
+        return [result["error"]]
+    problems = []
     if result.get("correct") is not True:
         problems.append("not correct")
     if result.get("failed", 1) != 0:
@@ -116,7 +118,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     try:
         return parse_result(proc.stdout)
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
-        return {"correct": False, "failed": None, "error": f"exit {proc.returncode}: {exc}"}
+        return {"error": f"exit {proc.returncode}: {exc}"}
 
 
 def main(argv=None) -> int:

@@ -534,7 +534,7 @@ class Heterodyne(_Quadrature):
         return heterodyne
 
     def fi(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        row = np.empty(QUAD_POINTS**2)
+        row = np.empty(QUAD_POINTS**2)  # every phase's terms, one allocation per call
         return np.array([self._fi(x, row) for x in phis.tolist()]), phis.copy()
 
     def _fi(self, phi: float, row=None) -> float:
@@ -546,7 +546,7 @@ class Heterodyne(_Quadrature):
         my = self.probe.alpha * math.sin(phi)
         # score(u, v) = 2*u*dmx + 2*v*dmy with dmx = -my, dmy = mx; 2*t scales exactly
         np.multiply(u[:half], -my, out=score)
-        np.multiply(v[:half], mx, out=mirror)
+        np.multiply(v[:half], mx, out=mirror)  # scratch until it takes the mirrored terms
         score += mirror
         np.square(score, out=score)  # the weighted sum of score**2, in place
         score *= weight[:half]

@@ -44,7 +44,12 @@ class CommandResult:
 
 def write_csv(path, result: CommandResult) -> None:
     """Rows hold Python floats, ints and label strings: ``str`` writes a float
-    as its shortest round-trip ``repr``, an int in decimal and a label as it is."""
+    as its shortest round-trip ``repr``, an int in decimal and a label as it is.
+    A row whose cell count is not the header's raises before the file is opened."""
+    width = len(result.header)
+    for i, row in enumerate(result.rows):
+        if len(row) != width:
+            raise ValueError(f"CSV row {i} has {len(row)} cells, the header {width}")
     lines = [",".join(result.header), *(",".join(map(str, row)) for row in result.rows)]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

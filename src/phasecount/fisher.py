@@ -182,13 +182,15 @@ def count_law(phi, counts: CountModel, terms: int | None = None):
     phase that has not stopped inside it raises ``FiConvergenceError``: on a sweep
     of single Poisson means from 1e-10 to 760 and of both count models from
     intensity 1e-6 to 320, a wider window stopped no phase that this one missed.
+    A phase that is not finite raises ``ValueError``.
     """
+    if not np.isfinite(phi).all():
+        raise ValueError(f"phi must be finite, got {phi!r}")
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     lams = [np.broadcast_to(lam, phi.shape) for lam in counts.means(phi)]
     nan = np.isnan(lams).any(axis=0)
     if nan.any():  # a NaN mass fails the on/off sum's floor tests, which would give 0
-        raise FiConvergenceError(
-            f"count mean is NaN at phi={float(phi[nan.argmax()])!r}: the intensities overflow")
+        raise FiConvergenceError(f"count mean is NaN at phi={float(phi[nan.argmax()])!r}")
     components = [(w, lam, exp_neg(lam), w * np.broadcast_to(dlam, phi.shape))
                   for w, lam, dlam in zip(counts.weights, lams, counts.dmeans(phi))]
     top = max(float(lam[p0 > 0.0].max(initial=0.0)) for _, lam, p0, _ in components)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import textwrap
 import time
 import warnings
@@ -157,7 +158,8 @@ class TestFiCurve:
         cfg = _write(tmp_path, "fi.yaml", text)
         out = tmp_path / "fi.csv"
         assert cli.main(["fi-curve", "--config", cfg, "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err and "invalid parameter" not in err
         assert not out.exists()
 
 
@@ -570,8 +572,10 @@ def test_more_trial_streams_than_an_array_holds_is_a_config_error(
     cfg = _write(tmp_path, "run.yaml", text)
     out = tmp_path / "run.csv"
     assert cli.main([command, "--config", cfg, "--out", str(out), *flags]) == 1
-    assert (f"key 'trials' in {command} config asks for {streams} trial streams"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert (f"configuration error: key 'trials' in {command} config asks for {streams} "
+            "trial streams" in err)
+    assert "invalid parameter" not in err
     assert not out.exists()
 
 
@@ -734,10 +738,12 @@ class TestPovmCheck:
         out = capsys.readouterr().out
         assert "overall max deviation" in out and "PASS" in out
 
-    def test_report_file(self, tmp_path):
+    def test_report_file(self, tmp_path, capsys):
+        # the --out report holds the bytes printed to stdout
         cfg = _write(tmp_path, "povm.yaml", "signal_intensity: 0.1\nmax_n: 5\n")
         report = tmp_path / "report.txt"
         assert cli.main(["povm-check", "--config", cfg, "--out", str(report)]) == 0
+        assert report.read_bytes() == capsys.readouterr().out.encode("ascii")
         assert "PASS" in report.read_text()
 
     def test_outcomes_past_the_last_nonzero_probability_are_skipped(self, tmp_path, capsys,
@@ -840,6 +846,7 @@ class TestCommonFlags:
         err = capsys.readouterr().err
         assert err.startswith("error writing output: ") and str(out) in err
         assert "configuration" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.yaml"]  # no file, no directory
 
     @pytest.mark.parametrize("command,text,out,computes", [
         ("fi-curve", IDEAL_FI_CONFIG, "absent/x.csv", "fi_numeric"),
@@ -885,6 +892,26 @@ class TestCommonFlags:
     def test_help_exits_0(self, argv, capsys):
         assert cli.main(argv) == 0
         assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,text,code", [
+        (None, None, 0),
+        ("simulate", SIMULATE_CONFIG.replace("eta: 0.602", "eta: .nan"), 1),
+        ("simulate", "phi_true: 1.0\npulses: 1000000000\n" + UNRESOLVED_KEYS, 2),
+    ], ids=["help", "config-error", "unresolvable"])
+    def test_console_entry_exits_with_the_status_of_main(self, tmp_path, capsys, monkeypatch,
+                                                         command, text, code):
+        # pyproject.toml's [project.scripts] wrapper, run as the installed
+        # script runs it: main's status is the process exit status
+        pyproject = (CONFIGS.parent / "pyproject.toml").read_text()
+        assert '[project.scripts]\nphasecount = "phasecount.cli:entry"\n' in pyproject
+        argv = ["--help"] if command is None else [
+            command, "--config", _write(tmp_path, "run.yaml", text),
+            "--out", str(tmp_path / "run.csv")]
+        monkeypatch.setattr(sys, "argv", ["phasecount", *argv])
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert exited.value.code == code
+        assert not (tmp_path / "run.csv").exists()
 
     def test_help_names_every_command_and_its_flags(self, capsys):
         # containment only: argparse's wording differs between Python versions
@@ -1185,7 +1212,7 @@ class TestCsvCells:
 
     def test_cells_equal_reference_formatting(self, tmp_path):
         floats = [0.1, 2.0, -0.0, 1e16, 9999999999999998.0, 1e-4, 9.999e-5, 1e-5, 5e-324,
-                  1.7976931348623157e308, float("inf"), 1 / 3, 123456789.125]
+                  1.7976931348623157e308, float("inf"), 1 / 3, 123456789.125, -2.5e-8]
         rows = ((*floats[:5], 0, "bright"), (*floats[5:10], -3, "a b"),
                 (*floats[10:], 2**70, 7, "x"))
         result = bench.CommandResult(header=("a", "b", "c", "d", "e", "n", "label"),
@@ -1217,6 +1244,13 @@ class TestCsvCells:
         lines = out.read_text(encoding="ascii").splitlines()
         assert lines[1:] == [",".join(map(str, row)) for row in result.rows]
         assert [line.split(",")[0] for line in lines[1:]] == ["-0.0", "0.0", "1.0", "0.0", "-0.0"]
+
+    @pytest.mark.parametrize("row", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
+    def test_ragged_row_raises_and_writes_nothing(self, tmp_path, row):
+        result = bench.CommandResult(header=("a", "b"), rows=((0.0, 1.0), row), metadata={})
+        with pytest.raises(ValueError, match=f"^CSV row 1 has {len(row)} cells, the header 2$"):
+            bench.write_csv(tmp_path / "ragged.csv", result)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command,stem,overrides", [
         ("fi-curve", "fi_curves_imperfect_bright", {}),

@@ -1,8 +1,11 @@
-"""The measurement resolver, ``fisher.measurement``, the checkpoint checks
-of its statistics and statistic draws, and the homodyne refusal."""
+"""The measurement resolver, ``fisher.measurement``, as the one place that
+tells the kinds apart, the checkpoint checks of its statistics and statistic
+draws, and the homodyne refusal."""
 
 import itertools
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,11 @@ from phasecount import (
     OutcomeRecord,
     ProbeConfig,
     Scheme,
+    bayes,
     fi_numeric,
     posterior,
     sample,
+    sampling,
     sequential_estimates,
 )
 from phasecount.bayes import LikelihoodTable
@@ -64,6 +69,32 @@ def test_unknown_scheme_raises_the_same_error_everywhere():
     with pytest.raises(ValueError) as table:
         LikelihoodTable(config.measurement, 65)
     assert str(drawn.value) == str(fisher_information.value) == str(table.value) == message
+
+
+# a comparison with a Scheme, DetectorKind or LikelihoodModel value, on one line
+KIND_TEST = re.compile(
+    r"(\bis not|\bis|\bin|==|!=)\s+\(?(Scheme|DetectorKind|LikelihoodModel)\."
+    r"|\b(Scheme|DetectorKind|LikelihoodModel)\.[A-Z_]+\s+(is|in|==|!=)")
+
+
+@pytest.mark.parametrize("line,compares", [
+    ("    if det.kind is DetectorKind.ON_OFF:", True),
+    ("    if scheme is not Scheme.HOMODYNE:", True),
+    ("    if model in (LikelihoodModel.POISSON_FRINGE,):", True),
+    ("    if Scheme.HETERODYNE == scheme:", True),
+    ("    kind = measurement(Scheme.DISPLACED_COUNTING, probe, det, model)", False),
+])
+def test_kind_comparison_pattern(line, compares):
+    assert bool(KIND_TEST.search(line)) is compares
+
+
+@pytest.mark.parametrize("module", [sampling, bayes], ids=["sampling", "bayes"])
+def test_only_the_resolver_tells_the_kinds_apart(module):
+    # sampling and bayes reach every measurement through fisher.measurement,
+    # the one place (with fi_analytic) that tells the schemes, detectors and
+    # count models apart: neither compares a kind's value
+    lines = Path(module.__file__).read_text().splitlines()
+    assert [(n, line) for n, line in enumerate(lines, 1) if KIND_TEST.search(line)] == []
 
 
 def _quadrature_configs(scheme):

@@ -238,6 +238,14 @@ class TestSampleStatistics:
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("model", list(LikelihoodModel))
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_phase_is_named(self, model, phi):
+        # named as the phase it is, not as a NaN count mean
+        probe = ProbeConfig.from_intensities(0.1)
+        with pytest.raises(ValueError, match=f"^phi must be finite, got {phi!r}$"):
+            count_distribution(phi, probe, DetectorModel(), model)
+
+    @pytest.mark.parametrize("model", list(LikelihoodModel))
     @pytest.mark.parametrize("xi", [0.9, 0.993, 1.0])
     def test_count_table_ignores_less_than_tail_mass(self, model, xi):
         # inverse-CDF draws through np.cumsum(pmf): the mass past its last

@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         if runner is None:
             return _povm_check(run, args.out)
 
-        _check_writable(args.out)
+        _check_writable(args.out, bench.metadata_path(args.out))
         result = runner(run)
         bench.write_csv(args.out, result)
         bench.write_metadata(args.out, result)
@@ -105,15 +105,17 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
-def _check_writable(csv_path) -> None:
-    """Raise, before the run, the OSError that writing the CSV or its sidecar
-    raises when the path is a directory or its directory is missing."""
-    for path in (csv_path, bench.metadata_path(csv_path)):
+def _check_writable(*paths) -> None:
+    """Raise, before the run, the OSError that writing an output file raises
+    when its path is a directory or its directory is missing."""
+    for path in paths:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             os.close(os.open(path, os.O_WRONLY))  # raises it; no O_CREAT, so no file
 
 
 def _povm_check(run, out_path) -> int:
+    if out_path:
+        _check_writable(out_path)  # the report has no sidecar
     lines, _, passed = bench.run_povm_check(run)
     report = "\n".join(lines) + "\n"
     print(report, end="")

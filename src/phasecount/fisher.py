@@ -469,18 +469,19 @@ def _hermite_rule():
 
 @functools.cache
 def _product_rule():
-    """The product rule on the plane flattened row-major, as ``score.sum()`` reduces
-    a (QUAD_POINTS, QUAD_POINTS) array: node pairs (2*t_i, 2*t_j), weight w_i w_j.
+    """The first half of the row-major flattened product rule on the plane, as
+    ``score.sum()`` reduces a (QUAD_POINTS, QUAD_POINTS) array: (2*t_i, 2*t_j), w_i w_j.
 
-    ``hermgauss`` returns nodes that are negatives of each other and equal weights
-    in mirrored places, bit for bit, so term k and term QUAD_POINTS**2 - 1 - k of the
-    heterodyne FI sum are equal: their scores differ only in sign, which rounding
-    keeps. ``Heterodyne._fi`` therefore evaluates the first half of the terms and
-    mirrors them, and reduces the same row."""
+    ``hermgauss`` nodes are negatives of each other and weights equal in mirrored
+    places, bit for bit, so the other half of the heterodyne FI terms is this half
+    reversed (scores differ only in sign). numpy sums 2n contiguous terms (n a multiple
+    of 8, 2n > 128) as its two halves' pairwise sums added, which ``Heterodyne._fi``
+    adds itself: the half's sum plus its reverse's keeps the full sum's bits."""
     t, _, product = _hermite_rule()
-    u, v = np.repeat(2.0 * t, QUAD_POINTS), np.tile(2.0 * t, QUAD_POINTS)
+    rows = QUAD_POINTS // 2
+    u, v = np.repeat(2.0 * t[:rows], QUAD_POINTS), np.tile(2.0 * t, rows)
     u.flags.writeable = v.flags.writeable = False
-    return u, v, product.ravel()
+    return u, v, product[:rows].ravel()
 
 
 class _Quadrature(Measurement):
@@ -535,22 +536,13 @@ class Heterodyne(_Quadrature):
             return -(s2 - 2.0 * (mx * s1.real + my * s1.imag) + k * m2)
         return heterodyne
 
-    def fi(self, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        row = np.empty(QUAD_POINTS**2)  # every phase's terms, one allocation per call
-        return np.array([self._fi(x, row) for x in phis.tolist()]), phis.copy()
-
-    def _fi(self, phi: float, row=None) -> float:
+    def _fi(self, phi: float) -> float:
         u, v, weight = _product_rule()
-        half = QUAD_POINTS**2 // 2
-        row = np.empty(QUAD_POINTS**2) if row is None else row
-        score, mirror = row[:half], row[half:]
         mx = self.probe.alpha * math.cos(phi)
         my = self.probe.alpha * math.sin(phi)
         # score(u, v) = 2*u*dmx + 2*v*dmy with dmx = -my, dmy = mx; 2*t scales exactly
-        np.multiply(u[:half], -my, out=score)
-        np.multiply(v[:half], mx, out=mirror)  # scratch until it takes the mirrored terms
-        score += mirror
+        score = u * -my + v * mx
         np.square(score, out=score)  # the weighted sum of score**2, in place
-        score *= weight[:half]
-        mirror[:] = score[::-1]  # the second half of the terms (``_product_rule``)
-        return float(np.add.reduce(row))
+        score *= weight
+        # the second half of the terms is the first reversed (``_product_rule``)
+        return float(np.add.reduce(score) + np.add.reduce(score[::-1]))

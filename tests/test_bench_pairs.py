@@ -92,3 +92,41 @@ def test_a_run_without_a_result_line_does_not_parse():
         bench_pairs.parse_result("\n")
     with pytest.raises(ValueError):
         bench_pairs.parse_result("Traceback (most recent call last):\n")
+
+
+def _trees(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        tree.mkdir()
+    (parent / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return parent, change
+
+
+@pytest.mark.parametrize("traced_change,code,shown", [
+    (_line(0.03), 0, "traced change correct=True failed=0"),
+    (_line(0.03, correct=False), 1, "traced change correct=False failed=0 not correct"),
+    (_line(0.03, correct=False, failed=3), 1,
+     "traced change correct=False failed=3 not correct; 3 failed of 150 operations"),
+], ids=["both-correct", "change-not-correct", "change-failed-operations"])
+def test_each_tree_makes_one_traced_run(tmp_path, monkeypatch, capsys,
+                                        traced_change, code, shown):
+    parent, change = _trees(tmp_path)
+    calls = []
+
+    def run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, workload, seed, seconds, trace))
+        if trace and tree == change:
+            return bench_pairs.parse_result(traced_change)
+        return bench_pairs.parse_result(_line(0.03))
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    argv = [str(parent), str(change), "--workload", "fi-curves", "--seeds", "11-20",
+            "--seconds", "4"]
+    assert bench_pairs.main(argv) == code
+    traced = [c for c in calls if c[4]]
+    assert traced == [("parent", "fi-curves", 11, 2, 1), ("change", "fi-curves", 11, 2, 1)]
+    assert len(calls) == 22 and all(c[3] == 4 for c in calls if not c[4])
+    out = capsys.readouterr().out
+    assert "traced parent correct=True failed=0\n" in out
+    assert shown + "\n" in out
+    assert "run_s" in out  # the pairs' verdicts are printed either way

@@ -852,7 +852,9 @@ class TestCommonFlags:
         ("fi-curve", IDEAL_FI_CONFIG, "absent/x.csv", "fi_numeric"),
         ("simulate", SIMULATE_CONFIG, ".", "trial_streams"),
         ("simulate", SIMULATE_CONFIG, "x.csv", "trial_streams"),
-    ], ids=["fi-curve-missing-dir", "simulate-is-a-directory", "simulate-sidecar-is-a-directory"])
+        ("povm-check", "signal_intensity: 0.1\nmax_n: 2\n", "absent/r.txt", "run_povm_check"),
+    ], ids=["fi-curve-missing-dir", "simulate-is-a-directory", "simulate-sidecar-is-a-directory",
+            "povm-check-missing-dir"])
     def test_unwritable_out_stops_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                  command, text, out, computes):
         monkeypatch.setattr(bench, computes, lambda *a, **k: pytest.fail("computed"))
@@ -861,8 +863,9 @@ class TestCommonFlags:
         before = sorted(tmp_path.rglob("*"))
         out = tmp_path / out
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error writing output: [Errno ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error writing output: [Errno ")
+        assert captured.out == ""  # no report of a run that did not happen
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_config_must_be_mapping(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The fi-curve kernels against verbatim copies of their earlier forms.
 
-``fisher.Heterodyne``'s FI sums over the flattened product rule,
+``fisher.Heterodyne``'s FI sums the flattened product rule as two half sums,
 ``fisher.count_law`` takes its slopes without ``np.diff``'s copy, and
 ``bench.run_fi_curve`` zips each set's rows from its columns.  Each must
 give the bits of the form it replaced, copied below as it stood.
@@ -112,31 +112,36 @@ HETERODYNE_PHASES = [*np.linspace(-50.0, 50.0, 401).tolist(),
 @pytest.mark.parametrize("intensity", [0.0, 1e-6, 0.1, 10.0, 200.0, 1e300])
 def test_heterodyne_keeps_the_bits_of_the_outer_sum(intensity):
     probe = ProbeConfig.from_intensities(intensity)
-    got = [fisher.Heterodyne(probe)._fi(phi) for phi in HETERODYNE_PHASES]
     want = [_earlier_fi_heterodyne(phi, probe) for phi in HETERODYNE_PHASES]
+    got = [fisher.Heterodyne(probe)._fi(phi) for phi in HETERODYNE_PHASES]
     assert got == want
     assert np.array_equal(_bits(got), _bits(want))
+    got, phi_eval = fisher.Heterodyne(probe).fi(np.array(HETERODYNE_PHASES))
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(phi_eval), _bits(HETERODYNE_PHASES))
 
 
 def test_heterodyne_product_rule_is_shared_and_read_only():
     u, v, weight = fisher._product_rule()
     assert fisher._product_rule()[0] is u
-    assert u.shape == v.shape == weight.shape == (fisher.QUAD_POINTS ** 2,)
+    assert u.shape == v.shape == weight.shape == (fisher.QUAD_POINTS ** 2 // 2,)
     assert not (u.flags.writeable or v.flags.writeable or weight.flags.writeable)
-    # the mirror Heterodyne._fi rests on: term k and its reverse are equal bit for bit
-    assert np.array_equal(_bits(u[::-1]), _bits(-u))
-    assert np.array_equal(_bits(v[::-1]), _bits(-v))
-    assert np.array_equal(_bits(weight[::-1]), _bits(weight))
+    # the mirror the half rule rests on: each node's negative and each weight
+    # sit in the mirrored place, bit for bit
+    t, w, _ = _hermite_rule()
+    assert np.array_equal(_bits(t[::-1]), _bits(-t))
+    assert np.array_equal(_bits(w[::-1]), _bits(w))
 
 
-@pytest.mark.parametrize("intensity", [0.0, 0.1, 200.0])
-def test_heterodyne_fi_over_phases_keeps_the_bits_of_the_outer_sum(intensity):
-    # fi() passes one scratch row to every phase; no phase may see another's terms
-    probe = ProbeConfig.from_intensities(intensity)
-    got, phi_eval = fisher.Heterodyne(probe).fi(np.array(HETERODYNE_PHASES))
-    want = [_earlier_fi_heterodyne(phi, probe) for phi in HETERODYNE_PHASES]
-    assert np.array_equal(_bits(got), _bits(want))
-    assert np.array_equal(_bits(phi_eval), _bits(HETERODYNE_PHASES))
+@pytest.mark.parametrize("seed", range(8))
+def test_numpy_sums_a_row_as_its_two_halves(seed):
+    # the sum Heterodyne._fi rests on: a 16,384-term float64 reduce is the sum of
+    # its halves' reduces, and a reversed view reduces as its reversed copy does
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-4.0, 4.0, fisher.QUAD_POINTS ** 2)  # 8 decades
+    halves = np.add.reduce(x[:x.size // 2]) + np.add.reduce(x[x.size // 2:])
+    assert np.array_equal(_bits(np.add.reduce(x)), _bits(halves))
+    assert np.array_equal(_bits(np.add.reduce(x[::-1])), _bits(np.add.reduce(x[::-1].copy())))
 
 
 # ---------------------------------------------------------------------------

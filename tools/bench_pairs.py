@@ -17,8 +17,12 @@ count for neither) and a verdict:
   10 pairs, and the medians differ by more than the parent's quartile distance;
 - ``no claim``: none of these.
 
-It exits 1 when a run is not ``correct``, has failed operations or ends
-without a result line.
+After the pairs it runs ``--trace 1`` once in each tree, at the first seed and
+for TRACED_SECONDS, and prints each traced run's ``correct`` and failed count: a
+traced run makes self-checks that untraced pairs cannot see.
+
+It exits 1 when a run, traced or not, is not ``correct``, has failed operations
+or ends without a result line.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from typing import NamedTuple
 
 CLAIM_SHARE = 0.9
 CLAIM_MIN_PAIRS = 10
+TRACED_SECONDS = 2
 
 
 class Summary(NamedTuple):
@@ -110,10 +115,10 @@ def _seeds(text: str) -> range:
     return range(int(first), int(last or first) + 1)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     try:
         return parse_result(proc.stdout)
@@ -132,8 +137,8 @@ def main(argv=None) -> int:
     end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
 
     pairs, bad = [], 0
+    sides = {"parent": args.parent, "change": args.change}
     for seed in args.seeds:
-        sides = {"parent": args.parent, "change": args.change}
         order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
         result = {side: _run(sides[side], args.workload, seed, args.seconds) for side in order}
         for side in order:
@@ -143,13 +148,23 @@ def main(argv=None) -> int:
             print(f"seed {seed} {side:<6} {values} {'; '.join(problems)}", flush=True)
         pairs.append((result["parent"], result["change"]))
 
+    traced_bad = 0
+    for side, tree in sides.items():
+        result = _run(tree, args.workload, args.seeds[0], TRACED_SECONDS, trace=1)
+        problems = run_failures(result)
+        traced_bad += bool(problems)
+        print(f"traced {side:<6} correct={result.get('correct')} failed={result.get('failed')} "
+              f"{'; '.join(problems)}".rstrip(), flush=True)
+
     if bad:
         print(f"{bad} run(s) did not count; no verdict")
         return 1
     print(f"{args.workload}: {len(pairs)} pairs, {args.seconds} s runs; median (q1-q3)")
     for summary in summarise(pairs, end_to_end):
         print(summary.line())
-    return 0
+    if traced_bad:
+        print(f"{traced_bad} traced run(s) did not count")
+    return int(bool(traced_bad))
 
 
 if __name__ == "__main__":

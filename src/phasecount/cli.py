@@ -107,21 +107,20 @@ def main(argv=None) -> int:
 
 def _check_writable(*paths) -> None:
     """Raise, before the run, the OSError that writing an output file raises
-    when its path is a directory or its directory is missing."""
+    when its path is empty or a directory, or its directory is missing."""
     for path in paths:
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             os.close(os.open(path, os.O_WRONLY))  # raises it; no O_CREAT, so no file
 
 
 def _povm_check(run, out_path) -> int:
-    if out_path:
+    if out_path is not None:
         _check_writable(out_path)  # the report has no sidecar
     lines, _, passed = bench.run_povm_check(run)
     report = "\n".join(lines) + "\n"
     print(report, end="")
-    if out_path:
-        with open(out_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(report)
+    if out_path is not None:
+        bench.rewrite(out_path, report.encode("ascii"))
     return EXIT_OK if passed else EXIT_NUMERIC
 
 

@@ -130,3 +130,37 @@ def test_each_tree_makes_one_traced_run(tmp_path, monkeypatch, capsys,
     assert "traced parent correct=True failed=0\n" in out
     assert shown + "\n" in out
     assert "run_s" in out  # the pairs' verdicts are printed either way
+
+
+@pytest.mark.parametrize("failing,code", [
+    (None, 0), ("saturate-desk", 1), ("fi-curves", 1),
+], ids=["all-correct", "second-workload-fails", "first-workload-fails"])
+def test_a_workload_list_gives_one_table_and_traced_check_each(tmp_path, monkeypatch, capsys,
+                                                               failing, code):
+    parent, change = _trees(tmp_path)
+    calls = []
+
+    def run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, workload, seed, trace))
+        failed = workload == failing and tree == change and seed == 12 and not trace
+        return bench_pairs.parse_result(_line(0.03, failed=3 if failed else 0))
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    workloads = ["fi-curves", "saturate-desk", "simulate-bright-pnrd"]
+    argv = [str(parent), str(change), "--workload", ",".join(workloads), "--seeds", "11-12",
+            "--seconds", "4"]
+    assert bench_pairs.main(argv) == code
+    # each workload in turn: its pairs, alternating who runs first, then one traced run per tree
+    assert calls == [call for w in workloads for call in (
+        ("change", w, 11, 0), ("parent", w, 11, 0), ("parent", w, 12, 0), ("change", w, 12, 0),
+        ("parent", w, 11, 1), ("change", w, 11, 1))]
+    out = capsys.readouterr().out
+    for w in workloads:
+        assert f"{w} traced parent correct=True failed=0\n" in out
+        assert f"{w} traced change correct=True failed=0\n" in out
+        if w == failing:
+            assert f"{w}: 1 run(s) did not count; no verdict\n" in out
+            assert f"{w} seed 12 change" in out and "3 failed of 150 operations" in out
+        else:
+            assert f"{w}: 2 pairs, 4 s runs; median (q1-q3)\n" in out
+    assert out.count("run_s ") == len(workloads) - (failing is not None)

@@ -1,7 +1,9 @@
 """CLI surface: config validation, CSV/metadata contracts, exit codes."""
 
 import math
+import os
 import re
+import stat
 import sys
 import textwrap
 import time
@@ -40,6 +42,9 @@ SIMULATE_CONFIG = textwrap.dedent("""\
     grid_size: 257
     seed: 4242
 """)
+
+
+POVM_CONFIG = "signal_intensity: 0.1\nmax_n: 2\n"
 
 
 def _write(tmp_path, name, text):
@@ -837,14 +842,21 @@ class TestCommonFlags:
     @pytest.mark.parametrize("command,text,out", [
         ("fi-curve", IDEAL_FI_CONFIG, "absent/x.csv"),
         ("fi-curve", IDEAL_FI_CONFIG, "."),
-        ("povm-check", "signal_intensity: 0.1\nmax_n: 2\n", "absent/r.txt"),
-    ], ids=["csv-missing-dir", "csv-is-a-directory", "povm-check-missing-dir"])
-    def test_unwritable_out_names_the_output(self, tmp_path, capsys, command, text, out):
+        ("povm-check", POVM_CONFIG, "absent/r.txt"),
+        ("fi-curve", IDEAL_FI_CONFIG, ""),
+        ("simulate", SIMULATE_CONFIG, ""),
+        ("saturate", SATURATE_CONFIG, ""),
+        ("povm-check", POVM_CONFIG, ""),
+    ], ids=["csv-missing-dir", "csv-is-a-directory", "povm-check-missing-dir",
+            "fi-curve-empty", "simulate-empty", "saturate-empty", "povm-check-empty"])
+    def test_unwritable_out_names_the_output(self, tmp_path, capsys, monkeypatch,
+                                             command, text, out):
+        monkeypatch.chdir(tmp_path)
         cfg = _write(tmp_path, "cfg.yaml", text)
-        out = tmp_path / out
-        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        out = str(tmp_path / out) if out else ""
+        assert cli.main([command, "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error writing output: ") and str(out) in err
+        assert err.startswith("error writing output: ") and f"'{out}'" in err
         assert "configuration" not in err
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.yaml"]  # no file, no directory
 
@@ -852,17 +864,23 @@ class TestCommonFlags:
         ("fi-curve", IDEAL_FI_CONFIG, "absent/x.csv", "fi_numeric"),
         ("simulate", SIMULATE_CONFIG, ".", "trial_streams"),
         ("simulate", SIMULATE_CONFIG, "x.csv", "trial_streams"),
-        ("povm-check", "signal_intensity: 0.1\nmax_n: 2\n", "absent/r.txt", "run_povm_check"),
+        ("povm-check", POVM_CONFIG, "absent/r.txt", "run_povm_check"),
+        ("fi-curve", IDEAL_FI_CONFIG, "", "fi_numeric"),
+        ("simulate", SIMULATE_CONFIG, "", "fi_numeric"),
+        ("saturate", SATURATE_CONFIG, "", "fi_numeric"),
+        ("povm-check", POVM_CONFIG, "", "run_povm_check"),
     ], ids=["fi-curve-missing-dir", "simulate-is-a-directory", "simulate-sidecar-is-a-directory",
-            "povm-check-missing-dir"])
+            "povm-check-missing-dir", "fi-curve-empty", "simulate-empty", "saturate-empty",
+            "povm-check-empty"])
     def test_unwritable_out_stops_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                  command, text, out, computes):
         monkeypatch.setattr(bench, computes, lambda *a, **k: pytest.fail("computed"))
+        monkeypatch.chdir(tmp_path)
         cfg = _write(tmp_path, "cfg.yaml", text)
         (tmp_path / "x.meta.yaml").mkdir()
         before = sorted(tmp_path.rglob("*"))
-        out = tmp_path / out
-        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        out = str(tmp_path / out) if out else ""
+        assert cli.main([command, "--config", cfg, "--out", out]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error writing output: [Errno ")
         assert captured.out == ""  # no report of a run that did not happen
@@ -1268,3 +1286,79 @@ class TestCsvCells:
         suffix = command.replace("-", "_")
         result = getattr(bench, "run_" + suffix)(getattr(runconfig, "parse_" + suffix)(cfg))
         assert {type(cell) for row in result.rows for cell in row} <= {float, int, str}
+
+
+class TestRewrite:
+    """Every output is written by ``bench.rewrite``: over the old bytes, then cut
+    to length, with the bytes, mode and link handling of ``open(path, "w")``."""
+
+    def test_a_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old,bytes\n" * 100)
+        for data in (b"a,b\n1,2\n", b"longer,than,before\n" * 200, b"", b"z\n"):
+            bench.rewrite(out, data)
+            assert out.read_bytes() == data
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_a_new_file_gets_the_mode_of_open_w(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "by_open.csv", "w"):
+                pass
+            bench.rewrite(tmp_path / "by_rewrite.csv", b"a\n")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("by_open.csv", "by_rewrite.csv")}
+        assert modes == {0o666 & ~umask}
+
+    def test_a_symlinked_out_writes_through_to_its_target(self, tmp_path):
+        cfg = _write(tmp_path, "fi.yaml", IDEAL_FI_CONFIG)
+        plain, target, link = tmp_path / "plain.csv", tmp_path / "target.csv", tmp_path / "x.csv"
+        target.write_bytes(b"#" * 100_000)
+        link.symlink_to(target)
+        for out in (plain, link):
+            assert cli.main(["fi-curve", "--config", cfg, "--out", str(out)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == plain.read_bytes()
+
+    def test_out_dev_null_exits_0(self, capsys):
+        cfg = str(CONFIGS / "povm_check.yaml")
+        assert cli.main(["povm-check", "--config", cfg, "--out", os.devnull]) == 0
+        assert "PASS" in capsys.readouterr().out
+        bench.rewrite(os.devnull, b"not cut\n")  # not a regular file: written, never cut
+
+    def test_a_cell_that_is_not_ascii_leaves_the_old_bytes(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old,bytes\n")
+        result = bench.CommandResult(header=("a", "label"), rows=((1.0, "café"),),
+                                     metadata={})
+        with pytest.raises(UnicodeEncodeError):
+            bench.write_csv(out, result)
+        assert out.read_bytes() == b"old,bytes\n"
+
+    @pytest.mark.parametrize("command,text", [
+        ("fi-curve", IDEAL_FI_CONFIG), ("simulate", SIMULATE_CONFIG),
+        ("saturate", SATURATE_CONFIG), ("povm-check", POVM_CONFIG),
+    ], ids=["fi-curve", "simulate", "saturate", "povm-check"])
+    def test_runs_into_the_same_paths_give_the_same_bytes(self, tmp_path, capsys,
+                                                          command, text):
+        # "fresh" is written to new paths; "over" to paths holding a longer
+        # file, then again over its own first output
+        cfg = _write(tmp_path, "cfg.yaml", text)
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        for folder in (fresh, over):
+            folder.mkdir()
+        for name in ("x.csv", "x.meta.yaml"):
+            (over / name).write_bytes(b"#" * 100_000)
+        names = ["x.csv"] if command == "povm-check" else ["x.csv", "x.meta.yaml"]
+
+        def run(folder):
+            assert cli.main([command, "--config", cfg, "--out", str(folder / "x.csv")]) == 0
+            return [(folder / name).read_bytes() for name in names]
+
+        want = run(fresh)
+        assert run(over) == want
+        assert run(over) == want
+        if command == "povm-check":
+            assert want[0] in capsys.readouterr().out.encode("ascii")

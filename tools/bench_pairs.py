@@ -1,13 +1,14 @@
-"""Compare two checkouts on one benchmark workload in alternating pairs of runs.
+"""Compare two checkouts on benchmark workloads in alternating pairs of runs.
 
-    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W --seeds A-B --seconds S
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W[,W...] --seeds A-B \
+        --seconds S
 
-Each seed runs ``perfbench/run.py --workload W --seed N --seconds S --trace 0``
-once in each tree, each run in its own interpreter with the tree as its working
-directory; the parent runs first at even seeds and the change at odd ones.
-For each end-to-end metric that ``BENCHMARK.json`` (read from the parent tree)
-declares, it prints both medians and quartiles, the pairs the change won (ties
-count for neither) and a verdict:
+For each workload W in turn, each seed runs ``perfbench/run.py --workload W
+--seed N --seconds S --trace 0`` once in each tree, each run in its own
+interpreter with the tree as its working directory; the parent runs first at
+even seeds and the change at odd ones.  For each end-to-end metric that
+``BENCHMARK.json`` (read from the parent tree) declares, it prints both medians
+and quartiles, the pairs the change won (ties count for neither) and a verdict:
 
 - ``worse``: the change's median is worse than the parent's by more than the
   metric's bound;
@@ -17,12 +18,13 @@ count for neither) and a verdict:
   10 pairs, and the medians differ by more than the parent's quartile distance;
 - ``no claim``: none of these.
 
-After the pairs it runs ``--trace 1`` once in each tree, at the first seed and
-for TRACED_SECONDS, and prints each traced run's ``correct`` and failed count: a
-traced run makes self-checks that untraced pairs cannot see.
+After a workload's pairs it runs ``--trace 1`` once in each tree, at the first
+seed and for TRACED_SECONDS, and prints each traced run's ``correct`` and failed
+count: a traced run makes self-checks that untraced pairs cannot see.  So each
+workload gets one table and one traced check.
 
-It exits 1 when a run, traced or not, is not ``correct``, has failed operations
-or ends without a result line.
+It exits 1 when a run of any workload, traced or not, is not ``correct``, has
+failed operations or ends without a result line.
 """
 
 from __future__ import annotations
@@ -126,46 +128,53 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> 
         return {"error": f"exit {proc.returncode}: {exc}"}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=_seeds, help="A-B, inclusive")
-    parser.add_argument("--seconds", required=True, type=int)
-    args = parser.parse_args(argv)
-    end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
-
+def _compare(sides: dict, workload: str, seeds: range, seconds: int, end_to_end) -> int:
+    """Run and print one workload's pairs, table and traced check; return how
+    many runs did not count."""
     pairs, bad = [], 0
-    sides = {"parent": args.parent, "change": args.change}
-    for seed in args.seeds:
+    for seed in seeds:
         order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-        result = {side: _run(sides[side], args.workload, seed, args.seconds) for side in order}
+        result = {side: _run(sides[side], workload, seed, seconds) for side in order}
         for side in order:
             problems = run_failures(result[side])
             bad += bool(problems)
             values = {k: v["value"] for k, v in result[side].get("metrics", {}).items()}
-            print(f"seed {seed} {side:<6} {values} {'; '.join(problems)}", flush=True)
+            print(f"{workload} seed {seed} {side:<6} {values} {'; '.join(problems)}", flush=True)
         pairs.append((result["parent"], result["change"]))
 
     traced_bad = 0
     for side, tree in sides.items():
-        result = _run(tree, args.workload, args.seeds[0], TRACED_SECONDS, trace=1)
+        result = _run(tree, workload, seeds[0], TRACED_SECONDS, trace=1)
         problems = run_failures(result)
         traced_bad += bool(problems)
-        print(f"traced {side:<6} correct={result.get('correct')} failed={result.get('failed')} "
-              f"{'; '.join(problems)}".rstrip(), flush=True)
+        print(f"{workload} traced {side:<6} correct={result.get('correct')} "
+              f"failed={result.get('failed')} {'; '.join(problems)}".rstrip(), flush=True)
 
     if bad:
-        print(f"{bad} run(s) did not count; no verdict")
-        return 1
-    print(f"{args.workload}: {len(pairs)} pairs, {args.seconds} s runs; median (q1-q3)")
-    for summary in summarise(pairs, end_to_end):
-        print(summary.line())
+        print(f"{workload}: {bad} run(s) did not count; no verdict")
+    else:
+        print(f"{workload}: {len(pairs)} pairs, {seconds} s runs; median (q1-q3)")
+        for summary in summarise(pairs, end_to_end):
+            print(summary.line())
     if traced_bad:
-        print(f"{traced_bad} traced run(s) did not count")
-    return int(bool(traced_bad))
+        print(f"{workload}: {traced_bad} traced run(s) did not count")
+    return bad + traced_bad
 
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True, type=lambda text: text.split(","),
+                        help="one workload or a comma-separated list")
+    parser.add_argument("--seeds", required=True, type=_seeds, help="A-B, inclusive")
+    parser.add_argument("--seconds", required=True, type=int)
+    args = parser.parse_args(argv)
+    end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    sides = {"parent": args.parent, "change": args.change}
+    bad = sum(_compare(sides, workload, args.seeds, args.seconds, end_to_end)
+              for workload in args.workload)
+    return int(bool(bad))
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -79,23 +79,37 @@ def rewrite(path, data: bytes) -> None:
     """Make ``data`` the whole content of the file at ``path``, creating it
     with the mode that ``open(path, "w")`` gives under the process umask.
 
-    The old bytes are written over and a regular file is then cut to length,
-    not truncated to zero first: ext4 starts writeback when a file truncated to
-    zero is closed (``auto_da_alloc``), so ``open(path, "w")`` over an existing
-    2-60 KB output took 97-260 us median against 7-16 us for this (ext4 mounted
-    with ``discard``, 2-CPU x86-64 VM).  ``/dev/null``, FIFOs and ttys are not
-    cut, as ``O_TRUNC`` leaves them; a symlink is written through.  Kill window:
-    a process that dies between the write and the cut leaves, after a rewrite
-    shorter than the old file, the old tail behind the new bytes.  Nothing here
-    calls fsync.
+    A regular file longer than ``data`` is cut to ``len(data)``, and the old
+    bytes are then written over; it is never truncated to zero, because ext4
+    starts writeback when a file truncated to zero is closed
+    (``auto_da_alloc``): ``open(path, "w")`` over an existing 2-60 KB output
+    took 97-260 us median against 7-16 us for this (ext4 mounted with
+    ``discard``, 2-CPU x86-64 VM).  A write that raises cuts the file to the
+    bytes it wrote, so no old byte is left behind them.  ``/dev/null``, FIFOs
+    and ttys are never cut, as ``O_TRUNC`` leaves them; a symlink is written
+    through.
+
+    Nothing here calls fsync.  Kill window: a process that dies between the cut
+    and the end of the write leaves the new length holding old bytes after the
+    new ones, where ``open(path, "w")`` leaves a short file.  Crash window:
+    since no writeback starts at close, a power loss or OS crash can leave an
+    output with its new length but old or mixed data blocks, where truncating
+    to zero tends to leave it empty or short.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        if regular and info.st_size > len(data):
             os.ftruncate(fd, len(data))
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(fd, view):]
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, len(data) - len(view))
+            raise
     finally:
         os.close(fd)
 

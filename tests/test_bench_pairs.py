@@ -164,3 +164,17 @@ def test_a_workload_list_gives_one_table_and_traced_check_each(tmp_path, monkeyp
         else:
             assert f"{w}: 2 pairs, 4 s runs; median (q1-q3)\n" in out
     assert out.count("run_s ") == len(workloads) - (failing is not None)
+
+
+@pytest.mark.parametrize("names", ["fi-curves,", "fi-curves,fi-curve"], ids=["empty", "unknown"])
+def test_a_workload_not_declared_stops_before_any_run(tmp_path, monkeypatch, capsys, names):
+    parent, change = _trees(tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args, **kw: calls.append(args))
+    argv = [str(parent), str(change), "--workload", names, "--seeds", "11-12", "--seconds", "4"]
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(argv)
+    assert stop.value.code == 2 and calls == []
+    bad = names.split(",")[1]
+    assert f"--workload: {bad!r} not in fi-curves, saturate-desk, simulate-bright-pnrd" \
+        in capsys.readouterr().err

@@ -1299,6 +1299,27 @@ class TestRewrite:
             bench.rewrite(out, data)
             assert out.read_bytes() == data
 
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["ENOSPC", "interrupt"])
+    def test_a_write_that_fails_partway_leaves_no_old_byte(self, tmp_path, monkeypatch, exc):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old,bytes\n" * 1000)
+        data = b"a,b\n1,2\n" * 10
+        real_write, calls = os.write, []
+
+        def write(fd, view):
+            calls.append(len(view))
+            if len(calls) > 1:
+                raise exc
+            return real_write(fd, view[:50])
+
+        monkeypatch.setattr(os, "write", write)
+        with pytest.raises(type(exc)):
+            bench.rewrite(out, data)
+        monkeypatch.undo()
+        assert calls == [len(data), len(data) - 50]
+        assert out.read_bytes() == data[:50]
+
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_a_new_file_gets_the_mode_of_open_w(self, tmp_path, umask):
         old = os.umask(umask)

@@ -24,7 +24,8 @@ count: a traced run makes self-checks that untraced pairs cannot see.  So each
 workload gets one table and one traced check.
 
 It exits 1 when a run of any workload, traced or not, is not ``correct``, has
-failed operations or ends without a result line.
+failed operations or ends without a result line, and 2, before any run, when a
+W is not a workload that the parent's ``BENCHMARK.json`` declares.
 """
 
 from __future__ import annotations
@@ -170,11 +171,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=_seeds, help="A-B, inclusive")
     parser.add_argument("--seconds", required=True, type=int)
     args = parser.parse_args(argv)
-    end_to_end = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((args.parent / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in declared["workloads"]]
+    unknown = [w for w in args.workload if w not in names]
+    if unknown:
+        parser.error(f"--workload: {', '.join(map(repr, unknown))} not in {', '.join(names)}")
     sides = {"parent": args.parent, "change": args.change}
-    bad = sum(_compare(sides, workload, args.seeds, args.seconds, end_to_end)
+    bad = sum(_compare(sides, workload, args.seeds, args.seconds, declared["end_to_end"])
               for workload in args.workload)
     return int(bool(bad))
+
 
 if __name__ == "__main__":
     sys.exit(main())
